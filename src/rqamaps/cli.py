@@ -40,6 +40,14 @@ def _parse_schedule(text: str) -> list[int]:
     return values
 
 
+def _schedule_arg(args) -> list[int]:
+    if args.schedule:
+        return _parse_schedule(args.schedule)
+    if args.n is None:
+        raise ValueError("need --n or --schedule")
+    return [args.n]
+
+
 def _load_trajectory(args, length: int) -> Trajectory:
     if args.map:
         if args.x0 is None:
@@ -81,7 +89,7 @@ def _write_or_print(text: str, output: str | None):
 
 def _cmd_corrsum(args) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
-    schedule = _parse_schedule(args.schedule) if args.schedule else [args.n]
+    schedule = _schedule_arg(args)
     traj = _load_trajectory(args, max(schedule) + args.m - 1)
     series = rqa.estimate_asymptotics(traj, args.m, eps, schedule, threads=args.threads)
     if args.output:
@@ -96,7 +104,7 @@ def _cmd_corrsum(args) -> int:
 
 def _cmd_ratio(args, kind: str) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
-    schedule = _parse_schedule(args.schedule) if args.schedule else [args.n]
+    schedule = _schedule_arg(args)
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
     fn = rqa.rqa_det if kind == "det" else rqa.recurrence_determinism
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_source_args(p)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--epsilon", required=True)
-        p.add_argument("--n", type=int)
+        p.add_argument("--n", type=int, required=name == "rplot")
         if name != "rplot":
             p.add_argument("--schedule", help="comma-separated increasing n values")
 
@@ -280,7 +288,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,8 +64,12 @@ class PiecewiseLinearMap:
 
     @staticmethod
     def from_json(text: str) -> "PiecewiseLinearMap":
+        """Parse a map file; a malformed one raises ValueError."""
         data = json.loads(text)
-        return PiecewiseLinearMap.of(data["breakpoints"], data["values"])
+        try:
+            return PiecewiseLinearMap.of(data["breakpoints"], data["values"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed map JSON: {exc!r}") from exc
 
 
 def evaluate(f: PiecewiseLinearMap, x: Number) -> Number:

@@ -103,7 +103,12 @@ class Configuration:
 
     @staticmethod
     def from_json(text: str) -> "Configuration":
-        return Configuration.of(json.loads(text))
+        """Parse a configuration file; a malformed one raises ValueError."""
+        data = json.loads(text)
+        try:
+            return Configuration.of(data)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed configuration JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

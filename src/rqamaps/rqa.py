@@ -14,13 +14,27 @@ rationals in both arithmetic modes; only the underlying distance
 comparisons differ (exact rational vs binary float, decided by the
 trajectory's element type).
 
-Pair counting is a direct O(n^2 m) scan over row blocks: desk-scale n keeps
-this tractable, exact-rational mode precludes spatial bucketing, and block
-partitioning keeps output deterministic for any thread count.
+Pair counting
+-------------
+All of these are read off one pair count ``N_w(n)``, and one scan yields it
+for every window w <= W and every n of an increasing schedule: the window-w
+test is the AND of the pointwise tests at offsets s < w, and a pair (i, j)
+belongs to every n > max(i, j).  The scan covers the upper triangle j >= i
+in row blocks sized to stay in cache, and counts each off-diagonal hit
+twice; the pointwise test is symmetric in both modes.  Float mode compares
+``|fl(x_i - x_j)| <= eps``, and ``fl(a - b) = -fl(b - a)`` under IEEE
+round-to-nearest.  Exact mode compares ranks: over the common denominator
+the points are integers, where ``|x_i - x_j| <= eps`` iff
+``x_i - eps <= x_j <= x_i + eps``, so the rank of x_j among the distinct
+points against the rank range of [x_i - eps, x_i + eps] decides every pair
+exactly, whatever the size of the denominator.  The scan does O(n^2)
+pointwise tests and O(n^2 W) boolean ANDs; blocks are independent, so the
+output is the same for any thread count.
 """
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,8 +45,9 @@ import numpy as np
 from .dynamics import Trajectory
 from .rational import Number, as_fraction, common_scale
 
-_BLOCK_ROWS = 512
-_INT64_LIMIT = 2 ** 62
+# Block rows are chosen so that each block temporary has about this many
+# elements (1 MB of float64), which keeps the scan in cache at any n.
+_BLOCK_ELEMS = 1 << 17
 
 
 def default_threads() -> int:
@@ -71,84 +86,102 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
     return max(abs(pts[i + s] - pts[j + s]) for s in range(m))
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    # cap temp arrays at ~32 MB of float64 per block
-    rows = max(1, min(_BLOCK_ROWS, (4 << 20) // max(n, 1)))
-    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
+def _exact_ranks(pts: Sequence, epsilon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point: its rank among the distinct points, and the half-open rank
+    range of the points within epsilon of it, decided in exact integers."""
+    fracs = [as_fraction(p) for p in pts]
+    eps = as_fraction(epsilon)
+    distinct = set(fracs)
+    scale = common_scale(list(distinct) + [eps])
+    scaled = {f: f.numerator * (scale // f.denominator) for f in distinct}
+    values = sorted(scaled.values())
+    e = eps.numerator * (scale // eps.denominator)
+    index = {v: r for r, v in enumerate(values)}
+    rank = np.array([index[scaled[f]] for f in fracs])
+    lo = np.array([bisect_left(values, v - e) for v in values])
+    hi = np.array([bisect_right(values, v + e) for v in values])
+    return rank, lo[rank], hi[rank]
 
 
-def _count_numpy(x: np.ndarray, n: int, m: int, eps, threads: int,
-                 collect) -> int:
-    """Blockwise pair scan; x has length n+m-1, dtype float64 or int64."""
+def _pointwise_test(pts: Sequence, epsilon):
+    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon over
+    i in [i0, i1), j in [j0, j1)."""
+    if isinstance(pts[0], float):
+        x = np.asarray(pts, dtype=np.float64)
+        eps = float(epsilon)
 
-    def one_block(lo_hi):
-        lo, hi = lo_hi
-        acc = None
-        for s in range(m):
-            d = np.abs(x[lo + s:hi + s, None] - x[None, s:s + n])
-            ok = d <= eps
-            acc = ok if acc is None else (acc & ok)
+        def close(i0, i1, j0, j1):
+            return np.abs(x[i0:i1, None] - x[None, j0:j1]) <= eps
+        return close
+    rank, lo, hi = _exact_ranks(pts, epsilon)
+
+    def close(i0, i1, j0, j1):
+        r = rank[None, j0:j1]
+        return (lo[i0:i1, None] <= r) & (r < hi[i0:i1, None])
+    return close
+
+
+def _window_counts(close, ns: Sequence[int], windows: int, threads: int,
+                   collect=None) -> list[list[int]]:
+    """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : close at offsets 0..w-1}.
+
+    ``ns`` is strictly increasing, and ``close`` covers ns[-1] + windows - 1
+    points.  ``collect(lo, hi, block)``, when given, receives the window-
+    ``windows`` hits of rows [lo, hi) and columns [lo, ns[-1]), with the
+    entries below the diagonal cleared.
+    """
+    n, extra = ns[-1], windows - 1
+    rows = max(1, min(n, 255, _BLOCK_ELEMS // n))   # column sums fit in uint8
+    upper = np.triu(np.ones((rows, rows), dtype=bool))
+
+    def one_block(lo):
+        hi = min(lo + rows, n)
+        h, c = hi - lo, n - lo
+        near = close(lo, hi + extra, lo, n + extra)
+        hit = near[:h, :c].copy()
+        hit[:, :h] &= upper[:h, :h]
+        per_column = np.empty((windows, c), dtype=np.int64)
+        for s in range(windows):
+            if s:
+                hit &= near[s:s + h, s:s + c]
+            per_column[s] = np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
+            per_column[s] *= 2                    # (i, j) and (j, i) ...
+            per_column[s, :h] -= hit.diagonal()   # ... and (i, i) once
         if collect is not None:
-            collect(lo, hi, acc)
-        return int(acc.sum())
+            collect(lo, hi, hit)
+        return lo, per_column
 
-    blocks = _blocks(n)
+    totals = np.zeros((windows, n), dtype=np.int64)
+
+    def add(results):
+        for lo, per_column in results:
+            totals[:, lo:] += per_column
+
+    blocks = range(0, n, rows)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(one_block, blocks))
-    return sum(map(one_block, blocks))
+            add(pool.map(one_block, blocks))
+    else:
+        add(map(one_block, blocks))
+    # column j holds the pairs with max(i, j) = j, so prefix sums give each n
+    return np.cumsum(totals, axis=1)[:, np.asarray(ns) - 1].tolist()
 
 
-def _count_python_ints(xs: list[int], n: int, m: int, eps: int, collect=None) -> int:
-    """Exact fallback for scaled integers too large for int64."""
-    count = 0
-    rows = [] if collect is not None else None
-    for i in range(n):
-        row = xs[i:i + m]
-        bits = [] if collect is not None else None
-        for j in range(n):
-            for s in range(m):
-                d = row[s] - xs[j + s]
-                if d > eps or -d > eps:
-                    hit = False
-                    break
-            else:
-                hit = True
-                count += 1
-            if bits is not None:
-                bits.append(hit)
-        if rows is not None:
-            rows.append(bits)
-    if collect is not None:
-        collect(0, n, np.asarray(rows, dtype=bool))
-    return count
-
-
-def _scaled_ints(pts: Sequence, k: int, epsilon) -> tuple[list[int], int, int]:
-    fracs = [as_fraction(p) for p in pts[:k]]
-    eps = as_fraction(epsilon)
-    scale = common_scale(fracs + [eps])
-    xs = [int(f * scale) for f in fracs]
-    return xs, int(eps * scale), scale
-
-
-def recurrent_pair_count(t, p: RQAParams, threads: int | None = None,
-                         _collect=None) -> int:
-    """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
+def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
+                 threads: int | None, collect=None) -> list[list[int]]:
+    """N_w(n) for w = 1..windows and n in the increasing schedule ns."""
     pts = _points(t)
-    n, m = p.n, p.m
-    if len(pts) < n + m - 1:
-        raise ValueError(
-            f"trajectory length {len(pts)} < n+m-1 = {n + m - 1}")
+    need = ns[-1] + windows - 1
+    if len(pts) < need:
+        raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
     threads = default_threads() if threads is None else threads
-    if isinstance(pts[0], float):
-        x = np.asarray(pts[:n + m - 1], dtype=np.float64)
-        return _count_numpy(x, n, m, float(p.epsilon), threads, _collect)
-    xs, eps, scale = _scaled_ints(pts, n + m - 1, p.epsilon)
-    if scale <= _INT64_LIMIT:
-        x = np.asarray(xs, dtype=np.int64)
-        return _count_numpy(x, n, m, eps, threads, _collect)
-    return _count_python_ints(xs, n, m, eps, _collect)
+    close = _pointwise_test(pts[:need], epsilon)
+    return _window_counts(close, ns, windows, threads, collect)
+
+
+def recurrent_pair_count(t, p: RQAParams, threads: int | None = None) -> int:
+    """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
+    return _pair_counts(t, [p.n], p.m, p.epsilon, threads)[-1][0]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
@@ -158,20 +191,17 @@ def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
 
 def recurrence_determinism(t, p: RQAParams, threads: int | None = None) -> Fraction:
     """rdet_m = C_m / C_1 (well defined: diagonal pairs keep C_1 > 0)."""
-    c_m = correlation_sum(t, p, threads)
-    if p.m == 1:
-        return c_m / c_m
-    c_1 = correlation_sum(t, RQAParams(1, p.epsilon, p.n), threads)
-    return c_m / c_1
+    counts = _pair_counts(t, [p.n], p.m, p.epsilon, threads)
+    return Fraction(counts[-1][0], counts[0][0])
 
 
 def rqa_det(t, p: RQAParams, threads: int | None = None) -> Fraction:
     """DET_m = m*rdet_m - (m-1)*rdet_{m+1}; needs window m+1 available."""
-    r_m = recurrence_determinism(t, p, threads)
     if p.m == 1:
-        return r_m
-    r_m1 = recurrence_determinism(t, RQAParams(p.m + 1, p.epsilon, p.n), threads)
-    return p.m * r_m - (p.m - 1) * r_m1
+        return recurrence_determinism(t, p, threads)
+    counts = _pair_counts(t, [p.n], p.m + 1, p.epsilon, threads)
+    n1, n_m, n_m1 = (counts[w][0] for w in (0, p.m - 1, p.m))
+    return Fraction(p.m * n_m - (p.m - 1) * n_m1, n1)
 
 
 @dataclass(frozen=True)
@@ -192,9 +222,10 @@ def recurrence_matrix(t, p: RQAParams, threads: int | None = None) -> Recurrence
     bits = np.zeros((p.n, p.n), dtype=bool)
 
     def collect(lo, hi, block):
-        bits[lo:hi, :] = block
+        bits[lo:hi, lo:] = block
 
-    recurrent_pair_count(t, p, threads, _collect=collect)
+    _pair_counts(t, [p.n], p.m, p.epsilon, threads, collect)
+    bits |= bits.T
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
 
 
@@ -224,9 +255,9 @@ def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
     schedule = list(schedule)
     if not schedule or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
-    values = tuple(
-        (n, correlation_sum(t, RQAParams(m, epsilon, n), threads))
-        for n in schedule)
+    RQAParams(m, epsilon, schedule[0])   # validates m, epsilon and every n
+    counts = _pair_counts(t, schedule, m, epsilon, threads)[-1]
+    values = tuple((n, Fraction(c, n * n)) for n, c in zip(schedule, counts))
     tail_len = max(1, int(len(values) * tail_fraction))
     tail = [c for _, c in values[-tail_len:]]
     return SeriesEstimate(m=m, epsilon=epsilon, values=values,

@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .intervals import CompactInterval, interval_dist, union_diam
-from .rational import Number, as_fraction, common_scale, fraction_str
+from .rational import (INT64_SCALE_LIMIT, Number, as_fraction, common_scale,
+                       fraction_str)
 
 _DEFAULT_MAX_PAIRS = 2 ** 26
-_INT64_LIMIT = 2 ** 62
 
 
 class ResourceGuardError(RuntimeError):
@@ -231,7 +231,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     ivs = _depth_endpoints(s, t)
     scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps])
     steps = min(m_max, p)
-    if scale <= _INT64_LIMIT:
+    if scale <= INT64_SCALE_LIMIT:
         los = np.asarray([int(iv.lo * scale) for iv in ivs], dtype=np.int64)
         his = np.asarray([int(iv.hi * scale) for iv in ivs], dtype=np.int64)
         per_m = _scan_numpy(los, his, int(eps * scale), steps, threads)

@@ -177,3 +177,35 @@ class TestParsing:
     def test_schedule_must_increase(self, plateau_map_file):
         assert run("corrsum", "--map", plateau_map_file, "--x0", "0",
                    "--m", "1", "--epsilon", "1/2", "--schedule", "5,5") == 1
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text", ['{"breakpoints": [0, 1]}', '[0, 1]',
+                                      '{"breakpoints": [0, null, 1], "values": [0, 1, 0]}',
+                                      '{"breakpoints": 5, "values": 3}'])
+    def test_malformed_map_file_exits_one(self, tmp_path, text):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        assert run("corrsum", "--map", str(path), "--x0", "1/3",
+                   "--m", "1", "--epsilon", "1/2", "--n", "3") == 1
+
+    @pytest.mark.parametrize("text", ['[[0, null]]', '[5]', '[[0, Infinity]]'])
+    def test_malformed_configuration_file_exits_one(self, tmp_path, text):
+        path = tmp_path / "conf.json"
+        path.write_text(text)
+        assert run("config", "--analyze", str(path), "--epsilon", "1") == 1
+
+    def test_missing_n_exits_one(self, plateau_map_file):
+        assert run("corrsum", "--map", plateau_map_file, "--x0", "1/5",
+                   "--m", "1", "--epsilon", "1/2") == 1
+        assert run("rplot", "--map", plateau_map_file, "--x0", "1/5",
+                   "--m", "1", "--epsilon", "1/2", "--output", "unused.pgm") == 1
+
+    def test_internal_type_error_propagates(self, monkeypatch, plateau_map_file):
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli.rqa, "estimate_asymptotics", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            run("corrsum", "--map", plateau_map_file, "--x0", "1/5",
+                "--m", "1", "--epsilon", "1/2", "--n", "5")

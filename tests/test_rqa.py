@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rqamaps import rqa
 from rqamaps.constructions import prop42_positions
 from rqamaps.dynamics import Trajectory, iterate
 from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
+from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
                          recurrence_matrix, rqa_det, write_series_csv)
@@ -14,14 +17,14 @@ from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
 from conftest import random_pl_map
 
 
+def brute_bits(points, m, eps, n):
+    """Oracle: direct O(n^2 m) scan in the points' own arithmetic."""
+    return [[max(abs(points[i + s] - points[j + s]) for s in range(m)) <= eps
+             for j in range(n)] for i in range(n)]
+
+
 def brute_corr_sum(points, m, eps, n):
-    """Oracle: direct O(n^2 m) scan with exact arithmetic."""
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            if max(abs(points[i + s] - points[j + s]) for s in range(m)) <= eps:
-                count += 1
-    return F(count, n * n)
+    return F(sum(map(sum, brute_bits(points, m, eps, n))), n * n)
 
 
 ALTERNATING = Trajectory(F(0), tuple(F(i % 2) for i in range(12)))
@@ -225,3 +228,64 @@ def test_rqa_invariants(seed):
     r = recurrence_determinism(t, RQAParams(m, eps, n))
     r_next = recurrence_determinism(t, RQAParams(m + 1, eps, n))
     assert 0 <= r_next <= r <= 1
+
+
+# the fused kernel against the dense oracle, on every backend
+
+_POOLS = {
+    "float": [k / 10 for k in range(11)] + [0.15, 0.3 + 1e-9],
+    "int64": [F(k, 12) for k in range(13)],
+    # denominators 2**33 + k: any two distinct points have a common scale
+    # above 2**62
+    "bigint": [F(k, 8) + F(1, 2 ** 33 + k) for k in range(7)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_kernel_matches_oracle(backend, seed, m):
+    rnd = random.Random(seed)
+    pool = _POOLS[backend]
+    n_max = rnd.randint(1, 14)
+    # few distinct values, so that distances repeat and hit eps exactly
+    pts = rnd.sample(pool, 2) + [rnd.choice(pool[:rnd.randint(2, len(pool))])
+                                 for _ in range(n_max + m - 2)]
+    a, b = rnd.randrange(len(pts)), rnd.randrange(len(pts))
+    eps = abs(pts[a] - pts[b]) or pool[1]
+    if backend != "float":
+        scale = common_scale(list(pts) + [eps])
+        assert (scale <= INT64_SCALE_LIMIT) == (backend == "int64")
+    schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, n_max)))
+    dense = {w: brute_bits(pts, w, eps, n_max) for w in range(1, m + 2)}
+
+    def count(w, n):
+        return sum(sum(row[:n]) for row in dense[w][:n])
+
+    def oracle(w, n):
+        return F(count(w, n), n * n)
+
+    # one block per call, and blocks of one or two rows, serial and threaded
+    for block_elems, threads in ((rqa._BLOCK_ELEMS, 1), (1, 3), (2 * n_max, 2)):
+        with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+            assert rqa._pair_counts(pts, schedule, m + 1, eps, threads) == \
+                [[count(w, n) for n in schedule] for w in range(1, m + 2)]
+            est = estimate_asymptotics(pts[:n_max + m - 1], m, eps, schedule,
+                                       threads=threads)
+            assert est.values == tuple((n, oracle(m, n)) for n in schedule)
+            for n in schedule:
+                p = RQAParams(m, eps, n)
+                c1, cm, cm1 = oracle(1, n), oracle(m, n), oracle(m + 1, n)
+                assert correlation_sum(pts, p, threads) == cm
+                assert recurrence_determinism(pts, p, threads) == cm / c1
+                det = cm / c1 if m == 1 else m * cm / c1 - (m - 1) * cm1 / c1
+                assert rqa_det(pts[:n + m], p, threads) == det
+            mat = recurrence_matrix(pts, RQAParams(m, eps, n_max), threads)
+            assert mat.bits.tolist() == dense[m]
+            assert (mat.bits == mat.bits.T).all()
+
+
+def test_det_window_one_needs_only_n_points():
+    pts = [F(1, 4), F(3, 4), F(1, 4), F(1, 2)]
+    assert rqa_det(pts, RQAParams(1, F(1, 4), 4)) == 1
+    with pytest.raises(ValueError):
+        rqa_det(pts, RQAParams(2, F(1, 4), 4))   # window 3 needs n + 2 points
