@@ -26,8 +26,15 @@ from .rational import fraction_str
 from .solenoidal import ResourceGuardError
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_epsilon(text: str, as_float: bool):
-    eps = Fraction(text)
+    eps = _parse_rational(text)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     return float(eps) if as_float else eps
@@ -54,7 +61,7 @@ def _load_trajectory(args, length: int) -> Trajectory:
             raise ValueError("--map needs a seed point --x0")
         with open(args.map) as fh:
             f = PiecewiseLinearMap.from_json(fh.read())
-        x0 = Fraction(args.x0)
+        x0 = _parse_rational(args.x0)
         seed = float(x0) if args.float else x0
         return iterate(f, seed, length)
     if args.construction == "prop42":
@@ -107,11 +114,12 @@ def _cmd_ratio(args, kind: str) -> int:
     schedule = _schedule_arg(args)
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
-    fn = rqa.rqa_det if kind == "det" else rqa.recurrence_determinism
+    rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
+    values = rqa._ratio_series(traj, schedule, args.m, eps, args.threads,
+                               det=kind == "det")
     lines = [f"n,{kind}_num,{kind}_den,{kind}_float"]
-    for n in schedule:
-        v = fn(traj, rqa.RQAParams(args.m, eps, n), threads=args.threads)
-        lines.append(f"{n},{v.numerator},{v.denominator},{float(v)!r}")
+    lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
+              for n, v in zip(schedule, values)]
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -128,7 +136,7 @@ def _cmd_rplot(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    eps = Fraction(args.epsilon)
+    eps = _parse_rational(args.epsilon)
     if args.extremal:
         conf = extremal_configuration(args.n, eps)
     elif args.zero:
@@ -156,7 +164,7 @@ def _cmd_config(args) -> int:
 
 def _cmd_solenoid(args) -> int:
     inst = constructions.build_delahaye(args.r, depth_cap=max(args.t_schedule))
-    eps = Fraction(args.epsilon)
+    eps = _parse_rational(args.epsilon)
     rows = [solenoidal.count_pairs(inst.system, t, args.m, eps,
                                    threads=args.threads or 1)
             for t in args.t_schedule]

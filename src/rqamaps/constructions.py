@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .dynamics import PiecewiseLinearMap
@@ -73,7 +74,7 @@ def index_level(index: int) -> int:
 
 @dataclass(frozen=True)
 class Prop42Instance:
-    """Verified interval scheme and point positions down to ``depth``."""
+    """Verified interval scheme down to ``depth``; point positions on demand."""
 
     depth: int
     y0: Fraction
@@ -82,13 +83,17 @@ class Prop42Instance:
     scale_ratio: int
     intervals_i: tuple[CompactInterval, ...]
     intervals_j: tuple[CompactInterval, ...]
-    positions: tuple[Fraction, ...]
     slope: Fraction
     fixed_point: Fraction
 
     @property
     def n_points(self) -> int:
         return 2 * (2 ** (self.depth + 1) - 1)
+
+    @cached_property
+    def positions(self) -> tuple[Fraction, ...]:
+        """All n_points positions x_0 ... x_{n_points - 1} (exact rationals)."""
+        return tuple(_position(i) for i in range(self.n_points))
 
 
 def _position(index: int) -> Fraction:
@@ -139,9 +144,7 @@ def build_prop42(depth: int) -> Prop42Instance:
             if s > t and not union_diam(ivs_i[s], ivs_j[t]) < eps:
                 fail(f"diam(I_{s} u J_{t}) >= 1/2")
 
-    n_points = 2 * (2 ** (depth + 1) - 1)
-    positions = tuple(_position(i) for i in range(n_points))
-    x1, x2 = positions[1], positions[2]
+    x1, x2 = _position(1), _position(2)
     slope = (x2 - Y1) / (x1 - Y0)
     if not slope < -1:
         fail("middle branch not expanding")
@@ -150,15 +153,14 @@ def build_prop42(depth: int) -> Prop42Instance:
         fail("fixed point outside (1/4, x_1)")
     return Prop42Instance(
         depth=depth, y0=Y0, y1=Y1, epsilon_star=eps, scale_ratio=SCALE_RATIO,
-        intervals_i=ivs_i, intervals_j=ivs_j, positions=positions,
-        slope=slope, fixed_point=fixed_point)
+        intervals_i=ivs_i, intervals_j=ivs_j, slope=slope, fixed_point=fixed_point)
 
 
 def prop42_positions(inst: Prop42Instance, n: int) -> tuple[Fraction, ...]:
     """The first n point positions x_0 ... x_{n-1} (exact rationals)."""
     if not 1 <= n <= inst.n_points:
         raise ValueError(f"n={n} outside generated depth (max {inst.n_points})")
-    return inst.positions[:n]
+    return tuple(_position(i) for i in range(n))
 
 
 def prop42_recurrence_rule(inst: Prop42Instance, i: int, j: int) -> bool:
@@ -251,8 +253,8 @@ def prop42_numeric_map(inst: Prop42Instance, depth: int | None = None) -> Piecew
     depth = inst.depth if depth is None else depth
     if not 1 <= depth <= inst.depth:
         raise ValueError(f"depth {depth} outside built instance (max {inst.depth})")
-    pos = inst.positions
     n_pts = 2 * (2 ** (depth + 1) - 1)
+    pos = prop42_positions(inst, n_pts)
     breakpoints = [Fraction(0), pos[0]]
     values = [pos[1], pos[1]]
     for e in range(2, n_pts - 1, 2):  # even indices with generated successors

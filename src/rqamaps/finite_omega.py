@@ -10,16 +10,26 @@ At an excluded threshold the limit may genuinely fail to exist, so those
 values are flagged rather than silently accepted.  Determinism follows as
 c_m / c_1 and equals exactly 1 whenever eps is below the smallest spatial
 gap of the orbit.
+
+The counts come from the pair kernel of :mod:`rqamaps.rqa`, run on the
+cycle unrolled to p + m - 1 points, so one scan gives every window 1..m.
+A threshold is excluded exactly when some pair sits at Bowen distance eps,
+that is when the count with ``<= eps`` differs from the count with
+``< eps``; the warning needs no list of the p^2 distances.  Exact orbits
+are compared exactly; float orbits compare float distances against eps
+itself, also when eps is an exact rational.
 """
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import PeriodicStructure
 from .rational import Number, as_fraction, fraction_str
+from .rqa import _pointwise_test, _window_counts
 
 
 class ExcludedEpsilonWarning(UserWarning):
@@ -76,9 +86,46 @@ def excluded_epsilons(o: PeriodicOrbitData, m: int) -> frozenset:
     return frozenset(vals)
 
 
+def _float_threshold(eps: Number, strict: bool) -> float:
+    """The float f with d <= eps iff d <= f (d < eps iff d < f when
+    ``strict``) for every float d: the float nearest eps, moved onto eps's
+    side of the comparison."""
+    f = float(eps)
+    if strict and f < eps:
+        return math.nextafter(f, math.inf)
+    if not strict and f > eps:
+        return math.nextafter(f, -math.inf)
+    return f
+
+
+def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
+                  strict: bool = False) -> list[int]:
+    """N_w = #{(i, j) in Z_p^2 : bowen_w(y_i, y_j) <= eps} for w = 1..m
+    (< eps when ``strict``), from one scan of the cycle unrolled to
+    p + m - 1 points."""
+    if m < 1:
+        raise ValueError("window length must be >= 1")
+    p = o.period
+    steps = min(m, p)   # offsets repeat mod p
+    pts = [o.points[i % p] for i in range(p + steps - 1)]
+    if isinstance(pts[0], float) and not isinstance(epsilon, float):
+        epsilon = _float_threshold(epsilon, strict)
+    close = _pointwise_test(pts, epsilon, strict)
+    counts = [c[0] for c in _window_counts(close, [p], steps, threads=1)]
+    return counts + counts[-1:] * (m - steps)
+
+
 def recurrent_orbit_pairs(o: PeriodicOrbitData, m: int, epsilon: Number) -> int:
-    return sum(1 for i in range(o.period) for j in range(o.period)
-               if bowen_orbit_distance(o, i, j, m) <= epsilon)
+    return _orbit_counts(o, m, epsilon)[-1]
+
+
+def _warn_if_excluded(epsilon, n_closed: int, n_strict: int) -> None:
+    # eps is an orbit Bowen distance exactly when some pair sits at distance eps
+    if n_closed != n_strict:
+        warnings.warn(
+            f"epsilon={epsilon} equals an orbit Bowen distance; the asymptotic "
+            "correlation sum is not guaranteed to exist there",
+            ExcludedEpsilonWarning, stacklevel=3)
 
 
 def closed_form_corr_sum(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fraction:
@@ -86,20 +133,17 @@ def closed_form_corr_sum(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fract
     eps = as_fraction(epsilon) if not isinstance(epsilon, float) else epsilon
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    if eps in excluded_epsilons(o, m):
-        warnings.warn(
-            f"epsilon={epsilon} equals an orbit Bowen distance; the asymptotic "
-            "correlation sum is not guaranteed to exist there",
-            ExcludedEpsilonWarning, stacklevel=2)
-    return Fraction(recurrent_orbit_pairs(o, m, eps), o.period ** 2)
+    n_m = _orbit_counts(o, m, eps)[-1]
+    _warn_if_excluded(epsilon, n_m, _orbit_counts(o, m, eps, strict=True)[-1])
+    return Fraction(n_m, o.period ** 2)
 
 
 def min_spatial_gap(o: PeriodicOrbitData) -> Number:
     p = o.period
     if p == 1:
         raise ValueError("a fixed point has no spatial gap")
-    return min(abs(o.points[i] - o.points[j])
-               for i in range(p) for j in range(p) if i != j)
+    ys = sorted(o.points)
+    return min(b - a for a, b in zip(ys, ys[1:]))
 
 
 def asymptotic_rdet_finite(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fraction:
@@ -108,14 +152,16 @@ def asymptotic_rdet_finite(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fra
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     p = o.period
+    closed = _orbit_counts(o, m, eps)
     if p == 1 or eps < min_spatial_gap(o):
         # only diagonal pairs recur, in every window length
-        assert recurrent_orbit_pairs(o, 1, eps) == p
-        assert recurrent_orbit_pairs(o, m, eps) == p
+        assert closed[0] == p
+        assert closed[m - 1] == p
         return Fraction(1)
-    c_m = closed_form_corr_sum(o, m, eps)
-    c_1 = closed_form_corr_sum(o, 1, eps)
-    return c_m / c_1
+    strict = _orbit_counts(o, m, eps, strict=True)
+    for w in (m, 1):
+        _warn_if_excluded(eps, closed[w - 1], strict[w - 1])
+    return Fraction(closed[m - 1], closed[0])
 
 
 def report(o: PeriodicOrbitData, m: int, epsilon: Number) -> dict:

@@ -6,6 +6,12 @@ closer than a threshold while their hull is wider than it.  The cardinality
 of that pair set is sharply bounded by ``4*(n-1)``; both the extremal and
 the empty configurations are constructible.
 
+In an ordered configuration J_1 < ... < J_n, for b > a the gap is
+metric(hi_a, lo_b) and the hull metric(lo_a, hi_b).  Under any
+order-preserving metric both grow with b and shrink with a, so each row of
+the pair set is a contiguous range of b whose two ends only move right as
+a grows.  Two pointers find every row in O(n + #pairs) metric calls.
+
 All operations are pure; all values are immutable after construction, so
 everything here is safe to share between threads.
 """
@@ -146,17 +152,21 @@ def epsilon_pairs(c: Configuration, epsilon: Number,
         raise ValueError("epsilon must be positive")
     ivs = c.intervals
     n = len(ivs)
-    pairs = set()
-    for a in range(n):
-        ja = ivs[a]
+    pairs = []
+    near = wide = 0   # row a's first b with gap >= eps, and with hull > eps
+    for a, ja in enumerate(ivs):
         if metric(ja.lo, ja.hi) > epsilon:
-            pairs.add((a + 1, a + 1))
-        for b in range(a + 1, n):
-            jb = ivs[b]
-            # ordered configuration: gap and hull via outer endpoints
-            if metric(ja.hi, jb.lo) < epsilon < metric(ja.lo, jb.hi):
-                pairs.add((a + 1, b + 1))
-                pairs.add((b + 1, a + 1))
+            pairs.append((a + 1, a + 1))
+        # row a is the range [wide, near); both ends only move right as a
+        # grows (see the module docstring)
+        near = max(near, a + 1)
+        while near < n and metric(ja.hi, ivs[near].lo) < epsilon:
+            near += 1
+        wide = max(wide, a + 1)
+        while wide < near and not metric(ja.lo, ivs[wide].hi) > epsilon:
+            wide += 1
+        for b in range(wide, near):
+            pairs += [(a + 1, b + 1), (b + 1, a + 1)]
     return EpsilonPairSet(n=n, epsilon=epsilon, pairs=frozenset(pairs))
 
 

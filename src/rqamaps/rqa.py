@@ -30,6 +30,10 @@ points against the rank range of [x_i - eps, x_i + eps] decides every pair
 exactly, whatever the size of the denominator.  The scan does O(n^2)
 pointwise tests and O(n^2 W) boolean ANDs; blocks are independent, so the
 output is the same for any thread count.
+
+The kernel takes any symmetric block test.  A strict variant (``< eps``)
+serves the excluded-threshold check of :mod:`rqamaps.finite_omega`, and
+:mod:`rqamaps.solenoidal` feeds it interval gap and hull tests on ranks.
 """
 from __future__ import annotations
 
@@ -86,9 +90,11 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
     return max(abs(pts[i + s] - pts[j + s]) for s in range(m))
 
 
-def _exact_ranks(pts: Sequence, epsilon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_ranks(pts: Sequence, epsilon,
+                 strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per point: its rank among the distinct points, and the half-open rank
-    range of the points within epsilon of it, decided in exact integers."""
+    range of the points within epsilon of it (closer than epsilon when
+    ``strict``), decided in exact integers."""
     fracs = [as_fraction(p) for p in pts]
     eps = as_fraction(epsilon)
     distinct = set(fracs)
@@ -98,27 +104,34 @@ def _exact_ranks(pts: Sequence, epsilon) -> tuple[np.ndarray, np.ndarray, np.nda
     e = eps.numerator * (scale // eps.denominator)
     index = {v: r for r, v in enumerate(values)}
     rank = np.array([index[scaled[f]] for f in fracs])
-    lo = np.array([bisect_left(values, v - e) for v in values])
-    hi = np.array([bisect_right(values, v + e) for v in values])
+    left, right = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
+    lo = np.array([left(values, v - e) for v in values])
+    hi = np.array([right(values, v + e) for v in values])
     return rank, lo[rank], hi[rank]
 
 
-def _pointwise_test(pts: Sequence, epsilon):
-    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon over
-    i in [i0, i1), j in [j0, j1)."""
+def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
+    """close(i0, i1, j0, j1): the block of ``lo_i <= x_j and y_j < hi_i``
+    over i in [i0, i1), j in [j0, j1), all four arrays holding small-integer
+    ranks."""
+    def close(i0, i1, j0, j1):
+        return (lo[i0:i1, None] <= x[None, j0:j1]) & (y[None, j0:j1] < hi[i0:i1, None])
+    return close
+
+
+def _pointwise_test(pts: Sequence, epsilon, strict: bool = False):
+    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon (< epsilon
+    when ``strict``) over i in [i0, i1), j in [j0, j1)."""
     if isinstance(pts[0], float):
         x = np.asarray(pts, dtype=np.float64)
         eps = float(epsilon)
+        compare = np.less if strict else np.less_equal
 
         def close(i0, i1, j0, j1):
-            return np.abs(x[i0:i1, None] - x[None, j0:j1]) <= eps
+            return compare(np.abs(x[i0:i1, None] - x[None, j0:j1]), eps)
         return close
-    rank, lo, hi = _exact_ranks(pts, epsilon)
-
-    def close(i0, i1, j0, j1):
-        r = rank[None, j0:j1]
-        return (lo[i0:i1, None] <= r) & (r < hi[i0:i1, None])
-    return close
+    rank, lo, hi = _exact_ranks(pts, epsilon, strict)
+    return _rank_test(lo, rank, rank, hi)
 
 
 def _window_counts(close, ns: Sequence[int], windows: int, threads: int,
@@ -189,19 +202,26 @@ def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
     return Fraction(recurrent_pair_count(t, p, threads), p.n * p.n)
 
 
+def _ratio_series(t, ns: Sequence[int], m: int, epsilon, threads: int | None,
+                  det: bool) -> list[Fraction]:
+    """rdet_m, or DET_m when ``det``, at every n of the increasing schedule
+    ns, from one scan."""
+    if det and m > 1:
+        counts = _pair_counts(t, ns, m + 1, epsilon, threads)
+        return [Fraction(m * n_m - (m - 1) * n_m1, n1)
+                for n1, n_m, n_m1 in zip(counts[0], counts[m - 1], counts[m])]
+    counts = _pair_counts(t, ns, m, epsilon, threads)   # DET_1 = rdet_1
+    return [Fraction(n_m, n1) for n1, n_m in zip(counts[0], counts[m - 1])]
+
+
 def recurrence_determinism(t, p: RQAParams, threads: int | None = None) -> Fraction:
     """rdet_m = C_m / C_1 (well defined: diagonal pairs keep C_1 > 0)."""
-    counts = _pair_counts(t, [p.n], p.m, p.epsilon, threads)
-    return Fraction(counts[-1][0], counts[0][0])
+    return _ratio_series(t, [p.n], p.m, p.epsilon, threads, det=False)[0]
 
 
 def rqa_det(t, p: RQAParams, threads: int | None = None) -> Fraction:
     """DET_m = m*rdet_m - (m-1)*rdet_{m+1}; needs window m+1 available."""
-    if p.m == 1:
-        return recurrence_determinism(t, p, threads)
-    counts = _pair_counts(t, [p.n], p.m + 1, p.epsilon, threads)
-    n1, n_m, n_m1 = (counts[w][0] for w in (0, p.m - 1, p.m))
-    return Fraction(p.m * n_m - (p.m - 1) * n_m1, n1)
+    return _ratio_series(t, [p.n], p.m, p.epsilon, threads, det=True)[0]
 
 
 @dataclass(frozen=True)
@@ -271,11 +291,11 @@ def pgm_bytes(matrix: RecurrenceMatrix) -> bytes:
     Byte-exact golden-file format.
     """
     n = matrix.n
-    out = [f"P1\n{n} {n}\n"]
-    for i in range(n):
-        out.append(" ".join("1" if b else "0" for b in matrix.bits[i]))
-        out.append("\n")
-    return "".join(out).encode("ascii")
+    cells = np.empty((n, n, 2), dtype=np.uint8)   # each bit and the byte after it
+    cells[:, :, 0] = matrix.bits.view(np.uint8) + ord("0")
+    cells[:, :, 1] = ord(" ")
+    cells[:, -1:, 1] = ord("\n")
+    return f"P1\n{n} {n}\n".encode("ascii") + cells.tobytes()
 
 
 def write_pgm(matrix: RecurrenceMatrix, path) -> None:

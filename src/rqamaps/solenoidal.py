@@ -14,13 +14,27 @@ For window length m and threshold eps the depth-t word-pair counts are
 
 whose densities N°/p_t^2 <= c <= N/p_t^2 sandwich every asymptotic
 correlation sum over the system, with enclosure width at most
-4m(p_t - 1)/p_t^2.  Counting is exhaustive over A^t x A^t; a resource
-guard bounds the quadratic work (env RQA_MAX_PAIRS overrides).
+4m(p_t - 1)/p_t^2.
+
+Counting is exhaustive over A^t x A^t, on the pair kernel of
+:mod:`rqamaps.rqa`: the intervals in odometer order, wrapped mod p_t to
+p_t + m - 1 entries, are the "points", and one scan gives every window.
+The per-step tests need only order comparisons of endpoints,
+
+    gap < eps   iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
+    hull <= eps iff  hi_b <= lo_a + eps and  lo_b >= hi_a - eps
+                     and both diameters are <= eps,
+
+so over the common denominator each threshold is a rank among the distinct
+endpoints, found by bisection, and every pair is decided exactly by
+small-integer comparisons, whatever the denominator and whether or not the
+intervals are ordered.  A resource guard bounds the quadratic work (env
+RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,8 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .intervals import CompactInterval, interval_dist, union_diam
-from .rational import (INT64_SCALE_LIMIT, Number, as_fraction, common_scale,
-                       fraction_str)
+from .rational import Number, as_fraction, common_scale, fraction_str
+from .rqa import _rank_test, _window_counts
 
 _DEFAULT_MAX_PAIRS = 2 ** 26
 
@@ -215,6 +229,33 @@ def _depth_endpoints(s: AdmissibleSystem, t: int):
     return [interval_of_word(s, Word.from_int(j, (2,) * t)) for j in range(2 ** t)]
 
 
+def _interval_tests(ivs: Sequence[CompactInterval], eps: Fraction):
+    """Rank tests for gap < eps (strict) and hull <= eps (closed) between
+    intervals a and b, exact for any denominator and any interval order."""
+    scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps])
+    los = [iv.lo.numerator * (scale // iv.lo.denominator) for iv in ivs]
+    his = [iv.hi.numerator * (scale // iv.hi.denominator) for iv in ivs]
+    e = eps.numerator * (scale // eps.denominator)
+    values = sorted(set(los) | set(his))
+    index = {v: r for r, v in enumerate(values)}
+    dtype = np.min_scalar_type(len(values))   # the narrowest type is the fastest
+    rank_lo = np.array([index[v] for v in los], dtype=dtype)
+    rank_hi = np.array([index[v] for v in his], dtype=dtype)
+
+    def cut(find, ends, shift):
+        return np.array([find(values, v + shift) for v in ends], dtype=dtype)
+
+    # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
+    strict = (cut(bisect_right, los, -e), rank_hi, rank_lo, cut(bisect_left, his, e))
+    # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
+    # diameters are <= eps: a wider interval gets the out-of-range rank
+    # len(values), which fails either comparison as row a or as column b
+    wide = np.array([h - lo > e for lo, h in zip(los, his)])
+    closed = (np.where(wide, len(values), cut(bisect_left, his, -e)), rank_lo,
+              np.where(wide, len(values), rank_hi), cut(bisect_right, los, e))
+    return strict, closed
+
+
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                      threads: int = 1) -> list[SolenoidalCounts]:
     """Counts for every window length 1..m_max in one exhaustive scan."""
@@ -228,70 +269,20 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         raise ResourceGuardError(
             f"{p}^2 pairs exceed the guard ({max_pairs_limit()}); "
             "raise RQA_MAX_PAIRS to override")
-    ivs = _depth_endpoints(s, t)
-    scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps])
     steps = min(m_max, p)
-    if scale <= INT64_SCALE_LIMIT:
-        los = np.asarray([int(iv.lo * scale) for iv in ivs], dtype=np.int64)
-        his = np.asarray([int(iv.hi * scale) for iv in ivs], dtype=np.int64)
-        per_m = _scan_numpy(los, his, int(eps * scale), steps, threads)
-    else:
-        per_m = _scan_python(ivs, eps, steps)
-    # windows beyond p_t repeat the p_t values (the shift action is cyclic)
-    while len(per_m) < m_max:
-        per_m.append(per_m[-1])
-    return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps,
-                             n_strict=ns, n_closed=nc)
-            for m, (ns, nc) in enumerate(per_m, start=1)]
+    # the shift acts cyclically: the word a + i is interval (a + i) mod p_t
+    wrap = np.arange(p + steps - 1) % p
 
+    def scan(ranks):
+        close = _rank_test(*(r[wrap] for r in ranks))
+        return [c[0] for c in _window_counts(close, [p], steps, threads)]
 
-def _scan_numpy(los, his, eps: int, steps: int, threads: int):
-    p = len(los)
-    rows = max(1, min(1024, (4 << 20) // p))
-    blocks = [(i, min(i + rows, p)) for i in range(0, p, rows)]
-    shifted = [(np.roll(los, -i), np.roll(his, -i)) for i in range(steps)]
-
-    def one_block(block):
-        blo, bhi = block
-        counts = []
-        acc_s = acc_c = None
-        for lo_i, hi_i in shifted:
-            gap = np.maximum(lo_i[blo:bhi, None] - hi_i[None, :],
-                             lo_i[None, :] - hi_i[blo:bhi, None])
-            hull = (np.maximum(hi_i[blo:bhi, None], hi_i[None, :])
-                    - np.minimum(lo_i[blo:bhi, None], lo_i[None, :]))
-            ok_s, ok_c = gap < eps, hull <= eps
-            acc_s = ok_s if acc_s is None else (acc_s & ok_s)
-            acc_c = ok_c if acc_c is None else (acc_c & ok_c)
-            counts.append((int(acc_s.sum()), int(acc_c.sum())))
-        return counts
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            block_counts = list(pool.map(one_block, blocks))
-    else:
-        block_counts = [one_block(b) for b in blocks]
-    return [tuple(sum(bc[i][j] for bc in block_counts) for j in (0, 1))
-            for i in range(steps)]
-
-
-def _scan_python(ivs, eps: Fraction, steps: int):
-    p = len(ivs)
-    strict = [0] * steps
-    closed = [0] * steps
-    for a in range(p):
-        for b in range(p):
-            dm = um = None
-            for i in range(steps):
-                ka, kb = ivs[(a + i) % p], ivs[(b + i) % p]
-                d, u = interval_dist(ka, kb), union_diam(ka, kb)
-                dm = d if dm is None else max(dm, d)
-                um = u if um is None else max(um, u)
-                if dm < eps:
-                    strict[i] += 1
-                if um <= eps:
-                    closed[i] += 1
-    return [(strict[i], closed[i]) for i in range(steps)]
+    strict, closed = map(scan, _interval_tests(_depth_endpoints(s, t), eps))
+    # windows beyond p_t repeat the p_t values
+    pad = m_max - steps
+    return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps, n_strict=ns, n_closed=nc)
+            for m, (ns, nc) in enumerate(zip(strict + strict[-1:] * pad,
+                                             closed + closed[-1:] * pad), start=1)]
 
 
 def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number,

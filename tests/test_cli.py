@@ -70,6 +70,29 @@ class TestRatioTables:
         assert line == f"30,{v.numerator},{v.denominator},{float(v)!r}"
 
 
+    @pytest.mark.parametrize("kind", ["rdet", "det"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_table_matches_per_n_library_calls(self, capsys, plateau_map_file,
+                                               plateau_map, kind, m, as_float):
+        flags = ["--float"] if as_float else []
+        assert run(kind, "--map", plateau_map_file, "--x0", "21/100", *flags,
+                   "--m", str(m), "--epsilon", "9/20", "--schedule", "1,7,20,45") == 0
+        from rqamaps.rqa import recurrence_determinism, rqa_det
+        fn = rqa_det if kind == "det" else recurrence_determinism
+        x0, eps = (0.21, 0.45) if as_float else (F(21, 100), F(9, 20))
+        traj = iterate(plateau_map, x0, 45 + m)
+        lines = [f"n,{kind}_num,{kind}_den,{kind}_float"]
+        for n in (1, 7, 20, 45):
+            v = fn(traj, RQAParams(m, eps, n))
+            lines.append(f"{n},{v.numerator},{v.denominator},{float(v)!r}")
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_nonpositive_n_exits_one(self, plateau_map_file):
+        assert run("rdet", "--map", plateau_map_file, "--x0", "1/5",
+                   "--m", "2", "--epsilon", "1/2", "--schedule", "0,5") == 1
+
+
 class TestRplot:
     def test_pgm_format(self, tmp_path):
         out = tmp_path / "plot.pgm"
@@ -200,6 +223,18 @@ class TestErrors:
                    "--m", "1", "--epsilon", "1/2") == 1
         assert run("rplot", "--map", plateau_map_file, "--x0", "1/5",
                    "--m", "1", "--epsilon", "1/2", "--output", "unused.pgm") == 1
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--x0"])
+    def test_zero_denominator_exits_one(self, plateau_map_file, flag):
+        args = {"--epsilon": "1/2", "--x0": "1/5", flag: "1/0"}
+        assert run("corrsum", "--map", plateau_map_file, "--x0", args["--x0"],
+                   "--m", "1", "--epsilon", args["--epsilon"], "--n", "3") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["config", "--extremal", "--n", "3", "--epsilon", "1/0"],
+        ["solenoid", "--r", "5", "--m", "1", "--epsilon", "1/0", "--t-schedule", "2"]])
+    def test_zero_denominator_in_other_commands_exits_one(self, argv):
+        assert run(*argv) == 1
 
     def test_internal_type_error_propagates(self, monkeypatch, plateau_map_file):
         def broken(*args, **kwargs):

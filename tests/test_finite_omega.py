@@ -1,13 +1,17 @@
+import operator
+import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqamaps.dynamics import detect_periodic, iterate
 from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   aligned_orbit, asymptotic_rdet_finite,
                                   bowen_orbit_distance, closed_form_corr_sum,
-                                  excluded_epsilons, min_spatial_gap, report,
-                                  report_json)
+                                  excluded_epsilons, min_spatial_gap,
+                                  recurrent_orbit_pairs, report, report_json)
 from rqamaps.rqa import RQAParams, correlation_sum
 
 TWO = PeriodicOrbitData.of(["1/4", "3/4"])
@@ -133,6 +137,51 @@ class TestAgainstFiniteTime:
         for i in range(p):
             idx = ps.preperiod + ((i - ps.preperiod) % p)
             assert orbit.points[i] == t.points[idx]
+
+
+# the closed forms against brute Bowen-distance counts, at tie thresholds
+
+_ORBIT_POOLS = {
+    "exact": [F(k, 12) for k in range(13)],
+    # denominators 2**33 + k: a common scale above 2**62
+    "bigint": [F(k, 8) + F(1, 2 ** 33 + k) for k in range(9)],
+    # float points with float thresholds, and with exact thresholds that sit
+    # on, just above or just below a float distance
+    "float": [k / 10 for k in range(11)] + [0.15, 0.3 + 1e-9],
+    "float, exact eps": [k / 10 for k in range(11)] + [0.15, 0.3 + 1e-9],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_closed_forms_match_brute_counts(kind, seed, m):
+    rnd = random.Random(seed)
+    pool = _ORBIT_POOLS[kind]
+    o = PeriodicOrbitData(tuple(rnd.sample(pool, rnd.randint(1, 7))))
+    p = o.period
+    i, j = rnd.randrange(p), rnd.randrange(p)
+    eps = bowen_orbit_distance(o, i, j, rnd.choice([1, m])) or pool[2] - pool[0]
+    if kind == "float, exact eps":
+        eps = F(eps) + rnd.choice([0, F(1, 10 ** 30), -F(1, 10 ** 30)])
+
+    def brute(w, compare=operator.le):
+        return sum(compare(bowen_orbit_distance(o, a, b, w), eps)
+                   for a in range(p) for b in range(p))
+
+    ties = [brute(w) != brute(w, operator.lt) for w in (m, 1)]
+    assert ties[0] == (eps in excluded_epsilons(o, m))
+    assert recurrent_orbit_pairs(o, m, eps) == brute(m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert closed_form_corr_sum(o, m, eps) == F(brute(m), p * p)
+        assert len(caught) == ties[0]
+        assert asymptotic_rdet_finite(o, m, eps) == F(brute(m), brute(1))
+        # below the minimal gap nothing ties, so both calls warn per tie
+        assert len(caught) == ties[0] + sum(ties)
+    assert all(issubclass(w.category, ExcludedEpsilonWarning) for w in caught)
+    if p > 1:
+        assert min_spatial_gap(o) == min(abs(x - y) for x in o.points
+                                         for y in o.points if x != y)
 
 
 def test_report_shape():

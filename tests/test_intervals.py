@@ -3,10 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs,
-                               extremal_configuration, interval_dist,
+                               euclidean, extremal_configuration, interval_dist,
                                union_diam, zero_configuration)
 
 IV = CompactInterval.exact
@@ -20,6 +20,25 @@ def brute_pairs(config, eps):
         for b, jb in enumerate(ivs, start=1):
             gap = max(0 * eps, jb.lo - ja.hi, ja.lo - jb.hi)
             hull = max(ja.hi, jb.hi) - min(ja.lo, jb.lo)
+            if gap < eps < hull:
+                found.add((a, b))
+    return found
+
+
+def cube_metric(x, y):
+    """|x^3 - y^3|: a non-Euclidean metric that preserves the order."""
+    return abs(x ** 3 - y ** 3)
+
+
+def brute_pairs_metric(config, eps, metric):
+    """Oracle for any metric: gap and hull from all endpoint pairs."""
+    found = set()
+    for a, ja in enumerate(config.intervals, start=1):
+        for b, jb in enumerate(config.intervals, start=1):
+            ends = [ja.lo, ja.hi, jb.lo, jb.hi]
+            overlap = ja.lo <= jb.hi and jb.lo <= ja.hi
+            gap = 0 if overlap else min(metric(x, y) for x in ends[:2] for y in ends[2:])
+            hull = max(metric(x, y) for x in ends for y in ends)
             if gap < eps < hull:
                 found.add((a, b))
     return found
@@ -180,6 +199,35 @@ def test_pair_set_properties(seed):
     assert _check_swap(pairs)
     assert _check_betweenness(pairs, n)
     assert _check_exclusion(pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([euclidean, cube_metric]))
+def test_epsilon_pairs_matches_brute_oracle_at_ties(seed, metric):
+    rnd = random.Random(seed)
+    c = _random_config(rnd, rnd.randint(1, 16))
+    ends = [x for iv in c.intervals for x in (iv.lo, iv.hi)]
+    # eps equal to the metric between two endpoints hits gaps and hulls exactly
+    eps = metric(rnd.choice(ends), rnd.choice(ends)) or F(rnd.randint(1, 60), 24)
+    got = epsilon_pairs(c, eps, metric).pairs
+    assert got == frozenset(brute_pairs_metric(c, eps, metric))
+    if metric is euclidean:
+        assert got == frozenset(brute_pairs(c, eps))
+
+
+@pytest.mark.parametrize("n", [2, 50, 400])
+def test_epsilon_pairs_metric_calls_linear(n):
+    # the extremal layout makes every row of a quadratic scan run to the end
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return euclidean(x, y)
+
+    eps = F(1, 3)
+    pairs = epsilon_pairs(extremal_configuration(n, eps), eps, counting)
+    assert len(pairs) == 4 * (n - 1)
+    assert len(calls) <= 5 * n
 
 
 @given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))

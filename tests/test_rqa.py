@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rqamaps import rqa
 from rqamaps.constructions import prop42_positions
@@ -289,3 +290,21 @@ def test_det_window_one_needs_only_n_points():
     assert rqa_det(pts, RQAParams(1, F(1, 4), 4)) == 1
     with pytest.raises(ValueError):
         rqa_det(pts, RQAParams(2, F(1, 4), 4))   # window 3 needs n + 2 points
+
+
+def joined_pgm(matrix):
+    """Reference rendering: one Python string per bit, rows joined by spaces."""
+    rows = [" ".join("1" if b else "0" for b in row) + "\n" for row in matrix.bits]
+    return (f"P1\n{matrix.n} {matrix.n}\n" + "".join(rows)).encode("ascii")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10 ** 6))
+@example(1, 0)
+def test_pgm_bytes_matches_joined_rendering(n, seed):
+    rnd = random.Random(seed)
+    density = rnd.random()
+    bits = np.array([[rnd.random() < density for _ in range(n)] for _ in range(n)])
+    matrix = rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=bits)
+    assert pgm_bytes(matrix) == joined_pgm(matrix)
+

@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rqamaps import rqa
+from rqamaps.intervals import interval_dist, union_diam
+from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
-from rqamaps.solenoidal import (ResourceGuardError, Word, asymptotic_corr_sum,
+from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
+                                _depth_endpoints, asymptotic_corr_sum,
                                 count_pairs, counts_by_window, diam_m_words,
                                 dist_m_words, interval_of_word, max_diam,
                                 midpoint_trajectory, symbolic_trajectory,
@@ -44,6 +50,27 @@ def oracle_counts(r, t, m, eps):
             strict += dm < eps
             closed += um <= eps
     return strict, closed
+
+
+def dense_counts(ivs, eps, m_max):
+    """Oracle: [(N_m, N_m°) for m = 1..m_max] by a dense O(p^2 m) Fraction
+    scan over the intervals in odometer order, with no cap on the window."""
+    p = len(ivs)
+    strict = [0] * m_max
+    closed = [0] * m_max
+    for a in range(p):
+        for b in range(p):
+            dm = um = None
+            for i in range(m_max):
+                ka, kb = ivs[(a + i) % p], ivs[(b + i) % p]
+                d, u = interval_dist(ka, kb), union_diam(ka, kb)
+                dm = d if dm is None else max(dm, d)
+                um = u if um is None else max(um, u)
+                if dm < eps:
+                    strict[i] += 1
+                if um <= eps:
+                    closed[i] += 1
+    return list(zip(strict, closed))
 
 
 class TestWords:
@@ -168,11 +195,13 @@ class TestCounts:
                     assert (c.n_strict, c.n_closed) == oracle_counts(5, t, m, eps)
 
     def test_python_and_numpy_scans_agree(self, delahaye5):
-        from rqamaps.solenoidal import _depth_endpoints, _scan_python
-        ivs = _depth_endpoints(delahaye5.system, 3)
-        got = _scan_python(ivs, F(1, 5), 3)
-        counts = counts_by_window(delahaye5.system, 3, F(1, 5), 3)
-        assert got == [(c.n_strict, c.n_closed) for c in counts]
+        # the rank kernel against the dense Fraction scan, windows past p_t
+        for t in (1, 2, 3):
+            ivs = _depth_endpoints(delahaye5.system, t)
+            for eps in (F(1, 5), F(3, 25), F(2, 5)):
+                counts = counts_by_window(delahaye5.system, t, eps, 2 ** t + 2)
+                assert dense_counts(ivs, eps, 2 ** t + 2) == \
+                    [(c.n_strict, c.n_closed) for c in counts]
 
     def test_counts_by_window_consistent(self, delahaye5):
         counts = counts_by_window(delahaye5.system, 4, F(1, 5), 3)
@@ -198,6 +227,43 @@ class TestCounts:
         a = count_pairs(delahaye5.system, 6, 3, F(1, 25), threads=1)
         b = count_pairs(delahaye5.system, 6, 3, F(1, 25), threads=3)
         assert (a.n_strict, a.n_closed) == (b.n_strict, b.n_closed)
+
+
+def random_system(rnd, big):
+    """Diameter rule with widths on a 1/8 grid, drawn independently of the
+    parent's, so that children may overlap or leave their parent.  With
+    ``big``, the two depth-1 widths get coprime denominators above 2**33, so
+    that every depth has a common scale above 2**62."""
+    widths = {}
+
+    def rule(w):
+        if w.digits not in widths:
+            extra = F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0
+            widths[w.digits] = F(rnd.randint(1, 6), 8) + extra
+        return widths[w.digits]
+    return AdmissibleSystem(diam_rule=rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.booleans(), st.integers(1, 3))
+def test_counts_by_window_matches_dense_oracle(seed, t, big, threads):
+    rnd = random.Random(seed)
+    s = random_system(rnd, big)
+    ivs = _depth_endpoints(s, t)
+    p = 2 ** t
+    a, b = rnd.choice(ivs), rnd.choice(ivs)
+    # ties: eps equal to a gap, a hull or a diameter, each decided exactly
+    eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
+    ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps]
+    assert (common_scale(ends) > INT64_SCALE_LIMIT) == big
+    m_max = rnd.randint(1, p + 2)
+    want = dense_counts(ivs, eps, m_max)
+    # one block per call, and blocks of a single row
+    for block_elems in (rqa._BLOCK_ELEMS, 1):
+        with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+            got = counts_by_window(s, t, eps, m_max, threads=threads)
+        assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
+            [(m, ns, nc) for m, (ns, nc) in enumerate(want, start=1)]
 
 
 class TestEnclosure:
