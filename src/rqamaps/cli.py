@@ -82,7 +82,8 @@ def _add_source_args(p: argparse.ArgumentParser):
                    help="construction depth (prop42 source)")
     p.add_argument("--float", action="store_true",
                    help="binary floating-point arithmetic instead of exact rationals")
-    p.add_argument("--threads", type=int, default=None, help="row-block workers")
+    p.add_argument("--threads", type=int, default=None,
+                   help="row-block workers (rplot only; pair counts are serial)")
     p.add_argument("--output", help="output file path")
 
 

@@ -150,11 +150,15 @@ def detect_periodic(t: Trajectory, tol: Number = 0) -> PeriodicStructure | None:
         raise ValueError("tolerance must be nonnegative")
     pts = t.points
     n = len(pts)
+    # with tol == 0 equality is the test: repeated orbit points are often the
+    # same object, and == skips a Fraction subtraction
+    exact = tol == 0
     for p in range(1, n // 2 + 1):
         # minimal k such that every residual at offset p from index k on fits
         k = n - p
         for i in range(n - p - 1, -1, -1):
-            if abs(pts[i + p] - pts[i]) <= tol:
+            a, b = pts[i + p], pts[i]
+            if (a is b or a == b) if exact else abs(a - b) <= tol:
                 k = i
             else:
                 break

@@ -16,27 +16,43 @@ trajectory's element type).
 
 Pair counting
 -------------
-All of these are read off one pair count ``N_w(n)``, and one scan yields it
+All of these are read off one pair count ``N_w(n)``, and one pass yields it
 for every window w <= W and every n of an increasing schedule: the window-w
-test is the AND of the pointwise tests at offsets s < w, and a pair (i, j)
-belongs to every n > max(i, j).  The scan covers the upper triangle j >= i
-in row blocks sized to stay in cache, and counts each off-diagonal hit
-twice; the pointwise test is symmetric in both modes.  Float mode compares
-``|fl(x_i - x_j)| <= eps``, and ``fl(a - b) = -fl(b - a)`` under IEEE
-round-to-nearest.  Exact mode compares ranks: over the common denominator
-the points are integers, where ``|x_i - x_j| <= eps`` iff
+test is the AND of the pointwise tests at offsets s < w.  Both arithmetic
+modes test points through ranks.  Exact mode scales the distinct points to
+integers over their common denominator, where ``|x_i - x_j| <= eps`` iff
 ``x_i - eps <= x_j <= x_i + eps``, so the rank of x_j among the distinct
 points against the rank range of [x_i - eps, x_i + eps] decides every pair
-exactly, whatever the size of the denominator.  The scan does O(n^2)
-pointwise tests and O(n^2 W) boolean ANDs; blocks are independent, so the
-output is the same for any thread count.
+exactly, whatever the size of the denominator.  Float mode keeps the test
+``|fl(x_i - x_j)| <= eps``; rounding is monotone, so the values that pass
+it also form a rank range, whose ends are found with the test itself.
 
-The kernel takes any symmetric block test.  A strict variant (``< eps``)
-serves the excluded-threshold check of :mod:`rqamaps.finite_omega`, and
-:mod:`rqamaps.solenoidal` feeds it interval gap and hull tests on ranks.
+Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
+:func:`rqa_det`, :func:`estimate_asymptotics`) run over the distinct delay
+vectors ``(x_i, ..., x_{i+W-1})``.  Rows with equal vectors form a class;
+an eventually periodic orbit has at most k + p of them.  Each class is
+weighted by its multiplicity below every scheduled n, and a pair of
+classes adds the product of their weights.  The classes are sorted by
+their first coordinate, so the classes d >= c that can pass at offset 0
+form a band that ends where the first coordinate leaves c's range.  The
+scan covers the upper triangle of the classes in row blocks, each reading
+only the columns up to the band end of its last row, and counts each
+off-diagonal hit twice; the pointwise test is symmetric in both modes
+(``fl(a - b) = -fl(b - a)`` under IEEE round-to-nearest).  The cost is the
+band area times W, at most O(n^2 W) when every vector is distinct and
+every pair recurs.  This path is serial.
+
+:func:`_window_counts` keeps the scan over index pairs in index order, for
+what needs every pair or its position: the bits of
+:func:`recurrence_matrix` (blocks are independent, so the bits are the
+same for any thread count), and, through a symmetric block test, the
+strict (``< eps``) variant behind the excluded-threshold check of
+:mod:`rqamaps.finite_omega` and the interval gap and hull tests of
+:mod:`rqamaps.solenoidal`.
 """
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -92,22 +108,63 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
 
 def _exact_ranks(pts: Sequence, epsilon,
                  strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point: its rank among the distinct points, and the half-open rank
-    range of the points within epsilon of it (closer than epsilon when
-    ``strict``), decided in exact integers."""
-    fracs = [as_fraction(p) for p in pts]
+    """Per point, its rank among the distinct values; per rank, the
+    half-open rank range of the values within epsilon of it (closer than
+    epsilon when ``strict``), decided in exact integers.
+
+    A Fraction's hash costs a modular inverse, so repeated point objects
+    are merged by identity first (``pts`` keeps them alive, so their ids
+    are stable); equal values among the distinct objects then merge as
+    scaled integers, which also sort faster than Fractions.
+    """
+    _, first, which = np.unique(np.array([id(p) for p in pts], dtype=np.uint64),
+                                return_index=True, return_inverse=True)
+    fracs = [as_fraction(pts[i]) for i in first]
     eps = as_fraction(epsilon)
-    distinct = set(fracs)
-    scale = common_scale(list(distinct) + [eps])
-    scaled = {f: f.numerator * (scale // f.denominator) for f in distinct}
-    values = sorted(scaled.values())
+    scale = common_scale(fracs + [eps])
+    scaled = [f.numerator * (scale // f.denominator) for f in fracs]
+    values = sorted(set(scaled))
     e = eps.numerator * (scale // eps.denominator)
     index = {v: r for r, v in enumerate(values)}
-    rank = np.array([index[scaled[f]] for f in fracs])
+    rank = np.array([index[v] for v in scaled])[which]
     left, right = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
     lo = np.array([left(values, v - e) for v in values])
     hi = np.array([right(values, v + e) for v in values])
-    return rank, lo[rank], hi[rank]
+    return rank, lo, hi
+
+
+def _float_ranks(pts: Sequence, epsilon,
+                 strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float analogue of :func:`_exact_ranks` for ``|fl(x_i - x_j)| <=
+    eps`` (``< eps`` when ``strict``).  Rounding is monotone, so the values
+    passing the test form a rank range around each value; ``searchsorted``
+    on ``fl(x +- eps)`` lands within an ulp of its ends, and a few steps of
+    the test itself find them exactly."""
+    values, rank = np.unique(np.asarray(pts, dtype=np.float64), return_inverse=True)
+    if not np.isfinite(values).all():
+        raise ValueError("float points must be finite")
+    eps, last = float(epsilon), len(values) - 1
+    compare = np.less if strict else np.less_equal
+    if not compare(0.0, eps):   # not even a point and itself are close
+        own = np.arange(len(values))
+        return rank, own, own
+    lo = np.searchsorted(values, values - eps, side="left")
+    while (step := ~compare(values - values[lo], eps)).any():
+        lo += step
+    while (step := (lo > 0) & compare(values - values[lo - 1], eps)).any():
+        lo -= step
+    hi = np.searchsorted(values, values + eps, side="right")
+    while (step := ~compare(values[hi - 1] - values, eps)).any():
+        hi -= step
+    while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
+        hi += step
+    return rank, lo, hi
+
+
+def _ranks(pts: Sequence, epsilon, strict: bool = False):
+    """Point ranks and rank ranges, in the points' own arithmetic."""
+    ranks = _float_ranks if isinstance(pts[0], float) else _exact_ranks
+    return ranks(pts, epsilon, strict)
 
 
 def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
@@ -122,16 +179,8 @@ def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
 def _pointwise_test(pts: Sequence, epsilon, strict: bool = False):
     """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon (< epsilon
     when ``strict``) over i in [i0, i1), j in [j0, j1)."""
-    if isinstance(pts[0], float):
-        x = np.asarray(pts, dtype=np.float64)
-        eps = float(epsilon)
-        compare = np.less if strict else np.less_equal
-
-        def close(i0, i1, j0, j1):
-            return compare(np.abs(x[i0:i1, None] - x[None, j0:j1]), eps)
-        return close
-    rank, lo, hi = _exact_ranks(pts, epsilon, strict)
-    return _rank_test(lo, rank, rank, hi)
+    rank, lo, hi = _ranks(pts, epsilon, strict)
+    return _rank_test(lo[rank], rank, rank, hi[rank])
 
 
 def _window_counts(close, ns: Sequence[int], windows: int, threads: int,
@@ -180,16 +229,88 @@ def _window_counts(close, ns: Sequence[int], windows: int, threads: int,
     return np.cumsum(totals, axis=1)[:, np.asarray(ns) - 1].tolist()
 
 
-def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
-                 threads: int | None, collect=None) -> list[list[int]]:
-    """N_w(n) for w = 1..windows and n in the increasing schedule ns."""
+def _segment(t, ns: Sequence[int], windows: int) -> Sequence[Number]:
+    """The ns[-1] + windows - 1 points that windows up to ``windows`` over
+    the schedule ns read."""
     pts = _points(t)
     need = ns[-1] + windows - 1
     if len(pts) < need:
         raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
-    threads = default_threads() if threads is None else threads
-    close = _pointwise_test(pts[:need], epsilon)
-    return _window_counts(close, ns, windows, threads, collect)
+    return pts[:need]
+
+
+def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  ns: Sequence[int], windows: int) -> list[list[int]]:
+    """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
+    rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the distinct delay
+    vectors of length ``windows``.
+
+    ``rank`` holds ns[-1] + windows - 1 point ranks, and [lo[r], hi[r]) is
+    the rank range of the values close to rank r, a relation that must be
+    symmetric and contain r.
+    """
+    n = ns[-1]
+    # weights and per-row sums are integers <= n, exact in float32; their
+    # products and totals are integers <= n^2, exact in float64
+    if n >= 2 ** 24:
+        raise ValueError(f"n = {n} exceeds the exact pair-count limit 2^24")
+    # classes of equal delay rows, refined one offset at a time; np.unique
+    # sorts its keys, so the classes come out in lexicographic order
+    key = rank[:n].astype(np.int64)
+    for s in range(1, windows):
+        _, cls = np.unique(key, return_inverse=True)
+        key = cls * len(lo) + rank[s:s + n]
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    u = len(first)
+    dtype = np.min_scalar_type(len(lo))
+    col = rank[first + np.arange(windows)[:, None]].astype(dtype)   # (windows, u)
+    row_lo, row_hi = lo[col].astype(dtype), hi[col].astype(dtype)
+    # each class's multiplicity below every scheduled n
+    weight = np.array([np.bincount(cls[:k], minlength=u) for k in ns], dtype=np.float32)
+    # classes ascend in their first coordinate, so the columns d >= c that
+    # can pass at offset 0 end where the first coordinate leaves c's range
+    end = np.searchsorted(col[0], row_hi[0])
+    end = np.maximum.accumulate(np.maximum(end, np.arange(1, u + 1)))
+    side = math.isqrt(_BLOCK_ELEMS)   # block rows r satisfy r^2 <= r * width
+    upper = np.triu(np.ones((side, side), dtype=bool))
+    totals = np.zeros((windows, len(ns)))
+    c0 = 0
+    while c0 < u:
+        # the most rows whose block, up to the band end of its last row,
+        # has at most _BLOCK_ELEMS entries; a wider band is split into chunks
+        tall = min(side, u - c0)
+        area = np.arange(1, tall + 1) * (end[c0:c0 + tall] - c0)
+        c1 = c0 + max(1, int(np.searchsorted(area, _BLOCK_ELEMS, side="right")))
+        h = c1 - c0
+        w_row = weight[:, c0:c1].astype(np.float64)
+        chunk = max(1, _BLOCK_ELEMS // h)
+        for j0 in range(c0, end[c1 - 1], chunk):
+            j1 = min(j0 + chunk, end[c1 - 1])
+            w_col = weight[:, j0:j1]
+            # at offset 0 every column ranks at or above the row's range start
+            hit = col[0, None, j0:j1] < row_hi[0, c0:c1, None]
+            if j0 == c0:
+                hit[:, :h] &= upper[:h, :h]
+            for s in range(windows):
+                if s:
+                    hit &= row_lo[s, c0:c1, None] <= col[s, None, j0:j1]
+                    hit &= col[s, None, j0:j1] < row_hi[s, c0:c1, None]
+                per_row = np.matmul(hit, w_col.T, dtype=np.float32)
+                pairs = np.einsum("kr,rk->k", w_row, per_row)
+                totals[s] += 2 * pairs   # (c, d) and (d, c) ...
+                if j0 == c0:             # ... and (c, c) once
+                    totals[s] -= w_row ** 2 @ hit[:, :h].diagonal()
+        c0 = c1
+    return totals.astype(np.int64).tolist()
+
+
+def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
+                 threads: int | None = None) -> list[list[int]]:
+    """N_w(n) for w = 1..windows and n in the increasing schedule ns.
+
+    Serial: ``threads`` is accepted for the public signatures and unused.
+    """
+    return _class_counts(*_ranks(_segment(t, ns, windows), epsilon), ns, windows)
 
 
 def recurrent_pair_count(t, p: RQAParams, threads: int | None = None) -> int:
@@ -244,7 +365,9 @@ def recurrence_matrix(t, p: RQAParams, threads: int | None = None) -> Recurrence
     def collect(lo, hi, block):
         bits[lo:hi, lo:] = block
 
-    _pair_counts(t, [p.n], p.m, p.epsilon, threads, collect)
+    close = _pointwise_test(_segment(t, [p.n], p.m), p.epsilon)
+    threads = default_threads() if threads is None else threads
+    _window_counts(close, [p.n], p.m, threads, collect)
     bits |= bits.T
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
 

@@ -138,34 +138,40 @@ class AdmissibleSystem:
             raise ValueError("depth_cap must be >= 1")
 
 
-def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a by recursive descent from [0, 1]; exact rational endpoints."""
-    if len(a) > s.depth_cap:
-        raise ValueError(f"depth {len(a)} exceeds cap {s.depth_cap}")
-    if any(q != 2 for q in a.radices):
-        raise ValueError("interval systems are binary")
-    key = a.digits
-    if not key:  # the empty word labels the whole space
-        return CompactInterval(Fraction(0), Fraction(1))
-    hit = s._cache.get(key)
+def _child(s: AdmissibleSystem, prefix: tuple[int, ...],
+           parent: CompactInterval) -> CompactInterval:
+    """K_prefix from its parent K: one diameter-rule call, cached on ``s``."""
+    hit = s._cache.get(prefix)
     if hit is not None:
         return hit
-    lo, hi = Fraction(0), Fraction(1)
+    width = as_fraction(s.diam_rule(Word.binary(prefix)))
+    if width <= 0:
+        raise ValueError(f"diameter rule must be positive, got {width}")
+    if prefix[-1] == 0:
+        iv = CompactInterval(parent.lo, parent.lo + width)
+    else:
+        iv = CompactInterval(parent.hi - width, parent.hi)
+    s._cache[prefix] = iv
+    return iv
+
+
+def _check_depth(s: AdmissibleSystem, t: int) -> None:
+    if t > s.depth_cap:
+        raise ValueError(f"depth {t} exceeds cap {s.depth_cap}")
+
+
+def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
+    """K_a by recursive descent from [0, 1]; exact rational endpoints."""
+    _check_depth(s, len(a))
+    if any(q != 2 for q in a.radices):
+        raise ValueError("interval systems are binary")
+    hit = s._cache.get(a.digits)
+    if hit is not None:
+        return hit
+    iv = CompactInterval(Fraction(0), Fraction(1))   # the empty word
     for depth in range(1, len(a) + 1):
-        prefix = a.digits[:depth]
-        cached = s._cache.get(prefix)
-        if cached is not None:
-            lo, hi = cached.lo, cached.hi
-            continue
-        width = as_fraction(s.diam_rule(Word.binary(prefix)))
-        if width <= 0:
-            raise ValueError(f"diameter rule must be positive, got {width}")
-        if prefix[-1] == 0:
-            hi = lo + width
-        else:
-            lo = hi - width
-        s._cache[prefix] = CompactInterval(lo, hi)
-    return s._cache[key]
+        iv = _child(s, a.digits[:depth], iv)
+    return iv
 
 
 def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
@@ -175,8 +181,7 @@ def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
 
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
     """nu_t: the largest depth-t interval diameter."""
-    return max(interval_of_word(s, Word.from_int(j, (2,) * t)).diam
-               for j in range(2 ** t))
+    return max(iv.diam for iv in _depth_endpoints(s, t))
 
 
 def _shifted_pair(s: AdmissibleSystem, a: Word, b: Word, i: int):
@@ -224,9 +229,16 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _depth_endpoints(s: AdmissibleSystem, t: int):
-    """All depth-t intervals, indexed by odometer integer value."""
-    return [interval_of_word(s, Word.from_int(j, (2,) * t)) for j in range(2 ** t)]
+def _depth_endpoints(s: AdmissibleSystem, t: int) -> list[CompactInterval]:
+    """All depth-t intervals, indexed by odometer integer value, built level
+    by level.  The new digit of a depth-(d+1) word is its most significant,
+    so word j + b 2^d is child b of word j."""
+    _check_depth(s, t)
+    words, ivs = [()], [CompactInterval(Fraction(0), Fraction(1))]
+    for _ in range(t):
+        words = [w + (b,) for b in (0, 1) for w in words]
+        ivs = [_child(s, w, iv) for w, iv in zip(words, ivs + ivs)]
+    return ivs
 
 
 def _interval_tests(ivs: Sequence[CompactInterval], eps: Fraction):

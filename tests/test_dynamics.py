@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqamaps.constructions import build_prop42, prop42_numeric_map
-from rqamaps.dynamics import (PiecewiseLinearMap, Trajectory, detect_periodic,
-                              evaluate, iterate)
+from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
+                              detect_periodic, evaluate, iterate)
 
 from conftest import random_pl_map
 
@@ -134,6 +135,41 @@ class TestDetectPeriodic:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             detect_periodic(Trajectory(F(0), (F(0), F(0))), -1)
+
+
+def residual_detect(t, tol):
+    """Reference: the residual loop |x_{i+p} - x_i| <= tol for every tol."""
+    pts, n = t.points, len(t.points)
+    for p in range(1, n // 2 + 1):
+        k = n - p
+        for i in range(n - p - 1, -1, -1):
+            if abs(pts[i + p] - pts[i]) <= tol:
+                k = i
+            else:
+                break
+        if k + 2 * p <= n:
+            return PeriodicStructure(k, p, tuple(pts[k:k + p]))
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_detect_periodic_matches_residual_loop(seed, exact):
+    # a random prefix, then a repeated cycle, from a small pool of values so
+    # that equal values recur by accident; exact points are fresh Fractions
+    # or shared objects at random, float zeros are 0.0 or -0.0
+    rnd = random.Random(seed)
+    pool = [F(k, 6) for k in range(7)] + [F(0), F(1, 2)]
+    cycle = [rnd.choice(pool) for _ in range(rnd.randint(1, 5))]
+    seq = [rnd.choice(pool) for _ in range(rnd.randint(0, 6))]
+    seq += [cycle[i % len(cycle)] for i in range(rnd.randint(0, 4 * len(cycle) + 3))]
+    seq = seq or [pool[0]]
+    if exact:
+        pts = tuple(F(x.numerator, x.denominator) if rnd.random() < 0.5 else x for x in seq)
+    else:
+        pts = tuple(float(x) if x or rnd.random() < 0.5 else -0.0 for x in seq)
+    t = Trajectory(pts[0], pts)
+    assert detect_periodic(t, 0) == residual_detect(t, 0)
 
 
 class TestSerialization:

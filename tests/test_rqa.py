@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -283,6 +284,78 @@ def test_kernel_matches_oracle(backend, seed, m):
             mat = recurrence_matrix(pts, RQAParams(m, eps, n_max), threads)
             assert mat.bits.tolist() == dense[m]
             assert (mat.bits == mat.bits.T).all()
+
+
+# the sorted class-and-band count on eventually periodic orbits, where
+# delay vectors repeat
+
+_ORBIT_POOLS = {
+    # values an ulp or two apart, so that float ranges end between them
+    "float": [k / 10 for k in range(11)] + [0.1 + 0.2, math.nextafter(0.3, 0),
+                                            math.nextafter(0.7, 1), 0.7 + 1e-15],
+    "int64": [F(k, 12) for k in range(13)],
+    "bigint": [F(k, 8) + F(1, 2 ** 33 + k) for k in range(9)],
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_float_ranks_match_the_test_itself(strict):
+    # every distance of the ulp-rich pool, and one ulp either side, as eps:
+    # some fl(x + eps) fall an ulp short of a value that passes the test,
+    # others an ulp past one that fails it
+    pool = _ORBIT_POOLS["float"]
+    values = sorted(set(pool))
+    passes = (lambda d, eps: d < eps) if strict else (lambda d, eps: d <= eps)
+    for d in sorted({abs(a - b) for a in pool for b in pool if a != b}):
+        for eps in (d, math.nextafter(d, 0), math.nextafter(d, 1)):
+            _, lo, hi = rqa._float_ranks(pool, eps, strict)
+            for r, x in enumerate(values):
+                close = [k for k, y in enumerate(values) if passes(abs(x - y), eps)]
+                assert close == list(range(lo[r], hi[r]))
+
+
+def eventually_periodic(rnd, pool, length):
+    """A random prefix starting with two distinct values, then a cycle
+    repeated up to ``length`` points; exact points repeat as shared objects
+    or as fresh equal Fractions."""
+    head = rnd.sample(pool, 2) + [rnd.choice(pool) for _ in range(rnd.randint(0, 4))]
+    cycle = [rnd.choice(pool) for _ in range(rnd.randint(1, 5))]
+    pts = (head + cycle * length)[:length]
+    if isinstance(pts[0], F):
+        pts = [F(x.numerator, x.denominator) if rnd.random() < 0.5 else x for x in pts]
+    return pts
+
+
+def thresholds(rnd, pts):
+    """An orbit distance, one float ulp below and above it, and eps > 1."""
+    d = abs(rnd.choice(pts) - rnd.choice(pts)) or abs(pts[0] - pts[1])
+    if isinstance(d, float):
+        return [d, math.nextafter(d, 0), math.nextafter(d, math.inf), 1.5]
+    return [d, d - F(1, 2 ** 70), d + F(1, 2 ** 70), F(3, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_sorted_counts_on_periodic_orbits(backend, seed, m):
+    rnd = random.Random(seed)
+    n_max = rnd.randint(1, 30)
+    pts = eventually_periodic(rnd, _ORBIT_POOLS[backend], n_max + m)
+    if backend != "float":
+        assert (common_scale(list(pts)) <= INT64_SCALE_LIMIT) == (backend == "int64")
+    schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, min(n_max, 4))))
+    for eps in thresholds(rnd, pts):
+        dense = {w: brute_bits(pts, w, eps, n_max) for w in range(1, m + 2)}
+        want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
+                for w in range(1, m + 2)]
+        # one block, blocks of one row with the band split into column
+        # chunks of one or three, and blocks of a few rows
+        for block_elems in (rqa._BLOCK_ELEMS, 1, 3, 4 * n_max):
+            with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+                for k in range(1, len(schedule) + 1):
+                    got = rqa._pair_counts(pts, schedule[:k], m + 1, eps)
+                    assert got == [row[:k] for row in want]
+        mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
+        assert mat.popcount == rqa._pair_counts(pts, [n_max], m, eps)[m - 1][0]
 
 
 def test_det_window_one_needs_only_n_points():

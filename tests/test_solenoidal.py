@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqamaps import rqa
+from rqamaps import build_delahaye, rqa
 from rqamaps.intervals import interval_dist, union_diam
 from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
@@ -242,6 +242,30 @@ def random_system(rnd, big):
             widths[w.digits] = F(rnd.randint(1, 6), 8) + extra
         return widths[w.digits]
     return AdmissibleSystem(diam_rule=rule)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 8), st.booleans())
+def test_depth_endpoints_match_descent(seed, t, delahaye):
+    # level-by-level construction against the word-by-word descent, each on
+    # a cold system sharing one diameter rule
+    rnd = random.Random(seed)
+    rule = (build_delahaye(rnd.randint(5, 9)).system if delahaye
+            else random_system(rnd, big=False)).diam_rule
+    level, descent = AdmissibleSystem(diam_rule=rule), AdmissibleSystem(diam_rule=rule)
+    ivs = _depth_endpoints(level, t)
+    words = [Word.from_int(j, (2,) * t) for j in range(2 ** t)]
+    assert ivs == [interval_of_word(descent, a) for a in words]
+    assert [interval_of_word(level, a) for a in words] == ivs   # the filled cache
+    assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
+
+
+def test_depth_endpoints_reject_nonpositive_width():
+    def rule(w):
+        return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 2 ** len(w))
+    for build in (lambda s: _depth_endpoints(s, 4), lambda s: max_diam(s, 3)):
+        with pytest.raises(ValueError, match="diameter rule must be positive"):
+            build(AdmissibleSystem(diam_rule=rule))
 
 
 @settings(max_examples=60, deadline=None)
