@@ -5,6 +5,31 @@ linear interpolation.  Evaluation supports dual arithmetic: exact rational
 (seed the iteration with a Fraction/int) and binary floating point (seed
 with a float).  Exact iteration is authoritative wherever map data are
 rational; the float path exists for speed at large n.
+
+Iteration
+---------
+Each map builds one step table per arithmetic, the first time it is used,
+and :func:`evaluate` and :func:`iterate` both step through it.  A point is
+placed in its piece by bisection over the breakpoints.  On a plateau piece,
+and at x = 1, the step returns the stored value itself.  Float pieces
+interpolate as ``v0 + (x - x0) * dv / dx`` with ``dv = fl(v1 - v0)`` and
+``dx = fl(x1 - x0)`` precomputed, the same float operations on the same
+operands as the interpolation written out, so the bits do not change.
+Exact pieces hold their affine form in integers, f(p/q) = (A p + B q) /
+(D q), so a step costs two products, a sum and the one gcd that reduces
+the result.
+
+The map is deterministic, so x_j = x_c implies x_{j+i} = x_{c+i} for every
+i >= 0.  :func:`iterate` compares each new point with one checkpoint, which
+moves to the new point whenever its index doubles (indices 1, 2, 4, 8,
+...; Brent 1980), and at the first equality copies x_{c+1}, ..., x_j
+periodically to the end instead of evaluating further.  An orbit with
+preperiod k and period p stops within 2 max(k, p) + p steps, so an orbit
+that lands exactly on a cycle, as on plateau maps, costs a few dozen steps
+whatever its length.  An orbit that never repeats pays one comparison per
+step.  The points are equal, in value, type and float bits (signed zero
+included), to evaluating every step in full: equal floats differ in bits
+only as 0.0 and -0.0, which every piece maps to the same float.
 """
 from __future__ import annotations
 
@@ -12,6 +37,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import json
@@ -30,7 +56,7 @@ class PiecewiseLinearMap:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    _float_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp, vals = self.breakpoints, self.values
@@ -49,12 +75,14 @@ class PiecewiseLinearMap:
             tuple(as_fraction(b) for b in breakpoints),
             tuple(as_fraction(v) for v in values))
 
-    def _floats(self):
-        cache = self._float_cache
-        if "bp" not in cache:
-            cache["bp"] = [float(b) for b in self.breakpoints]
-            cache["vals"] = [float(v) for v in self.values]
-        return cache["bp"], cache["vals"]
+    def _step(self, exact: bool):
+        """The map's step function in exact or float arithmetic, built on
+        first use from its per-piece table (see the module docstring)."""
+        cache = self._step_cache
+        if exact not in cache:
+            cache[exact] = (_exact_step if exact else _float_step)(
+                self.breakpoints, self.values)
+        return cache[exact]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -72,24 +100,69 @@ class PiecewiseLinearMap:
             raise ValueError(f"malformed map JSON: {exc!r}") from exc
 
 
+def _exact_step(bps, vals):
+    """step(x) for x in [0, 1]: the stored value on a plateau and at x = 1,
+    otherwise (A p + B q) / (D q) for x = p / q, where f(x) = (A x + B) / D
+    on x's piece.  bisect_right over the breakpoints after 0 finds the
+    piece, the last entry standing for x = 1."""
+    pieces = []
+    for x0, x1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]):
+        if v0 == v1:
+            pieces.append(v0)
+            continue
+        a = (v1 - v0) / (x1 - x0)
+        b = v0 - a * x0
+        d = lcm(a.denominator, b.denominator)
+        pieces.append((a.numerator * (d // a.denominator),
+                       b.numerator * (d // b.denominator), d))
+    pieces.append(vals[-1])
+    inner = bps[1:]
+
+    def step(x):
+        piece = pieces[bisect_right(inner, x)]
+        if type(piece) is not tuple:
+            return piece
+        a, b, d = piece
+        p, q = x.numerator, x.denominator
+        return Fraction(a * p + b * q, d * q)
+    return step
+
+
+def _float_step(bps, vals):
+    """step(x) as :func:`_exact_step` does, in float arithmetic: the
+    interpolation v0 + (x - x0) * dv / dx, with dv = fl(v1 - v0) and
+    dx = fl(x1 - x0) computed once.  Rounding might carry a point out of
+    [0, 1], so every step checks its argument."""
+    bps, vals = [float(b) for b in bps], [float(v) for v in vals]
+    pieces = [v0 if v0 == v1 else (x0, v0, v1 - v0, x1 - x0)
+              for x0, x1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])]
+    pieces.append(vals[-1])
+    inner = bps[1:]
+
+    def step(x):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"point {x} outside map domain [0, 1]")
+        piece = pieces[bisect_right(inner, x)]
+        if type(piece) is not tuple:
+            return piece
+        x0, v0, dv, dx = piece
+        return v0 + (x - x0) * dv / dx
+    return step
+
+
+def _stepper(f: PiecewiseLinearMap, x: Number):
+    """f's step function in the arithmetic of x, once x is checked to lie in
+    the domain."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"point {x} outside map domain [0, 1]")
+    return f._step(not isinstance(x, float))
+
+
 def evaluate(f: PiecewiseLinearMap, x: Number) -> Number:
     """f(x) by linear interpolation; exact for rational x, float for float x."""
-    if isinstance(x, float):
-        bp, vals = f._floats()
-    else:
-        bp, vals = f.breakpoints, f.values
-        if not isinstance(x, Fraction):
-            x = as_fraction(x)
-    if not bp[0] <= x <= bp[-1]:
-        raise ValueError(f"point {x} outside map domain [0, 1]")
-    i = bisect_right(bp, x) - 1
-    if i == len(bp) - 1:  # x == 1
-        return vals[-1]
-    x0, x1 = bp[i], bp[i + 1]
-    v0, v1 = vals[i], vals[i + 1]
-    if v0 == v1:
-        return v0
-    return v0 + (x - x0) * (v1 - v0) / (x1 - x0)
+    if not isinstance(x, (float, Fraction)):
+        x = as_fraction(x)
+    return _stepper(f, x)(x)
 
 
 @dataclass(frozen=True)
@@ -116,15 +189,27 @@ def iterate(f: PiecewiseLinearMap, x: Number, n: int) -> Trajectory:
     """Trajectory of length n starting at x (x itself is points[0]).
 
     Arithmetic follows the seed: a float seed iterates in floats, anything
-    else iterates exactly in rationals.
+    else iterates exactly in rationals.  Once a point equals the checkpoint
+    x_c, the points x_{c+1}, ..., x_j are copied periodically to the end
+    (see "Iteration" in the module docstring).
     """
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
     if not isinstance(x, float):
         x = as_fraction(x)
     pts = [x]
-    for _ in range(n - 1):
-        pts.append(evaluate(f, pts[-1]))
+    if n > 1:
+        step = _stepper(f, x)
+        c, mark, move = 0, x, 1
+        for j in range(1, n):
+            x = step(x)
+            pts.append(x)
+            if x == mark:
+                cycle, rest = pts[c + 1:], n - 1 - j
+                pts += (cycle * (rest // len(cycle) + 1))[:rest]
+                break
+            if j == move:
+                c, mark, move = j, x, 2 * j
     return Trajectory(pts[0], tuple(pts))
 
 

@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -240,15 +240,18 @@ def _segment(t, ns: Sequence[int], windows: int) -> Sequence[Number]:
 
 
 def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  ns: Sequence[int], windows: int) -> list[list[int]]:
+                  ns: Sequence[int], windows: int,
+                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
     """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
     rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the distinct delay
     vectors of length ``windows``.
 
     ``rank`` holds ns[-1] + windows - 1 point ranks, and [lo[r], hi[r]) is
     the rank range of the values close to rank r, a relation that must be
-    symmetric and contain r.
+    symmetric and contain r.  Only the windows in ``reduce`` (all of them
+    by default) are summed; the others read None.
     """
+    reduce = range(1, windows + 1) if reduce is None else reduce
     n = ns[-1]
     # weights and per-row sums are integers <= n, exact in float32; their
     # products and totals are integers <= n^2, exact in float64
@@ -295,27 +298,32 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 if s:
                     hit &= row_lo[s, c0:c1, None] <= col[s, None, j0:j1]
                     hit &= col[s, None, j0:j1] < row_hi[s, c0:c1, None]
+                if s + 1 not in reduce:
+                    continue
                 per_row = np.matmul(hit, w_col.T, dtype=np.float32)
                 pairs = np.einsum("kr,rk->k", w_row, per_row)
                 totals[s] += 2 * pairs   # (c, d) and (d, c) ...
                 if j0 == c0:             # ... and (c, c) once
                     totals[s] -= w_row ** 2 @ hit[:, :h].diagonal()
         c0 = c1
-    return totals.astype(np.int64).tolist()
+    counts = totals.astype(np.int64).tolist()
+    return [counts[w - 1] if w in reduce else None for w in range(1, windows + 1)]
 
 
 def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
-                 threads: int | None = None) -> list[list[int]]:
-    """N_w(n) for w = 1..windows and n in the increasing schedule ns.
+                 threads: int | None = None,
+                 reduce: Collection[int] | None = None) -> list[list[int] | None]:
+    """N_w(n) for the windows w in ``reduce`` (every w <= windows by
+    default) and n in the increasing schedule ns; other windows read None.
 
     Serial: ``threads`` is accepted for the public signatures and unused.
     """
-    return _class_counts(*_ranks(_segment(t, ns, windows), epsilon), ns, windows)
+    return _class_counts(*_ranks(_segment(t, ns, windows), epsilon), ns, windows, reduce)
 
 
 def recurrent_pair_count(t, p: RQAParams, threads: int | None = None) -> int:
     """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
-    return _pair_counts(t, [p.n], p.m, p.epsilon, threads)[-1][0]
+    return _pair_counts(t, [p.n], p.m, p.epsilon, threads, {p.m})[-1][0]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
@@ -328,10 +336,10 @@ def _ratio_series(t, ns: Sequence[int], m: int, epsilon, threads: int | None,
     """rdet_m, or DET_m when ``det``, at every n of the increasing schedule
     ns, from one scan."""
     if det and m > 1:
-        counts = _pair_counts(t, ns, m + 1, epsilon, threads)
+        counts = _pair_counts(t, ns, m + 1, epsilon, threads, {1, m, m + 1})
         return [Fraction(m * n_m - (m - 1) * n_m1, n1)
                 for n1, n_m, n_m1 in zip(counts[0], counts[m - 1], counts[m])]
-    counts = _pair_counts(t, ns, m, epsilon, threads)   # DET_1 = rdet_1
+    counts = _pair_counts(t, ns, m, epsilon, threads, {1, m})   # DET_1 = rdet_1
     return [Fraction(n_m, n1) for n1, n_m in zip(counts[0], counts[m - 1])]
 
 
@@ -399,7 +407,7 @@ def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
     if not schedule or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     RQAParams(m, epsilon, schedule[0])   # validates m, epsilon and every n
-    counts = _pair_counts(t, schedule, m, epsilon, threads)[-1]
+    counts = _pair_counts(t, schedule, m, epsilon, threads, {m})[-1]
     values = tuple((n, Fraction(c, n * n)) for n, c in zip(schedule, counts))
     tail_len = max(1, int(len(values) * tail_fraction))
     tail = [c for _, c in values[-tail_len:]]

@@ -336,7 +336,7 @@ def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
     return tuple(out)
 
 
-def symbolic_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> tuple[Word, ...]:
+def symbolic_trajectory(prefix: Word, n: int) -> tuple[Word, ...]:
     """Depth-|prefix| itinerary of a point of the Cantor set below K_prefix.
 
     The image intervals follow the odometer, so the itinerary of step i is
@@ -351,7 +351,7 @@ def symbolic_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> tuple[Word
 
 def midpoint_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> list[Fraction]:
     """Numeric positions for the symbolic itinerary (interval midpoints)."""
-    return [word_midpoint(s, w) for w in symbolic_trajectory(s, prefix, n)]
+    return [word_midpoint(s, w) for w in symbolic_trajectory(prefix, n)]
 
 
 def system_to_json(s: AdmissibleSystem) -> str:

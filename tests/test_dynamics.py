@@ -1,4 +1,7 @@
+import math
 import random
+import struct
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -90,6 +93,126 @@ class TestIterate:
         t = iterate(SWAP, F(1, 4), 6)
         assert t.shifted(1).points == t.points[1:]
         assert t.shifted(1).base == F(3, 4)
+
+
+def oracle_orbit(f, x, n):
+    """Reference: every step evaluated in full, by linear interpolation
+    between breakpoints, in the seed's arithmetic."""
+    if n < 1:
+        raise ValueError("trajectory length must be >= 1")
+    if isinstance(x, float):
+        bps, vals = [float(b) for b in f.breakpoints], [float(v) for v in f.values]
+    else:
+        x = F(x)
+        bps, vals = f.breakpoints, f.values
+    pts = [x]
+    for _ in range(n - 1):
+        if not bps[0] <= x <= bps[-1]:
+            raise ValueError(f"point {x} outside map domain [0, 1]")
+        i = bisect_right(bps, x) - 1
+        if i == len(bps) - 1:   # x == 1
+            x = vals[-1]
+        else:
+            x0, x1, v0, v1 = bps[i], bps[i + 1], vals[i], vals[i + 1]
+            x = v0 if v0 == v1 else v0 + (x - x0) * (v1 - v0) / (x1 - x0)
+        pts.append(x)
+    return pts
+
+
+def bits(v):
+    """A point as its type and value, floats by their bits (so -0.0 != 0.0)."""
+    return (type(v), struct.pack("d", v) if isinstance(v, float) else v)
+
+
+def outcome(run, *args):
+    try:
+        return [bits(v) for v in run(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_matches_oracle(f, x, n):
+    got = outcome(lambda *a: iterate(*a).points, f, x, n)
+    assert got == outcome(oracle_orbit, f, x, n)
+    if isinstance(got, list):
+        pts = iterate(f, x, n).points
+        assert [bits(evaluate(f, p)) for p in pts[:-1]] == got[1:]
+
+
+def cycle_map(rnd, k, p):
+    """A map whose orbit from its first point y_0 lands on a p-cycle at step
+    k: y_0 -> y_1 -> ... -> y_{k+p-1} -> y_k, each y_i on a plateau sent to
+    its successor, with ramps between the plateaus."""
+    count = k + p
+    ys = [F(2 * i + 1, 2 * count) for i in rnd.sample(range(count), count)]
+    succ = {y: ys[i + 1] if i + 1 < count else ys[k] for i, y in enumerate(ys)}
+    half = F(1, 8 * count)
+    bps, vals = [F(0)], [succ[min(ys)]]
+    for y in sorted(ys):
+        bps += [y - half, y + half]
+        vals += [succ[y], succ[y]]
+    bps.append(F(1))
+    vals.append(succ[max(ys)])
+    return PiecewiseLinearMap(tuple(bps), tuple(vals)), ys[0]
+
+
+# lengths just below, at and just past each index where the checkpoint moves
+BRENT_LENGTHS = sorted({2 ** i + d for i in range(8) for d in (-1, 0, 1, 2)} - {0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(BRENT_LENGTHS))
+def test_iterate_matches_oracle_on_random_maps(seed, n):
+    rnd = random.Random(seed)
+    f = random_pl_map(rnd)
+    for x in (F(rnd.randint(0, 32), 32), rnd.random(), 0, 1, 0.0, -0.0, 1.0):
+        assert_matches_oracle(f, x, n)
+        assert_matches_oracle(f, x, rnd.choice((1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 40), st.integers(1, 6),
+       st.sampled_from(BRENT_LENGTHS))
+def test_iterate_matches_oracle_on_cycles(seed, k, p, n):
+    f, y0 = cycle_map(random.Random(seed), k, p)
+    orbit = oracle_orbit(f, y0, k + 2 * p)
+    assert len(set(orbit[:k + p])) == k + p and orbit[k + p:] == orbit[k:k + p]
+    # a seed on the plateau of y_0 with a denominator above 2^62 joins the
+    # same orbit at step 1
+    big = y0 + F(1, 2 ** 70 + 1)
+    assert big.denominator > 2 ** 62
+    for x in (y0, float(y0), big):
+        for length in (n, k + p, k + p + 1, k + 2 * p, 2 * (k + p) + p):
+            assert_matches_oracle(f, x, length)
+    # the orbit stops being evaluated by step 2 max(k, p) + p
+    steps, step = [], f._step(True)
+    f._step_cache[True] = lambda x: steps.append(x) or step(x)
+    assert iterate(f, y0, 10 ** 4).points == tuple(orbit[:k + p]) + \
+        tuple(orbit[k + (i % p)] for i in range(10 ** 4 - k - p))
+    assert len(steps) <= 2 * max(k, p) + p
+
+
+def test_iterate_matches_oracle_beyond_int64_denominators():
+    # slopes +-1/2 around the fixed point 2/3: every step doubles the
+    # distance's denominator, and the orbit never repeats exactly
+    f = PiecewiseLinearMap.of([0, "1/2", 1], ["1/2", "3/4", "1/2"])
+    for x in (F(1, 5), F(5, 7), F(1, 3 ** 40)):
+        pts = iterate(f, x, 90).points
+        assert pts[-1].denominator > 2 ** 62
+        assert_matches_oracle(f, x, 90)
+
+
+def test_iterate_domain_and_length_errors():
+    for x in (F(3, 2), -F(1, 10), 2, 1.5, -0.1, math.nan, math.inf):
+        for n in (2, 3, 40):
+            with pytest.raises(ValueError):
+                iterate(TENT, x, n)
+        # one point needs no step: the bare seed comes back
+        seed = x if isinstance(x, float) else F(x)
+        assert outcome(lambda *a: iterate(*a).points, TENT, x, 1) == [bits(seed)]
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            iterate(TENT, F(1, 2), n)
 
 
 class TestDetectPeriodic:

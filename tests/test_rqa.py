@@ -358,6 +358,22 @@ def test_sorted_counts_on_periodic_orbits(backend, seed, m):
         assert mat.popcount == rqa._pair_counts(pts, [n_max], m, eps)[m - 1][0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 4))
+def test_reduced_windows_match_all_windows(backend, seed, windows):
+    # windows left out of the reduction read None; the others are unchanged
+    rnd = random.Random(seed)
+    n_max = rnd.randint(1, 30)
+    pts = eventually_periodic(rnd, _ORBIT_POOLS[backend], n_max + windows)
+    schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, min(n_max, 4))))
+    reduce = set(rnd.sample(range(1, windows + 1), rnd.randint(1, windows)))
+    for eps in thresholds(rnd, pts):
+        full = rqa._pair_counts(pts, schedule, windows, eps)
+        with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
+            got = rqa._pair_counts(pts, schedule, windows, eps, reduce=reduce)
+        assert got == [row if w in reduce else None for w, row in enumerate(full, 1)]
+
+
 def test_det_window_one_needs_only_n_points():
     pts = [F(1, 4), F(3, 4), F(1, 4), F(1, 2)]
     assert rqa_det(pts, RQAParams(1, F(1, 4), 4)) == 1

@@ -312,20 +312,20 @@ class TestEnclosure:
 
 
 class TestSymbolicTrajectories:
-    def test_odometer_orbit(self, delahaye5):
-        words = symbolic_trajectory(delahaye5.system, W("00"), 4)
+    def test_odometer_orbit(self):
+        words = symbolic_trajectory(W("00"), 4)
         assert [str(w) for w in words] == ["00", "10", "01", "11"]
 
-    def test_full_cycle_visits_everything(self, delahaye5):
+    def test_full_cycle_visits_everything(self):
         t = 4
-        words = symbolic_trajectory(delahaye5.system, W("0" * t), 2 ** t)
+        words = symbolic_trajectory(W("0" * t), 2 ** t)
         assert len({w.digits for w in words}) == 2 ** t
 
     def test_depth_consistency(self, delahaye5):
         # the depth-t projection of a depth-(t+1) itinerary is the depth-t one
         s = delahaye5.system
-        shallow = symbolic_trajectory(s, W("000"), 20)
-        deep = symbolic_trajectory(s, W("0000"), 20)
+        shallow = symbolic_trajectory(W("000"), 20)
+        deep = symbolic_trajectory(W("0000"), 20)
         for w3, w4 in zip(shallow, deep):
             assert w4.digits[:3] == w3.digits
             inner = interval_of_word(s, w4)
