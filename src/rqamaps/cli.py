@@ -10,7 +10,8 @@ All table/plot output is deterministic: identical invocations produce
 byte-identical files.  Thresholds are parsed as exact rationals ("1/2",
 "1/625"); computations run in exact arithmetic unless ``--float`` asks
 for the binary floating-point path.  Exit status 1 flags precondition
-failures, 2 a resource-guard trip (env RQA_MAX_PAIRS overrides the guard).
+failures, 2 a resource-guard trip (env RQA_MAX_PAIRS overrides the guard);
+a failed internal check is a bug and propagates as a traceback.
 """
 from __future__ import annotations
 
@@ -82,8 +83,6 @@ def _add_source_args(p: argparse.ArgumentParser):
                    help="construction depth (prop42 source)")
     p.add_argument("--float", action="store_true",
                    help="binary floating-point arithmetic instead of exact rationals")
-    p.add_argument("--threads", type=int, default=None,
-                   help="row-block workers (rplot only; pair counts are serial)")
     p.add_argument("--output", help="output file path")
 
 
@@ -99,7 +98,7 @@ def _cmd_corrsum(args) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
     schedule = _schedule_arg(args)
     traj = _load_trajectory(args, max(schedule) + args.m - 1)
-    series = rqa.estimate_asymptotics(traj, args.m, eps, schedule, threads=args.threads)
+    series = rqa.estimate_asymptotics(traj, args.m, eps, schedule)
     if args.output:
         rqa.write_series_csv(series, args.output)
     else:
@@ -116,8 +115,7 @@ def _cmd_ratio(args, kind: str) -> int:
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
     rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
-    values = rqa._ratio_series(traj, schedule, args.m, eps, args.threads,
-                               det=kind == "det")
+    values = rqa._ratio_series(traj, schedule, args.m, eps, det=kind == "det")
     lines = [f"n,{kind}_num,{kind}_den,{kind}_float"]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
               for n, v in zip(schedule, values)]
@@ -128,8 +126,7 @@ def _cmd_ratio(args, kind: str) -> int:
 def _cmd_rplot(args) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
     traj = _load_trajectory(args, args.n + args.m - 1)
-    matrix = rqa.recurrence_matrix(traj, rqa.RQAParams(args.m, eps, args.n),
-                                   threads=args.threads)
+    matrix = rqa.recurrence_matrix(traj, rqa.RQAParams(args.m, eps, args.n))
     if not args.output:
         raise ValueError("rplot requires --output")
     rqa.write_pgm(matrix, args.output)
@@ -166,9 +163,7 @@ def _cmd_config(args) -> int:
 def _cmd_solenoid(args) -> int:
     inst = constructions.build_delahaye(args.r, depth_cap=max(args.t_schedule))
     eps = _parse_rational(args.epsilon)
-    rows = [solenoidal.count_pairs(inst.system, t, args.m, eps,
-                                   threads=args.threads or 1)
-            for t in args.t_schedule]
+    rows = [solenoidal.count_pairs(inst.system, t, args.m, eps) for t in args.t_schedule]
     if args.output:
         solenoidal.write_counts_csv(rows, args.output)
     else:
@@ -203,8 +198,7 @@ def _cmd_prop42(args) -> int:
 
 def _cmd_prop52(args) -> int:
     inst = constructions.build_delahaye(args.r)
-    n1, nm = constructions.delahaye_counts(inst, args.k, args.m, args.t,
-                                           threads=args.threads or 1)
+    n1, nm = constructions.delahaye_counts(inst, args.k, args.m, args.t)
     rdet = constructions.delahaye_rdet(inst, args.k, args.m)
     det = constructions.delahaye_det(inst, args.k, args.m)
     f1, fm = constructions.delahaye_counts_formula(args.k, args.m, args.t)
@@ -252,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--t-schedule", dest="t_schedule", type=_parse_schedule,
                    required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--output")
 
     p = sub.add_parser("prop42", help="oscillating correlation sum construction")
@@ -268,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--output")
 
     return parser
@@ -297,7 +289,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

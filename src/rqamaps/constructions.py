@@ -378,8 +378,7 @@ def delahaye_counts_formula(k: int, m: int, t: int) -> tuple[int, int]:
     return factor * 3 * 2 ** k, factor * 2 ** (k + 1)
 
 
-def delahaye_counts(inst: DelahayeInstance, k: int, m: int, t: int,
-                    threads: int = 1) -> tuple[int, int]:
+def delahaye_counts(inst: DelahayeInstance, k: int, m: int, t: int) -> tuple[int, int]:
     """(N_1°, N_m°) at eps_k = r^-k; enumerated when the guard allows.
 
     Beyond the resource guard the depth-scaling law takes over; both paths
@@ -391,7 +390,7 @@ def delahaye_counts(inst: DelahayeInstance, k: int, m: int, t: int,
         raise ValueError("need t >= k + 1")
     eps = inst.epsilon_k(k)
     if 4 ** t <= max_pairs_limit() and t <= inst.system.depth_cap:
-        counts = counts_by_window(inst.system, t, eps, m, threads)
+        counts = counts_by_window(inst.system, t, eps, m)
         return counts[0].n_closed, counts[m - 1].n_closed
     return delahaye_counts_formula(k, m, t)
 

@@ -111,7 +111,7 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
     if isinstance(pts[0], float) and not isinstance(epsilon, float):
         epsilon = _float_threshold(epsilon, strict)
     close = _pointwise_test(pts, epsilon, strict)
-    counts = [c[0] for c in _window_counts(close, [p], steps, threads=1)]
+    counts = _window_counts(close, p, steps)
     return counts + counts[-1:] * (m - steps)
 
 

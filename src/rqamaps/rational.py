@@ -46,8 +46,3 @@ def common_scale(values: list[Fraction]) -> int:
     for v in values:
         result = lcm(result, v.denominator)
     return result
-
-
-def is_float_data(values) -> bool:
-    """True when a sequence is float-typed (float fast paths apply)."""
-    return len(values) > 0 and isinstance(values[0], float)

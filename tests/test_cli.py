@@ -236,11 +236,13 @@ class TestErrors:
     def test_zero_denominator_in_other_commands_exits_one(self, argv):
         assert run(*argv) == 1
 
-    def test_internal_type_error_propagates(self, monkeypatch, plateau_map_file):
+    @pytest.mark.parametrize("error", [TypeError, AssertionError])
+    def test_internal_type_error_propagates(self, monkeypatch, plateau_map_file, error):
+        # internal self-checks and bugs surface as tracebacks, not exit 1
         def broken(*args, **kwargs):
-            raise TypeError("internal bug")
+            raise error("internal bug")
 
         monkeypatch.setattr(cli.rqa, "estimate_asymptotics", broken)
-        with pytest.raises(TypeError, match="internal bug"):
+        with pytest.raises(error, match="internal bug"):
             run("corrsum", "--map", plateau_map_file, "--x0", "1/5",
                 "--m", "1", "--epsilon", "1/2", "--n", "5")

@@ -2,10 +2,12 @@ import operator
 import random
 import warnings
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rqamaps import rqa
 from rqamaps.dynamics import detect_periodic, iterate
 from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   aligned_orbit, asymptotic_rdet_finite,
@@ -153,8 +155,15 @@ _ORBIT_POOLS = {
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5))
-def test_closed_forms_match_brute_counts(kind, seed, m):
+@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5),
+       st.sampled_from([rqa._BLOCK_ELEMS, 1]))
+def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
+    # one block per cycle, or blocks of one row
+    with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+        _check_closed_forms(kind, seed, m)
+
+
+def _check_closed_forms(kind, seed, m):
     rnd = random.Random(seed)
     pool = _ORBIT_POOLS[kind]
     o = PeriodicOrbitData(tuple(rnd.sample(pool, rnd.randint(1, 7))))

@@ -266,22 +266,21 @@ def test_kernel_matches_oracle(backend, seed, m):
     def oracle(w, n):
         return F(count(w, n), n * n)
 
-    # one block per call, and blocks of one or two rows, serial and threaded
-    for block_elems, threads in ((rqa._BLOCK_ELEMS, 1), (1, 3), (2 * n_max, 2)):
+    # one block per call, and blocks of one or two rows
+    for block_elems in (rqa._BLOCK_ELEMS, 1, 2 * n_max):
         with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
-            assert rqa._pair_counts(pts, schedule, m + 1, eps, threads) == \
+            assert rqa._pair_counts(pts, schedule, m + 1, eps) == \
                 [[count(w, n) for n in schedule] for w in range(1, m + 2)]
-            est = estimate_asymptotics(pts[:n_max + m - 1], m, eps, schedule,
-                                       threads=threads)
+            est = estimate_asymptotics(pts[:n_max + m - 1], m, eps, schedule)
             assert est.values == tuple((n, oracle(m, n)) for n in schedule)
             for n in schedule:
                 p = RQAParams(m, eps, n)
                 c1, cm, cm1 = oracle(1, n), oracle(m, n), oracle(m + 1, n)
-                assert correlation_sum(pts, p, threads) == cm
-                assert recurrence_determinism(pts, p, threads) == cm / c1
+                assert correlation_sum(pts, p) == cm
+                assert recurrence_determinism(pts, p) == cm / c1
                 det = cm / c1 if m == 1 else m * cm / c1 - (m - 1) * cm1 / c1
-                assert rqa_det(pts[:n + m], p, threads) == det
-            mat = recurrence_matrix(pts, RQAParams(m, eps, n_max), threads)
+                assert rqa_det(pts[:n + m], p) == det
+            mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
             assert mat.bits.tolist() == dense[m]
             assert (mat.bits == mat.bits.T).all()
 
