@@ -16,20 +16,25 @@ whose densities N°/p_t^2 <= c <= N/p_t^2 sandwich every asymptotic
 correlation sum over the system, with enclosure width at most
 4m(p_t - 1)/p_t^2.
 
+Each system keeps one table of levels: level d is K_j = [lo[j], hi[j]] /
+scale for every odometer value j, in Python ints over one denominator,
+built from level d - 1 on first use.  A cold ``interval_of_word`` thus
+builds its word's whole level, at most 2^depth_cap nodes.
+
 Counting is exhaustive over A^t x A^t, on the pair kernel of
-:mod:`rqamaps.rqa`: the intervals in odometer order, wrapped mod p_t to
-p_t + m - 1 entries, are the "points", and one scan gives every window.
-The per-step tests need only order comparisons of endpoints,
+:mod:`rqamaps.rqa`: level t, wrapped mod p_t to p_t + m - 1 entries, gives
+the "points", and one scan gives every window.  The per-step tests need
+only order comparisons of endpoints,
 
     gap < eps   iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
     hull <= eps iff  hi_b <= lo_a + eps and  lo_b >= hi_a - eps
                      and both diameters are <= eps,
 
-so over the common denominator each threshold is a rank among the distinct
-endpoints, found by bisection, and every pair is decided exactly by
-small-integer comparisons, whatever the denominator and whether or not the
-intervals are ordered.  A resource guard bounds the quadratic work (env
-RQA_MAX_PAIRS overrides).
+so over a common multiple of the level's scale and eps's denominator each
+threshold is a rank among the distinct endpoints, found by bisection, and
+every pair is decided exactly by small-integer comparisons, whatever the
+denominator and whether or not the intervals are ordered.  A resource
+guard bounds the quadratic work (env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
@@ -37,12 +42,13 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .intervals import CompactInterval, interval_dist, union_diam
-from .rational import Number, as_fraction, common_scale, fraction_str
+from .rational import Number, as_fraction, fraction_str
 from .rqa import _rank_test, _window_counts
 
 _DEFAULT_MAX_PAIRS = 2 ** 26
@@ -131,47 +137,50 @@ class AdmissibleSystem:
     diam_rule: Callable[[Word], Fraction]
     depth_cap: int = 13
     descriptor: dict | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # level d: (lo, hi, scale), K_j = [lo[j], hi[j]] / scale for odometer value j
+    _levels: list = field(default_factory=lambda: [([0], [1], 1)], init=False,
+                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
 
 
-def _child(s: AdmissibleSystem, prefix: tuple[int, ...],
-           parent: CompactInterval) -> CompactInterval:
-    """K_prefix from its parent K: one diameter-rule call, cached on ``s``."""
-    hit = s._cache.get(prefix)
-    if hit is not None:
-        return hit
-    width = as_fraction(s.diam_rule(Word.binary(prefix)))
-    if width <= 0:
-        raise ValueError(f"diameter rule must be positive, got {width}")
-    if prefix[-1] == 0:
-        iv = CompactInterval(parent.lo, parent.lo + width)
-    else:
-        iv = CompactInterval(parent.hi - width, parent.hi)
-    s._cache[prefix] = iv
-    return iv
-
-
 def _check_depth(s: AdmissibleSystem, t: int) -> None:
-    if t > s.depth_cap:
-        raise ValueError(f"depth {t} exceeds cap {s.depth_cap}")
+    if not 0 <= t <= s.depth_cap:
+        raise ValueError(f"depth {t} outside 0..{s.depth_cap} (the depth cap)")
+
+
+def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
+    """Level t, each new level built from its parent with one rule call per
+    node in odometer order, over the lcm of the parent's scale and its
+    width denominators.  Word j + b 2^(d-1) is child b of word j."""
+    _check_depth(s, t)
+    levels = s._levels
+    while len(levels) <= t:
+        d = len(levels)
+        lo, hi, scale = levels[-1]
+        radices = (2,) * d
+        widths = [as_fraction(s.diam_rule(Word.from_int(j, radices)))
+                  for j in range(2 ** d)]
+        if min(widths) <= 0:
+            raise ValueError(f"diameter rule must be positive, got {min(widths)}")
+        new = lcm(scale, *{w.denominator for w in widths})
+        lo, hi = ([v * (new // scale) for v in ends] for ends in (lo, hi))
+        w = [x.numerator * (new // x.denominator) for x in widths]
+        # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
+        levels.append((lo + [h - x for h, x in zip(hi, w[len(hi):])],
+                       [v + x for v, x in zip(lo, w)] + hi, new))
+    return levels[t]
 
 
 def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a by recursive descent from [0, 1]; exact rational endpoints."""
-    _check_depth(s, len(a))
+    """K_a, read from the level table; exact rational endpoints."""
     if any(q != 2 for q in a.radices):
         raise ValueError("interval systems are binary")
-    hit = s._cache.get(a.digits)
-    if hit is not None:
-        return hit
-    iv = CompactInterval(Fraction(0), Fraction(1))   # the empty word
-    for depth in range(1, len(a) + 1):
-        iv = _child(s, a.digits[:depth], iv)
-    return iv
+    lo, hi, scale = _level(s, len(a))
+    j = a.to_int()
+    return CompactInterval(Fraction(lo[j], scale), Fraction(hi[j], scale))
 
 
 def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
@@ -181,7 +190,8 @@ def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
 
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
     """nu_t: the largest depth-t interval diameter."""
-    return max(iv.diam for iv in _depth_endpoints(s, t))
+    lo, hi, scale = _level(s, t)
+    return Fraction(max(h - v for v, h in zip(lo, hi)), scale)
 
 
 def _shifted_pair(s: AdmissibleSystem, a: Word, b: Word, i: int):
@@ -229,25 +239,12 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _depth_endpoints(s: AdmissibleSystem, t: int) -> list[CompactInterval]:
-    """All depth-t intervals, indexed by odometer integer value, built level
-    by level.  The new digit of a depth-(d+1) word is its most significant,
-    so word j + b 2^d is child b of word j."""
-    _check_depth(s, t)
-    words, ivs = [()], [CompactInterval(Fraction(0), Fraction(1))]
-    for _ in range(t):
-        words = [w + (b,) for b in (0, 1) for w in words]
-        ivs = [_child(s, w, iv) for w, iv in zip(words, ivs + ivs)]
-    return ivs
-
-
-def _interval_tests(ivs: Sequence[CompactInterval], eps: Fraction):
-    """Rank tests for gap < eps (strict) and hull <= eps (closed) between
-    intervals a and b, exact for any denominator and any interval order."""
-    scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps])
-    los = [iv.lo.numerator * (scale // iv.lo.denominator) for iv in ivs]
-    his = [iv.hi.numerator * (scale // iv.hi.denominator) for iv in ivs]
-    e = eps.numerator * (scale // eps.denominator)
+def _interval_tests(lo: Sequence[int], hi: Sequence[int], scale: int, eps: Fraction):
+    """Rank tests for gap < eps (strict) and hull <= eps (closed) between the
+    intervals [lo, hi] / scale, exact for any denominator and interval order."""
+    common = lcm(scale, eps.denominator)
+    los, his = ([v * (common // scale) for v in ends] for ends in (lo, hi))
+    e = eps.numerator * (common // eps.denominator)
     values = sorted(set(los) | set(his))
     index = {v: r for r, v in enumerate(values)}
     dtype = np.min_scalar_type(len(values))   # the narrowest type is the fastest
@@ -262,7 +259,7 @@ def _interval_tests(ivs: Sequence[CompactInterval], eps: Fraction):
     # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
     # diameters are <= eps: a wider interval gets the out-of-range rank
     # len(values), which fails either comparison as row a or as column b
-    wide = np.array([h - lo > e for lo, h in zip(los, his)])
+    wide = np.array([h - v > e for v, h in zip(los, his)])
     closed = (np.where(wide, len(values), cut(bisect_left, his, -e)), rank_lo,
               np.where(wide, len(values), rank_hi), cut(bisect_right, los, e))
     return strict, closed
@@ -278,6 +275,8 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         raise ValueError("epsilon must be positive")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if t < 1:
+        raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
     p = 2 ** t
     if p * p > max_pairs_limit():
         raise ResourceGuardError(
@@ -291,7 +290,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         close = _rank_test(*(r[wrap] for r in ranks))
         return _window_counts(close, p, steps)
 
-    strict, closed = map(scan, _interval_tests(_depth_endpoints(s, t), eps))
+    strict, closed = map(scan, _interval_tests(*_level(s, t), eps))
     # windows beyond p_t repeat the p_t values
     pad = m_max - steps
     return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps, n_strict=ns, n_closed=nc)

@@ -147,6 +147,13 @@ class TestSolenoid:
         got = [int(line.split(",")[6]) for line in lines[1:]]
         assert got == [nm for _, nm in expected]
 
+    @pytest.mark.parametrize("schedule", ["-1,2", "0,2"])
+    def test_depth_below_one_exits_one(self, capsys, schedule):
+        assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",
+                   f"--t-schedule={schedule}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs p_t >= 2" in captured.err
+
     def test_resource_guard_exit_code(self, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "4")
         assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",

@@ -10,9 +10,9 @@ from rqamaps.intervals import interval_dist, union_diam
 from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
-                                _depth_endpoints, asymptotic_corr_sum,
-                                count_pairs, counts_by_window, diam_m_words,
-                                dist_m_words, interval_of_word, max_diam,
+                                asymptotic_corr_sum, count_pairs,
+                                counts_by_window, diam_m_words, dist_m_words,
+                                interval_of_word, max_diam,
                                 midpoint_trajectory, symbolic_trajectory,
                                 word_add, word_midpoint, write_counts_csv)
 
@@ -50,6 +50,11 @@ def oracle_counts(r, t, m, eps):
             strict += dm < eps
             closed += um <= eps
     return strict, closed
+
+
+def level_intervals(s, t):
+    """The depth-t intervals of ``s``, indexed by odometer value."""
+    return [interval_of_word(s, Word.from_int(j, (2,) * t)) for j in range(2 ** t)]
 
 
 def dense_counts(ivs, eps, m_max):
@@ -139,6 +144,16 @@ class TestIntervals:
         with pytest.raises(ValueError):
             interval_of_word(delahaye5.system, Word.binary((0,) * 99))
 
+    def test_depth_zero_is_the_unit_interval(self, delahaye5):
+        s = delahaye5.system
+        iv = interval_of_word(s, Word.binary(()))
+        assert (iv.lo, iv.hi) == (0, 1)
+        assert max_diam(s, 0) == 1
+
+    def test_negative_depth(self, delahaye5):
+        with pytest.raises(ValueError, match="depth -1 outside"):
+            max_diam(delahaye5.system, -1)
+
     def test_max_diam_shrinks_geometrically(self, delahaye5):
         nus = [max_diam(delahaye5.system, t) for t in range(1, 8)]
         assert all(a > b for a, b in zip(nus, nus[1:]))
@@ -194,10 +209,10 @@ class TestCounts:
                     c = count_pairs(delahaye5.system, t, m, eps)
                     assert (c.n_strict, c.n_closed) == oracle_counts(5, t, m, eps)
 
-    def test_python_and_numpy_scans_agree(self, delahaye5):
+    def test_rank_kernel_matches_dense_scan(self, delahaye5):
         # the rank kernel against the dense Fraction scan, windows past p_t
         for t in (1, 2, 3):
-            ivs = _depth_endpoints(delahaye5.system, t)
+            ivs = level_intervals(delahaye5.system, t)
             for eps in (F(1, 5), F(3, 25), F(2, 5)):
                 counts = counts_by_window(delahaye5.system, t, eps, 2 ** t + 2)
                 assert dense_counts(ivs, eps, 2 ** t + 2) == \
@@ -213,6 +228,13 @@ class TestCounts:
         counts = counts_by_window(delahaye5.system, 1, F(1, 5), 5)
         assert [(c.n_strict, c.n_closed) for c in counts[2:]] == \
             [(counts[1].n_strict, counts[1].n_closed)] * 3
+
+    @pytest.mark.parametrize("t", [-1, 0])
+    def test_depth_below_one(self, delahaye5, t):
+        # at p_t = 1 the one pair (a, a) is strict but not closed: the
+        # enclosure [0, 1] would break its width bound 0
+        with pytest.raises(ValueError, match="needs p_t >= 2"):
+            counts_by_window(delahaye5.system, t, F(1, 5), 2)
 
     def test_resource_guard(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "15")
@@ -244,26 +266,39 @@ def random_system(rnd, big):
     return AdmissibleSystem(diam_rule=rule)
 
 
+def descent(rule, a):
+    """Oracle: K_a from the diameter rule, prefix by prefix, in Fractions."""
+    lo, hi = F(0), F(1)
+    for d in range(1, len(a) + 1):
+        width = rule(Word.binary(a.digits[:d]))
+        lo, hi = (lo, lo + width) if a.digits[d - 1] == 0 else (hi - width, hi)
+    return lo, hi
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(0, 8), st.booleans())
-def test_depth_endpoints_match_descent(seed, t, delahaye):
-    # level-by-level construction against the word-by-word descent, each on
-    # a cold system sharing one diameter rule
+@given(st.integers(0, 10 ** 6), st.integers(0, 8), st.booleans(), st.booleans())
+def test_depth_endpoints_match_descent(seed, t, delahaye, big):
+    # the level table against the word-by-word descent, each call on a cold
+    # system sharing one diameter rule; the table draws the rule's lazy
+    # widths first, level by level
     rnd = random.Random(seed)
     rule = (build_delahaye(rnd.randint(5, 9)).system if delahaye
-            else random_system(rnd, big=False)).diam_rule
-    level, descent = AdmissibleSystem(diam_rule=rule), AdmissibleSystem(diam_rule=rule)
-    ivs = _depth_endpoints(level, t)
+            else random_system(rnd, big)).diam_rule
+    ivs = level_intervals(AdmissibleSystem(diam_rule=rule), t)
     words = [Word.from_int(j, (2,) * t) for j in range(2 ** t)]
-    assert ivs == [interval_of_word(descent, a) for a in words]
-    assert [interval_of_word(level, a) for a in words] == ivs   # the filled cache
+    assert [(iv.lo, iv.hi) for iv in ivs] == [descent(rule, a) for a in words]
+    assert interval_of_word(AdmissibleSystem(diam_rule=rule), words[-1]) == ivs[-1]
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
+    scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs])
+    assert (scale > INT64_SCALE_LIMIT) == (big and not delahaye and t > 0)
 
 
 def test_depth_endpoints_reject_nonpositive_width():
     def rule(w):
         return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 2 ** len(w))
-    for build in (lambda s: _depth_endpoints(s, 4), lambda s: max_diam(s, 3)):
+    for build in (lambda s: interval_of_word(s, Word.from_int(0, (2,) * 4)),
+                  lambda s: max_diam(s, 3),
+                  lambda s: counts_by_window(s, 3, F(1, 8), 1)):
         with pytest.raises(ValueError, match="diameter rule must be positive"):
             build(AdmissibleSystem(diam_rule=rule))
 
@@ -273,7 +308,7 @@ def test_depth_endpoints_reject_nonpositive_width():
 def test_counts_by_window_matches_dense_oracle(seed, t, big):
     rnd = random.Random(seed)
     s = random_system(rnd, big)
-    ivs = _depth_endpoints(s, t)
+    ivs = level_intervals(s, t)
     p = 2 ** t
     a, b = rnd.choice(ivs), rnd.choice(ivs)
     # ties: eps equal to a gap, a hull or a diameter, each decided exactly
@@ -303,6 +338,10 @@ class TestEnclosure:
             for e in enc:
                 assert e.upper - e.lower <= e.width_bound
             assert enc[-1].width_bound < enc[0].width_bound
+
+    def test_depth_zero_rejected(self, delahaye5):
+        with pytest.raises(ValueError, match="needs p_t >= 2"):
+            asymptotic_corr_sum(delahaye5.system, 1, F(1, 5), [0])
 
     def test_strict_contains_closed(self, delahaye5):
         # nondegenerate intervals force dist < diam, so N_m° is inside N_m
