@@ -27,8 +27,8 @@ from fractions import Fraction
 from .dynamics import PiecewiseLinearMap
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import fraction_str
-from .solenoidal import (AdmissibleSystem, Word, counts_by_window,
-                         interval_of_word, max_pairs_limit)
+from .solenoidal import (AdmissibleSystem, Word, _level, counts_by_window,
+                         max_pairs_limit)
 
 Y0 = Fraction(1, 4)
 Y1 = Fraction(3, 4)
@@ -342,30 +342,38 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
     """
     if r < 5:
         raise ValueError("need r >= 5")
+    widths = {}   # depth -> (r^-depth, 2 r^-depth)
 
     def diam_rule(w: Word) -> Fraction:
-        scale = Fraction(1, r ** len(w))
-        return scale if w.digits[0] == 0 else 2 * scale
+        d = len(w.digits)
+        if d not in widths:
+            unit = Fraction(1, r ** d)
+            widths[d] = (unit, 2 * unit)
+        return widths[d][w.digits[0]]
 
     system = AdmissibleSystem(diam_rule=diam_rule, depth_cap=depth_cap,
                               descriptor={"kind": "delahaye", "r": r})
-    inst = DelahayeInstance(r=r, system=system)
+    _check_delahaye_gaps(system, r)
+    return DelahayeInstance(r=r, system=system)
 
-    k0 = interval_of_word(system, Word.binary([0]))
-    k1 = interval_of_word(system, Word.binary([1]))
-    if interval_dist(k0, k1) != 1 - Fraction(3, r):
+
+def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
+    """The build-time contract of ``build_delahaye``, read off the level
+    table: the top-level gap is 1 - 3/r, and below every word a of depth
+    t <= 4 the sibling gap min K_{a1} - max K_{a0} is (r-2) r^-(t+1), doubled
+    under a leading 1.  Word j's children at level t + 1 are words j and
+    j + 2^t."""
+    lo, hi, scale = _level(system, 1)
+    if (lo[1] - hi[0]) * r != (r - 3) * scale:
         raise AssertionError("top-level gap violates the diameter rule")
-    for t in range(1, min(depth_cap, 5)):
-        for j in range(2 ** t):
-            a = Word.from_int(j, (2,) * t)
-            lo = interval_of_word(system, Word.binary(a.digits + (0,)))
-            hi = interval_of_word(system, Word.binary(a.digits + (1,)))
-            expect = Fraction(r - 2, r ** (t + 1))
-            if a.digits[0] == 1:
-                expect *= 2
-            if interval_dist(lo, hi) != expect:
-                raise AssertionError(f"sibling gap below {a} violates the rule")
-    return inst
+    for t in range(1, min(system.depth_cap, 5)):
+        lo, hi, scale = _level(system, t + 1)
+        p = 2 ** t
+        for j in range(p):
+            # a leading digit 1 (odd j) doubles the gap
+            if (lo[j + p] - hi[j]) * r ** (t + 1) != (r - 2) * scale * (1 + j % 2):
+                raise AssertionError(
+                    f"sibling gap below {Word.from_int(j, (2,) * t)} violates the rule")
 
 
 def delahaye_counts_formula(k: int, m: int, t: int) -> tuple[int, int]:

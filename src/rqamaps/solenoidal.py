@@ -18,8 +18,13 @@ correlation sum over the system, with enclosure width at most
 
 Each system keeps one table of levels: level d is K_j = [lo[j], hi[j]] /
 scale for every odometer value j, in Python ints over one denominator,
-built from level d - 1 on first use.  A cold ``interval_of_word`` thus
-builds its word's whole level, at most 2^depth_cap nodes.
+built from level d - 1 on first use.  A level costs one ``diam_rule`` call
+per node: its words come in ascending odometer value from
+``itertools.product`` with each digit tuple reversed, skip ``Word``'s digit
+validation (every digit is 0 or 1 by construction), and each width's sign
+is checked on its integer numerator over the level's denominator.  A cold
+``interval_of_word`` thus builds its word's whole level, at most
+2^depth_cap nodes.
 
 Counting is exhaustive over A^t x A^t, on the pair kernel of
 :mod:`rqamaps.rqa`: level t, wrapped mod p_t to p_t + m - 1 entries, gives
@@ -42,7 +47,8 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,11 +109,23 @@ class Word:
 
     @staticmethod
     def from_int(value: int, radices: Sequence[int]) -> "Word":
+        """The word of odometer value ``value``, which must lie in [0, p_t)."""
+        if not 0 <= value < prod(radices):
+            raise ValueError(f"value {value} outside 0..{prod(radices) - 1}")
         digits = []
         for q in radices:
             digits.append(value % q)
             value //= q
         return Word(tuple(digits), tuple(radices))
+
+    @staticmethod
+    def _unchecked(digits: tuple[int, ...], radices: tuple[int, ...]) -> "Word":
+        """A word whose digits are known to fit their radices, built without
+        ``__post_init__``'s validation."""
+        word = object.__new__(Word)
+        fields = word.__dict__
+        fields["digits"], fields["radices"] = digits, radices
+        return word
 
     @staticmethod
     def binary(digits: Sequence[int]) -> "Word":
@@ -161,13 +179,15 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
         d = len(levels)
         lo, hi, scale = levels[-1]
         radices = (2,) * d
-        widths = [as_fraction(s.diam_rule(Word.from_int(j, radices)))
-                  for j in range(2 ** d)]
-        if min(widths) <= 0:
-            raise ValueError(f"diameter rule must be positive, got {min(widths)}")
-        new = lcm(scale, *{w.denominator for w in widths})
+        # product() counts with its last digit fastest, so reversed tuples
+        # run through the words in ascending odometer value
+        widths = [as_fraction(s.diam_rule(Word._unchecked(digits[::-1], radices)))
+                  for digits in product((0, 1), repeat=d)]
+        new = lcm(scale, *{x.denominator for x in widths})
         lo, hi = ([v * (new // scale) for v in ends] for ends in (lo, hi))
         w = [x.numerator * (new // x.denominator) for x in widths]
+        if min(w) <= 0:
+            raise ValueError(f"diameter rule must be positive, got {min(widths)}")
         # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
         levels.append((lo + [h - x for h, x in zip(hi, w[len(hi):])],
                        [v + x for v, x in zip(lo, w)] + hi, new))

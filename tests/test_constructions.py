@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from rqamaps.constructions import (DelahayeInstance, build_delahaye, build_prop42,
+from rqamaps.constructions import (DelahayeInstance, _check_delahaye_gaps,
+                                   build_delahaye, build_prop42,
                                    delahaye_counts, delahaye_counts_formula,
                                    delahaye_det, delahaye_rdet, index_level,
                                    prop42_C1, prop42_c1_closed_form,
@@ -13,7 +14,7 @@ from rqamaps.constructions import (DelahayeInstance, build_delahaye, build_prop4
                                    system_from_json, write_c1_csv)
 from rqamaps.dynamics import evaluate, iterate
 from rqamaps.intervals import interval_dist, union_diam
-from rqamaps.solenoidal import interval_of_word, Word
+from rqamaps.solenoidal import _level, interval_of_word, Word
 
 
 def brute_rule_count(inst, n):
@@ -210,6 +211,25 @@ class TestDelahaye:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             build_delahaye(4)
+
+    def test_gap_check_rejects_other_ratio(self):
+        # the r = 6 system has top-level gap 1/2, not the 2/5 of r = 5
+        system = build_delahaye(6).system
+        _check_delahaye_gaps(system, 6)
+        with pytest.raises(AssertionError, match="top-level gap violates"):
+            _check_delahaye_gaps(system, 5)
+
+    @pytest.mark.parametrize("t, j", [(1, 0), (1, 1), (2, 3), (3, 5), (4, 10)])
+    def test_gap_check_rejects_sibling_gap_one_unit_off(self, t, j):
+        # K_{a1} of the word a with value j starts one unit of the level's
+        # scale too late; nothing else in the table changes
+        system = build_delahaye(5).system
+        lo, _, _ = _level(system, t + 1)
+        lo[j + 2 ** t] += 1
+        with pytest.raises(AssertionError,
+                           match=f"sibling gap below {Word.from_int(j, (2,) * t)} "
+                                 "violates"):
+            _check_delahaye_gaps(system, 5)
 
     def test_epsilon_k(self, delahaye5):
         assert delahaye5.epsilon_k(3) == F(1, 125)

@@ -102,6 +102,12 @@ class TestWords:
         with pytest.raises(ValueError):
             Word((2,), (2,))
 
+    @pytest.mark.parametrize("value", [4, 5, -1])
+    def test_from_int_rejects_values_outside_group(self, value):
+        # no silent wrap: 5 is not the word 10, nor -1 the word 11
+        with pytest.raises(ValueError, match="outside 0..3"):
+            Word.from_int(value, (2, 2))
+
     @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), st.integers(1, 8))
     def test_addition_is_group_action(self, a, b, t):
         w = Word.from_int(a % 2 ** t, (2,) * t)
@@ -291,6 +297,20 @@ def test_depth_endpoints_match_descent(seed, t, delahaye, big):
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
     scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs])
     assert (scale > INT64_SCALE_LIMIT) == (big and not delahaye and t > 0)
+
+
+def test_level_build_calls_rule_once_per_node_in_odometer_order():
+    # the lazily drawn random rules depend on this order
+    for t in range(9):
+        calls = []
+
+        def rule(w):
+            calls.append(w)
+            return F(1, 3 ** len(w))
+        max_diam(AdmissibleSystem(diam_rule=rule), t)
+        want = [Word.from_int(j, (2,) * d) for d in range(1, t + 1) for j in range(2 ** d)]
+        assert calls == want
+        assert [hash(w) for w in calls] == [hash(w) for w in want]
 
 
 def test_depth_endpoints_reject_nonpositive_width():
