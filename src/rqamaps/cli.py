@@ -124,11 +124,11 @@ def _cmd_ratio(args, kind: str) -> int:
 
 
 def _cmd_rplot(args) -> int:
+    if not args.output:
+        raise ValueError("rplot requires --output")
     eps = _parse_epsilon(args.epsilon, args.float)
     traj = _load_trajectory(args, args.n + args.m - 1)
     matrix = rqa.recurrence_matrix(traj, rqa.RQAParams(args.m, eps, args.n))
-    if not args.output:
-        raise ValueError("rplot requires --output")
     rqa.write_pgm(matrix, args.output)
     return 0
 

@@ -10,8 +10,12 @@ Iteration
 ---------
 Each map builds one step table per arithmetic, the first time it is used,
 and :func:`evaluate` and :func:`iterate` both step through it.  A point is
-placed in its piece by bisection over the breakpoints.  On a plateau piece,
-and at x = 1, the step returns the stored value itself.  Float pieces
+placed in its piece by bisection over the breakpoints.  Exact pieces are
+found on integers: the breakpoints are held as integers N_k over their
+common denominator L, and since N_k <= p L / q iff N_k <= floor(p L / q),
+the bisection for x = p/q runs at ``p L // q`` and compares no
+``Fraction``.  On a plateau piece, and at x = 1, the step returns the
+stored value itself.  Float pieces
 interpolate as ``v0 + (x - x0) * dv / dx`` with ``dv = fl(v1 - v0)`` and
 ``dx = fl(x1 - x0)`` precomputed, the same float operations on the same
 operands as the interpolation written out, so the bits do not change.
@@ -103,8 +107,9 @@ class PiecewiseLinearMap:
 def _exact_step(bps, vals):
     """step(x) for x in [0, 1]: the stored value on a plateau and at x = 1,
     otherwise (A p + B q) / (D q) for x = p / q, where f(x) = (A x + B) / D
-    on x's piece.  bisect_right over the breakpoints after 0 finds the
-    piece, the last entry standing for x = 1."""
+    on x's piece.  The breakpoints after 0, the last standing for x = 1,
+    are held as integers N_k over their lcm L; N_k <= p L / q iff N_k <=
+    floor(p L / q), so bisect_right over them at p L // q finds the piece."""
     pieces = []
     for x0, x1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]):
         if v0 == v1:
@@ -116,14 +121,15 @@ def _exact_step(bps, vals):
         pieces.append((a.numerator * (d // a.denominator),
                        b.numerator * (d // b.denominator), d))
     pieces.append(vals[-1])
-    inner = bps[1:]
+    scale = lcm(*(b.denominator for b in bps[1:]))
+    inner = [b.numerator * (scale // b.denominator) for b in bps[1:]]
 
     def step(x):
-        piece = pieces[bisect_right(inner, x)]
+        p, q = x.numerator, x.denominator
+        piece = pieces[bisect_right(inner, p * scale // q)]
         if type(piece) is not tuple:
             return piece
         a, b, d = piece
-        p, q = x.numerator, x.denominator
         return Fraction(a * p + b * q, d * q)
     return step
 
@@ -167,10 +173,14 @@ def evaluate(f: PiecewiseLinearMap, x: Number) -> Number:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Finite orbit segment: points[i] is the i-th iterate of ``base``."""
+    """Finite orbit segment: points[i] is the i-th iterate of ``base``.
+
+    The pair counts of :mod:`rqamaps.rqa` keep the points' rank table in
+    ``_rank_cache`` (at most one, built on the first count)."""
 
     base: Number
     points: tuple[Number, ...]
+    _rank_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -110,7 +110,7 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
     pts = [o.points[i % p] for i in range(p + steps - 1)]
     if isinstance(pts[0], float) and not isinstance(epsilon, float):
         epsilon = _float_threshold(epsilon, strict)
-    close = _pointwise_test(pts, epsilon, strict)
+    close = _pointwise_test(pts, len(pts), epsilon, strict)
     counts = _window_counts(close, p, steps)
     return counts + counts[-1:] * (m - steps)
 

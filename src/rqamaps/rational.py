@@ -14,11 +14,6 @@ from typing import Union
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
-# Largest common denominator for which scaled points in [0, 1], and their
-# differences, fit in int64.
-INT64_SCALE_LIMIT = 2 ** 62
-
-
 def as_fraction(value: Number | str) -> Fraction:
     """Convert exactly to Fraction.
 

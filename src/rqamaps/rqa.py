@@ -19,13 +19,19 @@ Pair counting
 All of these are read off one pair count ``N_w(n)``, and one pass yields it
 for every window w <= W and every n of an increasing schedule: the window-w
 test is the AND of the pointwise tests at offsets s < w.  Both arithmetic
-modes test points through ranks.  Exact mode scales the distinct points to
-integers over their common denominator, where ``|x_i - x_j| <= eps`` iff
-``x_i - eps <= x_j <= x_i + eps``, so the rank of x_j among the distinct
-points against the rank range of [x_i - eps, x_i + eps] decides every pair
-exactly, whatever the size of the denominator.  Float mode keeps the test
-``|fl(x_i - x_j)| <= eps``; rounding is monotone, so the values that pass
-it also form a rank range, whose ends are found with the test itself.
+modes test points through ranks, in two parts.  The rank table does not
+depend on the threshold: each point's rank among the distinct values, and
+the distinct values in ascending order.  Exact mode holds them as integers
+over the points' common denominator S, where ``|x_i - x_j| <= eps`` iff
+``x_i - e <= x_j <= x_i + e`` with the integer cut ``e = floor(eps S)``
+(``ceil(eps S) - 1`` for ``< eps``), so the rank of x_j against the rank
+range of [x_i - e, x_i + e] decides every pair exactly, whatever the size
+of the denominator.  Float mode keeps the test ``|fl(x_i - x_j)| <= eps``;
+rounding is monotone, so the values that pass it also form a rank range,
+whose ends are found with the test itself.  Only these rank ranges are
+computed per threshold.  A :class:`~rqamaps.dynamics.Trajectory` ranks all
+of its points on its first count and keeps the table, so later counts on it,
+at any threshold or n, reuse it; a plain sequence is ranked on every call.
 
 Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
 :func:`rqa_det`, :func:`estimate_asymptotics`) run over the distinct delay
@@ -56,7 +62,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,11 +106,18 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
     return max(abs(pts[i + s] - pts[j + s]) for s in range(m))
 
 
-def _exact_ranks(pts: Sequence, epsilon,
-                 strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per point, its rank among the distinct values; per rank, the
-    half-open rank range of the values within epsilon of it (closer than
-    epsilon when ``strict``), decided in exact integers.
+class _RankTable(NamedTuple):
+    """The threshold-free half of ranking: each point's rank among the
+    distinct values, the distinct values in ascending order, and their
+    common denominator ``scale`` (None for float points)."""
+
+    rank: np.ndarray
+    values: list[int] | np.ndarray   # integers over scale, or float64
+    scale: int | None
+
+
+def _exact_table(pts: Sequence) -> _RankTable:
+    """The distinct values as integers over the points' common denominator.
 
     A Fraction's hash costs a modular inverse, so repeated point objects
     are merged by identity first (``pts`` keeps them alive, so their ids
@@ -114,34 +127,47 @@ def _exact_ranks(pts: Sequence, epsilon,
     _, first, which = np.unique(np.array([id(p) for p in pts], dtype=np.uint64),
                                 return_index=True, return_inverse=True)
     fracs = [as_fraction(pts[i]) for i in first]
-    eps = as_fraction(epsilon)
-    scale = common_scale(fracs + [eps])
+    scale = common_scale(fracs)
     scaled = [f.numerator * (scale // f.denominator) for f in fracs]
     values = sorted(set(scaled))
-    e = eps.numerator * (scale // eps.denominator)
     index = {v: r for r, v in enumerate(values)}
-    rank = np.array([index[v] for v in scaled])[which]
-    left, right = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
-    lo = np.array([left(values, v - e) for v in values])
-    hi = np.array([right(values, v + e) for v in values])
-    return rank, lo, hi
+    return _RankTable(np.array([index[v] for v in scaled])[which], values, scale)
 
 
-def _float_ranks(pts: Sequence, epsilon,
-                 strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float analogue of :func:`_exact_ranks` for ``|fl(x_i - x_j)| <=
+def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank, the half-open rank range of the values within epsilon of
+    it (closer than epsilon when ``strict``), decided in exact integers:
+    an integer distance d is <= eps S iff d <= floor(eps S), and < eps S
+    iff d <= ceil(eps S) - 1."""
+    eps = as_fraction(epsilon)
+    num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
+    e = -(-num // den) - 1 if strict else num // den
+    values = table.values
+    lo = np.array([bisect_left(values, v - e) for v in values])
+    hi = np.array([bisect_right(values, v + e) for v in values])
+    return lo, hi
+
+
+def _float_table(pts: Sequence) -> _RankTable:
+    """The distinct values as float64, each point's rank among them."""
+    values, rank = np.unique(np.asarray(pts, dtype=np.float64), return_inverse=True)
+    if not np.isfinite(values).all():
+        raise ValueError("float points must be finite")
+    return _RankTable(rank, values, None)
+
+
+def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The float analogue of :func:`_exact_cuts` for ``|fl(x_i - x_j)| <=
     eps`` (``< eps`` when ``strict``).  Rounding is monotone, so the values
     passing the test form a rank range around each value; ``searchsorted``
     on ``fl(x +- eps)`` lands within an ulp of its ends, and a few steps of
     the test itself find them exactly."""
-    values, rank = np.unique(np.asarray(pts, dtype=np.float64), return_inverse=True)
-    if not np.isfinite(values).all():
-        raise ValueError("float points must be finite")
+    values = table.values
     eps, last = float(epsilon), len(values) - 1
     compare = np.less if strict else np.less_equal
     if not compare(0.0, eps):   # not even a point and itself are close
         own = np.arange(len(values))
-        return rank, own, own
+        return own, own
     lo = np.searchsorted(values, values - eps, side="left")
     while (step := ~compare(values - values[lo], eps)).any():
         lo += step
@@ -152,13 +178,34 @@ def _float_ranks(pts: Sequence, epsilon,
         hi -= step
     while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
         hi += step
-    return rank, lo, hi
+    return lo, hi
 
 
-def _ranks(pts: Sequence, epsilon, strict: bool = False):
-    """Point ranks and rank ranges, in the points' own arithmetic."""
-    ranks = _float_ranks if isinstance(pts[0], float) else _exact_ranks
-    return ranks(pts, epsilon, strict)
+def _rank_table(pts: Sequence) -> _RankTable:
+    """The points' rank table, in their own arithmetic."""
+    return (_float_table if isinstance(pts[0], float) else _exact_table)(pts)
+
+
+def _cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank, the half-open rank range of the values within epsilon."""
+    return (_float_cuts if table.scale is None else _exact_cuts)(table, epsilon, strict)
+
+
+def _ranks(t, need: int, epsilon, strict: bool = False):
+    """The ranks of the first ``need`` points of t, and per rank the rank
+    range of the values within epsilon (closer than epsilon when
+    ``strict``).  A Trajectory ranks all of its points on its first count
+    and keeps the table; a plain sequence is ranked on every call."""
+    pts = _points(t)
+    if len(pts) < need:
+        raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
+    if isinstance(t, Trajectory):
+        if not t._rank_cache:
+            t._rank_cache.append(_rank_table(pts))
+        table = t._rank_cache[0]
+    else:
+        table = _rank_table(pts[:need])
+    return (table.rank[:need], *_cuts(table, epsilon, strict))
 
 
 def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
@@ -170,10 +217,11 @@ def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
     return close
 
 
-def _pointwise_test(pts: Sequence, epsilon, strict: bool = False):
+def _pointwise_test(t, need: int, epsilon, strict: bool = False):
     """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon (< epsilon
-    when ``strict``) over i in [i0, i1), j in [j0, j1)."""
-    rank, lo, hi = _ranks(pts, epsilon, strict)
+    when ``strict``) over i in [i0, i1), j in [j0, j1), on the first
+    ``need`` points of t."""
+    rank, lo, hi = _ranks(t, need, epsilon, strict)
     return _rank_test(lo[rank], rank, rank, hi[rank])
 
 
@@ -203,16 +251,6 @@ def _window_counts(close, n: int, windows: int, collect=None) -> list[int]:
         if collect is not None:
             collect(lo, hi, hit)
     return counts
-
-
-def _segment(t, ns: Sequence[int], windows: int) -> Sequence[Number]:
-    """The ns[-1] + windows - 1 points that windows up to ``windows`` over
-    the schedule ns read."""
-    pts = _points(t)
-    need = ns[-1] + windows - 1
-    if len(pts) < need:
-        raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
-    return pts[:need]
 
 
 def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -290,7 +328,7 @@ def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
     """N_w(n) for the windows w in ``reduce`` (every w <= windows by
     default) and n in the increasing schedule ns; other windows read None."""
-    return _class_counts(*_ranks(_segment(t, ns, windows), epsilon), ns, windows, reduce)
+    return _class_counts(*_ranks(t, ns[-1] + windows - 1, epsilon), ns, windows, reduce)
 
 
 def recurrent_pair_count(t, p: RQAParams) -> int:
@@ -346,7 +384,7 @@ def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
     def collect(lo, hi, block):
         bits[lo:hi, lo:] = block
 
-    close = _pointwise_test(_segment(t, [p.n], p.m), p.epsilon)
+    close = _pointwise_test(t, p.n + p.m - 1, p.epsilon)
     _window_counts(close, p.n, p.m, collect)
     bits |= bits.T
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)

@@ -5,6 +5,10 @@ import pytest
 
 from rqamaps import PiecewiseLinearMap, build_delahaye, build_prop42
 
+# Largest common denominator for which scaled points in [0, 1], and their
+# differences, fit in int64; the test pools are sized to fall on either side.
+INT64_SCALE_LIMIT = 2 ** 62
+
 
 @pytest.fixture(scope="session")
 def plateau_map():

@@ -110,6 +110,17 @@ class TestRplot:
         assert run("rplot", "--construction", "prop42", "--depth", "3",
                    "--m", "1", "--epsilon", "1/2", "--n", "6") == 1
 
+    def test_missing_output_fails_before_the_matrix(self, monkeypatch, capsys,
+                                                    plateau_map_file):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("recurrence_matrix called without --output")
+
+        monkeypatch.setattr(cli.rqa, "recurrence_matrix", unreachable)
+        for source in (["--construction", "prop42", "--depth", "3"],
+                       ["--map", plateau_map_file, "--x0", "1/5", "--float"]):
+            assert run("rplot", *source, "--m", "1", "--epsilon", "1/2", "--n", "6") == 1
+            assert capsys.readouterr().err == "error: rplot requires --output\n"
+
 
 class TestConfig:
     def test_extremal_bound(self, capsys):

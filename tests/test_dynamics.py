@@ -202,6 +202,29 @@ def test_iterate_matches_oracle_beyond_int64_denominators():
         assert_matches_oracle(f, x, 90)
 
 
+# breakpoint denominators without a common factor, so that the integer
+# piece search p L // q rounds down next to every inner breakpoint
+COPRIME_DENS = (3, 7, 2 ** 33 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_piece_search_at_breakpoints(seed):
+    rnd = random.Random(seed)
+    inner = sorted({F(rnd.randint(1, d - 1), d) for d in COPRIME_DENS for _ in range(2)})
+    bps = [F(0), *sorted(rnd.sample(inner, rnd.randint(1, len(inner)))), F(1)]
+    vals = [F(rnd.randint(0, d), d) for d in (rnd.choice(COPRIME_DENS) for _ in bps)]
+    for i in range(1, len(vals)):   # some plateaus
+        if rnd.random() < 0.3:
+            vals[i] = vals[i - 1]
+    f = PiecewiseLinearMap(tuple(bps), tuple(vals))
+    tiny = F(1, 2 ** 70)
+    for b in bps:   # 0 and 1 included
+        for x in (b - tiny, b, b + tiny):
+            if 0 <= x <= 1:
+                assert_matches_oracle(f, x, 3)
+
+
 def test_iterate_domain_and_length_errors():
     for x in (F(3, 2), -F(1, 10), 2, 1.5, -0.1, math.nan, math.inf):
         for n in (2, 3, 40):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,12 @@ from rqamaps import rqa
 from rqamaps.constructions import prop42_positions
 from rqamaps.dynamics import Trajectory, iterate
 from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
-from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
+from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
                          recurrence_matrix, rqa_det, write_series_csv)
 
-from conftest import random_pl_map
+from conftest import INT64_SCALE_LIMIT, random_pl_map
 
 
 def brute_bits(points, m, eps, n):
@@ -283,6 +284,7 @@ def test_kernel_matches_oracle(backend, seed, m):
             mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
             assert mat.bits.tolist() == dense[m]
             assert (mat.bits == mat.bits.T).all()
+    assert_one_trajectory_matches_oracle(rnd, pts, m, schedule)
 
 
 # the sorted class-and-band count on eventually periodic orbits, where
@@ -307,7 +309,7 @@ def test_float_ranks_match_the_test_itself(strict):
     passes = (lambda d, eps: d < eps) if strict else (lambda d, eps: d <= eps)
     for d in sorted({abs(a - b) for a in pool for b in pool if a != b}):
         for eps in (d, math.nextafter(d, 0), math.nextafter(d, 1)):
-            _, lo, hi = rqa._float_ranks(pool, eps, strict)
+            _, lo, hi = rqa._ranks(pool, len(pool), eps, strict)
             for r, x in enumerate(values):
                 close = [k for k, y in enumerate(values) if passes(abs(x - y), eps)]
                 assert close == list(range(lo[r], hi[r]))
@@ -333,6 +335,39 @@ def thresholds(rnd, pts):
     return [d, d - F(1, 2 ** 70), d + F(1, 2 ** 70), F(3, 2)]
 
 
+def assert_one_trajectory_matches_oracle(rnd, pts, m, schedule):
+    """Every count on one Trajectory of ``pts`` (n_max + m points), over
+    every threshold, in a random order, against the dense oracle; the
+    trajectory ranks its points once and keeps one table."""
+    t = Trajectory(pts[0], tuple(pts))
+
+    def values(eps):
+        return estimate_asymptotics(t, m, eps, schedule).values
+
+    def bits(p):
+        return recurrence_matrix(t, p).bits.tolist()
+
+    checks = []
+    for eps in thresholds(rnd, pts):
+        dense = {w: brute_bits(pts, w, eps, schedule[-1]) for w in range(1, m + 2)}
+        c = {(w, n): F(sum(sum(row[:n]) for row in dense[w][:n]), n * n)
+             for w in dense for n in schedule}
+        checks.append((partial(values, eps), tuple((n, c[m, n]) for n in schedule)))
+        for n in schedule:
+            p = RQAParams(m, eps, n)
+            rdet_m, rdet_m1 = c[m, n] / c[1, n], c[m + 1, n] / c[1, n]
+            checks += [(partial(correlation_sum, t, p), c[m, n]),
+                       (partial(recurrence_determinism, t, p), rdet_m),
+                       (partial(rqa_det, t, p), m * rdet_m - (m - 1) * rdet_m1),
+                       (partial(bits, p), [row[:n] for row in dense[m][:n]])]
+    rnd.shuffle(checks)
+    for call, want in checks:
+        assert call() == want
+    assert len(t._rank_cache) == 1
+    twin = Trajectory(pts[0], tuple(pts))
+    assert t == twin and hash(t) == hash(twin) and not twin._rank_cache
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_sorted_counts_on_periodic_orbits(backend, seed, m):
@@ -355,6 +390,7 @@ def test_sorted_counts_on_periodic_orbits(backend, seed, m):
                     assert got == [row[:k] for row in want]
         mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
         assert mat.popcount == rqa._pair_counts(pts, [n_max], m, eps)[m - 1][0]
+    assert_one_trajectory_matches_oracle(rnd, pts, m, schedule)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rqamaps import build_delahaye, rqa
 from rqamaps.intervals import interval_dist, union_diam
-from rqamaps.rational import INT64_SCALE_LIMIT, common_scale
+from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
                                 asymptotic_corr_sum, count_pairs,
@@ -15,6 +15,8 @@ from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
                                 interval_of_word, max_diam,
                                 midpoint_trajectory, symbolic_trajectory,
                                 word_add, word_midpoint, write_counts_csv)
+
+from conftest import INT64_SCALE_LIMIT
 
 W = Word.parse
 
