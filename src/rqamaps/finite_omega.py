@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .dynamics import PeriodicStructure
 from .rational import Number, as_fraction, fraction_str
-from .rqa import _pointwise_test, _window_counts
+from .rqa import _cuts, _rank_table, _rank_test, _window_counts
 
 
 class ExcludedEpsilonWarning(UserWarning):
@@ -98,25 +98,29 @@ def _float_threshold(eps: Number, strict: bool) -> float:
     return f
 
 
-def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
-                  strict: bool = False) -> list[int]:
-    """N_w = #{(i, j) in Z_p^2 : bowen_w(y_i, y_j) <= eps} for w = 1..m
-    (< eps when ``strict``), from one scan of the cycle unrolled to
-    p + m - 1 points."""
+def _orbit_counter(o: PeriodicOrbitData, m: int, epsilon: Number):
+    """count(strict=False) -> [N_w for w = 1..m], N_w = #{(i, j) in Z_p^2 :
+    bowen_w(y_i, y_j) <= eps} (< eps when ``strict``), each from one scan
+    of the cycle unrolled to p + m - 1 points, ranked once for both tests."""
     if m < 1:
         raise ValueError("window length must be >= 1")
     p = o.period
     steps = min(m, p)   # offsets repeat mod p
-    pts = [o.points[i % p] for i in range(p + steps - 1)]
-    if isinstance(pts[0], float) and not isinstance(epsilon, float):
-        epsilon = _float_threshold(epsilon, strict)
-    close = _pointwise_test(pts, len(pts), epsilon, strict)
-    counts = _window_counts(close, p, steps)
-    return counts + counts[-1:] * (m - steps)
+    table = _rank_table([o.points[i % p] for i in range(p + steps - 1)])
+    rank = table.rank
+
+    def count(strict: bool = False) -> list[int]:
+        eps = epsilon
+        if table.scale is None and not isinstance(eps, float):
+            eps = _float_threshold(eps, strict)
+        lo, hi = _cuts(table, eps, strict)
+        counts = _window_counts(_rank_test(lo[rank], rank, rank, hi[rank]), p, steps)
+        return counts + counts[-1:] * (m - steps)
+    return count
 
 
 def recurrent_orbit_pairs(o: PeriodicOrbitData, m: int, epsilon: Number) -> int:
-    return _orbit_counts(o, m, epsilon)[-1]
+    return _orbit_counter(o, m, epsilon)()[-1]
 
 
 def _warn_if_excluded(epsilon, n_closed: int, n_strict: int) -> None:
@@ -133,8 +137,9 @@ def closed_form_corr_sum(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fract
     eps = as_fraction(epsilon) if not isinstance(epsilon, float) else epsilon
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    n_m = _orbit_counts(o, m, eps)[-1]
-    _warn_if_excluded(epsilon, n_m, _orbit_counts(o, m, eps, strict=True)[-1])
+    count = _orbit_counter(o, m, eps)
+    n_m = count()[-1]
+    _warn_if_excluded(epsilon, n_m, count(strict=True)[-1])
     return Fraction(n_m, o.period ** 2)
 
 
@@ -152,13 +157,14 @@ def asymptotic_rdet_finite(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fra
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     p = o.period
-    closed = _orbit_counts(o, m, eps)
+    count = _orbit_counter(o, m, eps)
+    closed = count()
     if p == 1 or eps < min_spatial_gap(o):
         # only diagonal pairs recur, in every window length
         assert closed[0] == p
         assert closed[m - 1] == p
         return Fraction(1)
-    strict = _orbit_counts(o, m, eps, strict=True)
+    strict = count(strict=True)
     for w in (m, 1):
         _warn_if_excluded(eps, closed[w - 1], strict[w - 1])
     return Fraction(closed[m - 1], closed[0])

@@ -50,11 +50,13 @@ every pair recurs.
 
 :func:`_window_counts` keeps the scan over index pairs in index order, at
 one n, for what needs every pair or its position: the bits of
-:func:`recurrence_matrix`, and, through a symmetric block test, the strict
-(``< eps``) variant behind the excluded-threshold check of
-:mod:`rqamaps.finite_omega` and the interval gap and hull tests of
-:mod:`rqamaps.solenoidal`.  It walks the upper triangle in row blocks and
-counts each off-diagonal hit twice.  Every count is serial.
+:func:`recurrence_matrix`, and, through a symmetric block test, the finite
+cycles of :mod:`rqamaps.finite_omega`, whose strict (``< eps``) count backs
+the excluded-threshold check.  It walks the upper triangle in row blocks and
+counts each off-diagonal hit twice.  The word counts of
+:mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
+instead, and read only :data:`_BLOCK_ELEMS` from here.  Every count is
+serial.
 """
 from __future__ import annotations
 
@@ -217,11 +219,10 @@ def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
     return close
 
 
-def _pointwise_test(t, need: int, epsilon, strict: bool = False):
-    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon (< epsilon
-    when ``strict``) over i in [i0, i1), j in [j0, j1), on the first
-    ``need`` points of t."""
-    rank, lo, hi = _ranks(t, need, epsilon, strict)
+def _pointwise_test(t, need: int, epsilon):
+    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon over i in
+    [i0, i1), j in [j0, j1), on the first ``need`` points of t."""
+    rank, lo, hi = _ranks(t, need, epsilon)
     return _rank_test(lo[rank], rank, rank, hi[rank])
 
 

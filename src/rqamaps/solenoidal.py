@@ -26,25 +26,41 @@ is checked on its integer numerator over the level's denominator.  A cold
 ``interval_of_word`` thus builds its word's whole level, at most
 2^depth_cap nodes.
 
-Counting is exhaustive over A^t x A^t, on the pair kernel of
-:mod:`rqamaps.rqa`: level t, wrapped mod p_t to p_t + m - 1 entries, gives
-the "points", and one scan gives every window.  The per-step tests need
-only order comparisons of endpoints,
+Counts come from a dual-tree walk over level t (Gray & Moore, "N-body
+problems in statistical learning", 2001).  Node u at depth d covers the
+leaves a = u mod 2^d; as the odometer carries from the least significant
+digit, the leaves a + s below u are exactly those below (u + s) mod 2^d.
+The per-step tests need only order comparisons of endpoints,
 
     gap < eps   iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
     hull <= eps iff  hi_b <= lo_a + eps and  lo_b >= hi_a - eps
                      and both diameters are <= eps,
 
 so over a common multiple of the level's scale and eps's denominator each
-threshold is a rank among the distinct endpoints, found by bisection, and
-every pair is decided exactly by small-integer comparisons, whatever the
-denominator and whether or not the intervals are ordered.  A resource
-guard bounds the quadratic work (env RQA_MAX_PAIRS overrides).
+threshold is a rank among the distinct endpoints (one ``np.unique`` and a
+``searchsorted``, in int64 when every endpoint +- eps fits and in Python
+ints otherwise), and every pair is decided exactly by small-integer
+comparisons, whatever the denominator.
+
+Each node keeps the min and max of these ranks over its leaves, reduced
+bottom-up by halves; no nesting is assumed, since arbitrary diameter rules
+may break it.  The walk starts from the root pair and, per pair of nodes
+and shift s < m, asks whether every leaf pair under the shifted nodes
+passes or none does.  A pair whose leading all-pass shifts end at an
+all-fail shift (or at m) adds 4^(t-d) to each of those windows at once;
+any other pair splits into its four child pairs.  Below depth t - 4 the
+pairs left are tested densely over their 16 x 16 leaves.  The buckets, like
+the walk's frontier, run in blocks of about ``rqa._BLOCK_ELEMS`` entries,
+so no temporary grows with p_t^2.  On the Delahaye systems a few dozen node
+pairs per test decide all p_t^2 leaf pairs.  On rules whose children do
+not nest most pairs reach the buckets, and a count at t = 9 costs 1.4-2.6
+times a blockwise scan of all p_t^2 pairs.  A resource guard bounds the
+depth by p_t^2 pairs before any level is built (env RQA_MAX_PAIRS
+overrides).
 """
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -53,9 +69,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import rqa
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import Number, as_fraction, fraction_str
-from .rqa import _rank_test, _window_counts
 
 _DEFAULT_MAX_PAIRS = 2 ** 26
 
@@ -237,7 +253,7 @@ def diam_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SolenoidalCounts:
-    """Exhaustive depth-t pair counts for one window length."""
+    """Depth-t pair counts for one window length."""
 
     t: int
     p_t: int
@@ -259,35 +275,116 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _interval_tests(lo: Sequence[int], hi: Sequence[int], scale: int, eps: Fraction):
-    """Rank tests for gap < eps (strict) and hull <= eps (closed) between the
-    intervals [lo, hi] / scale, exact for any denominator and interval order."""
+def _leaf_tests(lo: Sequence[int], hi: Sequence[int], scale: int,
+                eps: Fraction) -> np.ndarray:
+    """Rank tests for gap < eps (strict) and hull <= eps (closed) between
+    the intervals [lo, hi] / scale, exact for any denominator and interval
+    order: rows (lo, x, y, hi) of 2 p_t entries, interval a of test k at
+    k p_t + a (k = 0 strict, 1 closed), such that a and b pass iff
+    lo_a <= x_b and y_b < hi_a."""
     common = lcm(scale, eps.denominator)
-    los, his = ([v * (common // scale) for v in ends] for ends in (lo, hi))
-    e = eps.numerator * (common // eps.denominator)
-    values = sorted(set(los) | set(his))
-    index = {v: r for r, v in enumerate(values)}
-    dtype = np.min_scalar_type(len(values))   # the narrowest type is the fastest
-    rank_lo = np.array([index[v] for v in los], dtype=dtype)
-    rank_hi = np.array([index[v] for v in his], dtype=dtype)
+    f, e = common // scale, eps.numerator * (common // eps.denominator)
+    # int64 only when no endpoint +- eps can overflow, and Python ints
+    # otherwise: never a dtype numpy infers, which could wrap as uint64
+    fits = max(max(hi), -min(lo)) * f + e < 2 ** 63
+    ends = np.array(lo + hi, dtype=np.int64 if fits else object) * f
+    # return_index makes np.unique sort stably, as the other rank tables do;
+    # its quicksort path alone adds about 0.6 MB of resident sort code
+    values, _, rank = np.unique(ends, return_index=True, return_inverse=True)
+    p = len(lo)
+    los, his, rank_lo, rank_hi = ends[:p], ends[p:], rank[:p], rank[p:]
 
-    def cut(find, ends, shift):
-        return np.array([find(values, v + shift) for v in ends], dtype=dtype)
+    def cut(ends, side):
+        return np.searchsorted(values, ends, side=side)
 
     # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    strict = (cut(bisect_right, los, -e), rank_hi, rank_lo, cut(bisect_left, his, e))
+    strict = (cut(los - e, "right"), rank_hi, rank_lo, cut(his + e, "left"))
     # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
     # diameters are <= eps: a wider interval gets the out-of-range rank
-    # len(values), which fails either comparison as row a or as column b
-    wide = np.array([h - v > e for v, h in zip(los, his)])
-    closed = (np.where(wide, len(values), cut(bisect_left, his, -e)), rank_lo,
-              np.where(wide, len(values), rank_hi), cut(bisect_right, los, e))
-    return strict, closed
+    # len(values), which fails either comparison as a or as b
+    closed_hi = cut(los + e, "right")
+    wide = rank_hi >= closed_hi
+    closed = (np.where(wide, len(values), cut(his - e, "left")), rank_lo,
+              np.where(wide, len(values), rank_hi), closed_hi)
+    dtype = np.min_scalar_type(len(values))   # the narrowest type is the fastest
+    return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
+
+
+def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
+    """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : test k of ``leaf`` (see
+    :func:`_leaf_tests`) passes for (a + s, b + s) at every shift s < w}.
+
+    A dual-tree walk from the root pair down to depth t - 4 decides whole
+    pairs of subtrees on their bounds; dense 16 x 16 leaf buckets test the
+    pairs it leaves."""
+    p, last = 1 << t, max(t - 4, 0)
+    # node u at depth d covers the leaves a = u mod 2^d and has the children
+    # u and u + 2^d; its bounds are each row's min and max over those leaves
+    mins, maxs = [leaf], [leaf]
+    for d in range(t - 1, -1, -1):
+        h = 1 << d
+        lower, upper = (x[0].reshape(4, 2, 2 * h) for x in (mins, maxs))
+        mins.insert(0, np.minimum(lower[..., :h], lower[..., h:]).reshape(4, 2 * h))
+        maxs.insert(0, np.maximum(upper[..., :h], upper[..., h:]).reshape(4, 2 * h))
+    walk_rows = max(1, rqa._BLOCK_ELEMS // (2 * steps))
+    side = 1 << (t - last)
+    leaf_rows = max(1, rqa._BLOCK_ELEMS // (side * side))
+    below = (np.arange(side) << last)[:, None]
+    shifts = np.arange(steps)[:, None]
+    halves = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])   # of the four child pairs
+    by_lead = np.zeros(2 * (steps + 1), dtype=np.int64)
+    counts = np.zeros((2, steps), dtype=np.int64)
+    root = np.zeros(2, dtype=np.int64)
+    stack = [(0, np.arange(2), root, root)]
+    while stack:
+        # node pairs (u, v) at depth d under test k; the leaves a + s below u
+        # are those below (u + s) mod 2^d, as the odometer carries from the
+        # least significant digit
+        d, k, u, v = stack.pop()
+        nodes = 1 << d
+        iu = k * nodes + ((u + shifts) & (nodes - 1))
+        iv = k * nodes + ((v + shifts) & (nodes - 1))
+        lo_min, hi_min = np.take(mins[d][::3], iu, axis=1)
+        lo_max, hi_max = np.take(maxs[d][::3], iu, axis=1)
+        x_min, y_min = np.take(mins[d][1:3], iv, axis=1)
+        x_max, y_max = np.take(maxs[d][1:3], iv, axis=1)
+        # the leading shifts where every leaf pair passes, and the shifts
+        # from the first one where none does
+        lead = np.logical_and.accumulate((lo_max <= x_min) & (y_max < hi_min)).sum(0)
+        tail = np.logical_or.accumulate((lo_min > x_max) | (y_min >= hi_max)).sum(0)
+        done = lead + tail == steps
+        by_lead += np.bincount(k[done] * (steps + 1) + lead[done],
+                               minlength=2 * (steps + 1)) << 2 * (t - d)
+        k, u, v = k[~done], u[~done], v[~done]
+        if d < last:
+            # the four child pairs of each pair in turn, so k stays sorted
+            k = np.repeat(k, 4)
+            u = (u[:, None] + halves[0] * nodes).ravel()
+            v = (v[:, None] + halves[1] * nodes).ravel()
+            stack.extend((d + 1, k[i:i + walk_rows], u[i:i + walk_rows], v[i:i + walk_rows])
+                         for i in range(0, len(k), walk_rows))
+            continue
+        for i in range(0, len(k), leaf_rows):
+            # a[x, j] is leaf x below u_j and b[y, j] leaf y below v_j, and
+            # test[x, y, j] tests them; the block's strict pairs come first
+            offset = k[i:i + leaf_rows] * p
+            a, b = below + u[i:i + leaf_rows], below + v[i:i + leaf_rows]
+            n_strict = int(np.count_nonzero(offset == 0))
+            for s in range(steps):
+                lo_a, hi_a = np.take(leaf[::3], offset + ((a + s) & (p - 1)), axis=1)
+                x_b, y_b = np.take(leaf[1:3], offset + ((b + s) & (p - 1)), axis=1)
+                test = (lo_a[:, None] <= x_b) & (y_b < hi_a[:, None])
+                hit = test if s == 0 else hit & test
+                counts[0, s] += np.count_nonzero(hit[..., :n_strict])
+                counts[1, s] += np.count_nonzero(hit[..., n_strict:])
+    # a pair decided after P leading passes counts in every window w <= P
+    by_lead = by_lead.reshape(2, steps + 1)
+    return counts + np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
 
 
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                      threads: int = 1) -> list[SolenoidalCounts]:
-    """Counts for every window length 1..m_max in one exhaustive scan.
+    """Counts for every window length 1..m_max in one dual-tree walk.
 
     ``threads`` has no effect: pair counts are serial."""
     eps = as_fraction(epsilon)
@@ -303,14 +400,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
             f"{p}^2 pairs exceed the guard ({max_pairs_limit()}); "
             "raise RQA_MAX_PAIRS to override")
     steps = min(m_max, p)
-    # the shift acts cyclically: the word a + i is interval (a + i) mod p_t
-    wrap = np.arange(p + steps - 1) % p
-
-    def scan(ranks):
-        close = _rank_test(*(r[wrap] for r in ranks))
-        return _window_counts(close, p, steps)
-
-    strict, closed = map(scan, _interval_tests(*_level(s, t), eps))
+    strict, closed = _walk(_leaf_tests(*_level(s, t), eps), t, steps).tolist()
     # windows beyond p_t repeat the p_t values
     pad = m_max - steps
     return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps, n_strict=ns, n_closed=nc)
@@ -319,7 +409,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
 
 
 def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number) -> SolenoidalCounts:
-    """Exhaustive N_m / N_m° at depth t (strict < eps vs closed <= eps)."""
+    """N_m / N_m° at depth t (strict < eps vs closed <= eps)."""
     return counts_by_window(s, t, epsilon, m)[-1]
 
 

@@ -1,7 +1,10 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +81,30 @@ def dense_counts(ivs, eps, m_max):
                 if um <= eps:
                     closed[i] += 1
     return list(zip(strict, closed))
+
+
+def integer_dense_counts(ivs, eps, m_max):
+    """Oracle: [(N_m, N_m°) for m = 1..m_max] by a vectorised O(p^2 m)
+    integer scan over the intervals in odometer order, with no cap on the
+    window.  Endpoints and eps are integers over their common denominator,
+    in int64 when every difference fits and as Python ints otherwise; the
+    shift-s tests are the shift-0 tests at (a + s, b + s)."""
+    p = len(ivs)
+    ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps]
+    scale = math.lcm(*(x.denominator for x in ends))
+    ints = [x.numerator * (scale // x.denominator) for x in ends]
+    dtype = np.int64 if max(map(abs, ints)) < 2 ** 61 else object
+    lo, hi, e = np.array(ints[:p], dtype=dtype), np.array(ints[p:-1], dtype=dtype), ints[-1]
+    # gap < eps iff max(lo) - min(hi) < eps; hull <= eps iff max(hi) - min(lo) <= eps
+    strict = np.maximum.outer(lo, lo) - np.minimum.outer(hi, hi) < e
+    closed = np.maximum.outer(hi, hi) - np.minimum.outer(lo, lo) <= e
+    out, in_strict, in_closed = [], strict, closed
+    for s in range(m_max):
+        step = (np.arange(p) + s) % p
+        shifted = np.ix_(step, step)
+        in_strict, in_closed = in_strict & strict[shifted], in_closed & closed[shifted]
+        out.append((int(np.count_nonzero(in_strict)), int(np.count_nonzero(in_closed))))
+    return out
 
 
 class TestWords:
@@ -345,6 +372,48 @@ def test_counts_by_window_matches_dense_oracle(seed, t, big):
             got = counts_by_window(s, t, eps, m_max)
         assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
             [(m, ns, nc) for m, (ns, nc) in enumerate(want, start=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8),
+       st.sampled_from(["delahaye", "random", "random big"]))
+def test_counts_by_window_matches_integer_oracle(seed, t, kind):
+    # the walk against the dense integer scan up to depth 8: on Delahaye
+    # systems it decides most pairs of subtrees on their bounds, on rules
+    # that do not nest most pairs reach the leaf buckets
+    rnd = random.Random(seed)
+    s = (build_delahaye(rnd.randint(5, 9)).system if kind == "delahaye"
+         else random_system(rnd, kind == "random big"))
+    ivs = level_intervals(s, t)
+    a, b = rnd.choice(ivs), rnd.choice(ivs)
+    eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
+    m_max = rnd.randint(1, 2 ** t + 2)
+    got = counts_by_window(s, t, eps, m_max)
+    assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
+        [(m, ns, nc) for m, (ns, nc) in enumerate(integer_dense_counts(ivs, eps, m_max), start=1)]
+
+
+def test_integer_oracle_matches_fraction_oracle(delahaye5):
+    rnd = random.Random(3)
+    for s, t in [(delahaye5.system, 3), (random_system(rnd, False), 4),
+                 (random_system(rnd, True), 3)]:
+        ivs = level_intervals(s, t)
+        for eps in (F(1, 5), ivs[1].diam, union_diam(ivs[0], ivs[2])):
+            assert integer_dense_counts(ivs, eps, 2 ** t + 1) == dense_counts(ivs, eps, 2 ** t + 1)
+
+
+def test_count_memory_does_not_grow_with_pairs():
+    # on a rule whose children do not nest, nearly every leaf pair reaches
+    # the leaf buckets, which run in blocks of rqa._BLOCK_ELEMS
+    s = random_system(random.Random(1), False)
+    max_diam(s, 10)   # the level is built outside the measurement
+    tracemalloc.start()
+    try:
+        counts_by_window(s, 10, F(1, 4), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 class TestEnclosure:
