@@ -27,8 +27,8 @@ from fractions import Fraction
 from .dynamics import PiecewiseLinearMap
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import fraction_str
-from .solenoidal import (AdmissibleSystem, Word, _level, counts_by_window,
-                         max_pairs_limit)
+from .solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
+                         counts_by_window)
 
 Y0 = Fraction(1, 4)
 Y1 = Fraction(3, 4)
@@ -373,7 +373,7 @@ def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
             # a leading digit 1 (odd j) doubles the gap
             if (lo[j + p] - hi[j]) * r ** (t + 1) != (r - 2) * scale * (1 + j % 2):
                 raise AssertionError(
-                    f"sibling gap below {Word.from_int(j, (2,) * t)} violates the rule")
+                    f"sibling gap below {Word.from_int(j, t)} violates the rule")
 
 
 def delahaye_counts_formula(k: int, m: int, t: int) -> tuple[int, int]:
@@ -397,9 +397,13 @@ def delahaye_counts(inst: DelahayeInstance, k: int, m: int, t: int) -> tuple[int
     if t < k + 1:
         raise ValueError("need t >= k + 1")
     eps = inst.epsilon_k(k)
-    if 4 ** t <= max_pairs_limit() and t <= inst.system.depth_cap:
-        counts = counts_by_window(inst.system, t, eps, m)
-        return counts[0].n_closed, counts[m - 1].n_closed
+    if t <= inst.system.depth_cap:
+        try:
+            counts = counts_by_window(inst.system, t, eps, m)
+        except ResourceGuardError:
+            pass
+        else:
+            return counts[0].n_closed, counts[m - 1].n_closed
     return delahaye_counts_formula(k, m, t)
 
 

@@ -41,12 +41,11 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import json
 
-from .rational import Number, as_fraction, fraction_str
+from .rational import Number, as_fraction, fraction_str, scaled
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,10 @@ def _exact_step(bps, vals):
             pieces.append(v0)
             continue
         a = (v1 - v0) / (x1 - x0)
-        b = v0 - a * x0
-        d = lcm(a.denominator, b.denominator)
-        pieces.append((a.numerator * (d // a.denominator),
-                       b.numerator * (d // b.denominator), d))
+        ints, d = scaled([a, v0 - a * x0])
+        pieces.append((*ints, d))
     pieces.append(vals[-1])
-    scale = lcm(*(b.denominator for b in bps[1:]))
-    inner = [b.numerator * (scale // b.denominator) for b in bps[1:]]
+    inner, scale = scaled(bps[1:])
 
     def step(x):
         p, q = x.numerator, x.denominator

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -33,6 +33,13 @@ def fraction_str(value: Number) -> str:
     """Canonical exact string: "p/q" for non-integers, "p" otherwise."""
     f = as_fraction(value)
     return str(f)
+
+
+def scaled(values: Sequence[Rational], scale: int = 1) -> tuple[list[int], int]:
+    """(ints, S): the rationals ``values`` as integers over S, the lcm of
+    ``scale`` and their denominators, so that values[i] == ints[i] / S."""
+    common = lcm(scale, *{v.denominator for v in values})
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def common_scale(values: list[Fraction]) -> int:

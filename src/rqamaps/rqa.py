@@ -22,11 +22,17 @@ test is the AND of the pointwise tests at offsets s < w.  Both arithmetic
 modes test points through ranks, in two parts.  The rank table does not
 depend on the threshold: each point's rank among the distinct values, and
 the distinct values in ascending order.  Exact mode holds them as integers
-over the points' common denominator S, where ``|x_i - x_j| <= eps`` iff
-``x_i - e <= x_j <= x_i + e`` with the integer cut ``e = floor(eps S)``
-(``ceil(eps S) - 1`` for ``< eps``), so the rank of x_j against the rank
-range of [x_i - e, x_i + e] decides every pair exactly, whatever the size
-of the denominator.  Float mode keeps the test ``|fl(x_i - x_j)| <= eps``;
+over a common denominator S (:func:`_int_table`), where ``|x_i - x_j| <=
+eps`` iff ``x_i - e <= x_j <= x_i + e`` with the integer cut ``e =
+floor(eps S)`` (``ceil(eps S) - 1`` for ``< eps``).  :func:`_exact_cuts`
+finds the rank range of [v - e, v + e] for every distinct value v with two
+``searchsorted`` calls, so the rank of x_j against that range decides every
+pair exactly, whatever the size of the denominator.  The values are int64
+while they fit and Python ints otherwise, and the cut stays in int64 while
+``max|v| + e < 2^63``.  This one table and cut serve the trajectory counts,
+the finite cycles of :mod:`rqamaps.finite_omega` and the interval endpoints
+of the word counts of :mod:`rqamaps.solenoidal`.  Float mode keeps the
+test ``|fl(x_i - x_j)| <= eps``;
 rounding is monotone, so the values that pass it also form a rank range,
 whose ends are found with the test itself.  Only these rank ranges are
 computed per threshold.  A :class:`~rqamaps.dynamics.Trajectory` ranks all
@@ -55,13 +61,12 @@ cycles of :mod:`rqamaps.finite_omega`, whose strict (``< eps``) count backs
 the excluded-threshold check.  It walks the upper triangle in row blocks and
 counts each off-diagonal hit twice.  The word counts of
 :mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
-instead, and read only :data:`_BLOCK_ELEMS` from here.  Every count is
-serial.
+instead, and read the rank table, its cuts and :data:`_BLOCK_ELEMS` from
+here.  Every count is serial.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, NamedTuple, Sequence
@@ -69,7 +74,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .rational import Number, as_fraction, common_scale
+from .rational import Number, as_fraction, scaled
 
 # Block rows are chosen so that each block temporary has about this many
 # elements (1 MB of float64), which keeps the scan in cache at any n.
@@ -114,8 +119,22 @@ class _RankTable(NamedTuple):
     common denominator ``scale`` (None for float points)."""
 
     rank: np.ndarray
-    values: list[int] | np.ndarray   # integers over scale, or float64
+    values: np.ndarray   # integers over scale (int64 or Python ints), or float64
     scale: int | None
+
+
+def _int_table(ints: Sequence[int], scale: int) -> _RankTable:
+    """The rank table of the integers ``ints`` over ``scale``: int64 when
+    they fit and Python ints otherwise, never a dtype numpy infers, which
+    could wrap as uint64."""
+    try:
+        array = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        array = np.array(ints, dtype=object)
+    # return_index makes np.unique sort stably, as the other rank tables do;
+    # its quicksort path alone adds about 0.6 MB of resident sort code
+    values, _, rank = np.unique(array, return_index=True, return_inverse=True)
+    return _RankTable(rank, values, scale)
 
 
 def _exact_table(pts: Sequence) -> _RankTable:
@@ -128,26 +147,24 @@ def _exact_table(pts: Sequence) -> _RankTable:
     """
     _, first, which = np.unique(np.array([id(p) for p in pts], dtype=np.uint64),
                                 return_index=True, return_inverse=True)
-    fracs = [as_fraction(pts[i]) for i in first]
-    scale = common_scale(fracs)
-    scaled = [f.numerator * (scale // f.denominator) for f in fracs]
-    values = sorted(set(scaled))
-    index = {v: r for r, v in enumerate(values)}
-    return _RankTable(np.array([index[v] for v in scaled])[which], values, scale)
+    table = _int_table(*scaled([as_fraction(pts[i]) for i in first]))
+    return table._replace(rank=table.rank[which])
 
 
 def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per rank, the half-open rank range of the values within epsilon of
     it (closer than epsilon when ``strict``), decided in exact integers:
     an integer distance d is <= eps S iff d <= floor(eps S), and < eps S
-    iff d <= ceil(eps S) - 1."""
+    iff d <= ceil(eps S) - 1.  The values +- that cut stay in int64 while
+    they fit, and are Python ints otherwise."""
     eps = as_fraction(epsilon)
     num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
     e = -(-num // den) - 1 if strict else num // den
     values = table.values
-    lo = np.array([bisect_left(values, v - e) for v in values])
-    hi = np.array([bisect_right(values, v + e) for v in values])
-    return lo, hi
+    if max(-int(values[0]), int(values[-1])) + e >= 2 ** 63:
+        values = values.astype(object)
+    return (np.searchsorted(values, values - e, side="left"),
+            np.searchsorted(values, values + e, side="right"))
 
 
 def _float_table(pts: Sequence) -> _RankTable:

@@ -36,11 +36,13 @@ The per-step tests need only order comparisons of endpoints,
     hull <= eps iff  hi_b <= lo_a + eps and  lo_b >= hi_a - eps
                      and both diameters are <= eps,
 
-so over a common multiple of the level's scale and eps's denominator each
-threshold is a rank among the distinct endpoints (one ``np.unique`` and a
-``searchsorted``, in int64 when every endpoint +- eps fits and in Python
-ints otherwise), and every pair is decided exactly by small-integer
-comparisons, whatever the denominator.
+so the level's endpoints, over its own denominator, go into the rank table
+of the trajectory counts (``rqa._int_table``) and each threshold is a rank
+among them: ``rqa._exact_cuts`` with ``strict=True`` for the gap test and
+``strict=False`` for the hull test.  The table is int64 while the endpoints
+fit and the cut while ``max|v| + e < 2^63``, Python ints otherwise, and every
+pair is decided exactly by small-integer comparisons, whatever the
+denominator.
 
 Each node keeps the min and max of these ranks over its leaves, reduced
 bottom-up by halves; no nesting is assumed, since arbitrary diameter rules
@@ -64,14 +66,13 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rqa
 from .intervals import CompactInterval, interval_dist, union_diam
-from .rational import Number, as_fraction, fraction_str
+from .rational import Number, as_fraction, fraction_str, scaled
 
 _DEFAULT_MAX_PAIRS = 2 ** 26
 
@@ -86,20 +87,17 @@ def max_pairs_limit() -> int:
 
 @dataclass(frozen=True)
 class Word:
-    """Digit word a_0 a_1 ... a_{t-1}, digit i running over range(radices[i]).
+    """Binary digit word a_0 a_1 ... a_{t-1}.
 
     The leftmost digit is the least significant one for odometer addition.
     """
 
     digits: tuple[int, ...]
-    radices: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.digits) != len(self.radices):
-            raise ValueError("digit/radix length mismatch")
-        for d, q in zip(self.digits, self.radices):
-            if q < 2 or not 0 <= d < q:
-                raise ValueError(f"digit {d} outside radix {q}")
+        for d in self.digits:
+            if d not in (0, 1):
+                raise ValueError(f"digit {d} is not binary")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -109,53 +107,37 @@ class Word:
 
     @property
     def group_order(self) -> int:
-        """p_t: the number of words of this shape."""
-        p = 1
-        for q in self.radices:
-            p *= q
-        return p
+        """p_t: the number of words of this length."""
+        return 1 << len(self.digits)
 
     def to_int(self) -> int:
         """Odometer-compatible integer value (leftmost digit least significant)."""
-        value, base = 0, 1
-        for d, q in zip(self.digits, self.radices):
-            value += d * base
-            base *= q
-        return value
+        return sum(d << i for i, d in enumerate(self.digits))
 
     @staticmethod
-    def from_int(value: int, radices: Sequence[int]) -> "Word":
-        """The word of odometer value ``value``, which must lie in [0, p_t)."""
-        if not 0 <= value < prod(radices):
-            raise ValueError(f"value {value} outside 0..{prod(radices) - 1}")
-        digits = []
-        for q in radices:
-            digits.append(value % q)
-            value //= q
-        return Word(tuple(digits), tuple(radices))
+    def from_int(value: int, t: int) -> "Word":
+        """The length-t word of odometer value ``value``, which must lie in
+        [0, 2^t)."""
+        if not 0 <= value < 1 << t:
+            raise ValueError(f"value {value} outside 0..{(1 << t) - 1}")
+        return Word(tuple((value >> i) & 1 for i in range(t)))
 
     @staticmethod
-    def _unchecked(digits: tuple[int, ...], radices: tuple[int, ...]) -> "Word":
-        """A word whose digits are known to fit their radices, built without
+    def _unchecked(digits: tuple[int, ...]) -> "Word":
+        """A word whose digits are known to be binary, built without
         ``__post_init__``'s validation."""
         word = object.__new__(Word)
-        fields = word.__dict__
-        fields["digits"], fields["radices"] = digits, radices
+        word.__dict__["digits"] = digits
         return word
 
     @staticmethod
-    def binary(digits: Sequence[int]) -> "Word":
-        ds = tuple(digits)
-        return Word(ds, (2,) * len(ds))
-
-    @staticmethod
     def parse(text: str) -> "Word":
-        return Word.binary([int(ch) for ch in text])
+        return Word(tuple(int(ch) for ch in text))
 
 
 def word_add(a: Word, k: int) -> Word:
     """Odometer addition a + k, carrying left to right, wrapping mod p_t."""
-    return Word.from_int((a.to_int() + k) % a.group_order, a.radices)
+    return Word.from_int((a.to_int() + k) % a.group_order, len(a))
 
 
 @dataclass(frozen=True)
@@ -164,8 +146,7 @@ class AdmissibleSystem:
 
     ``diam_rule(word)`` fixes the width of K_word; interval placement then
     follows from endpoint sharing: the 0-child keeps the parent's lo, the
-    1-child keeps the parent's hi.  Only binary systems are constructible
-    here; the Word type itself carries general radices.
+    1-child keeps the parent's hi.
     """
 
     diam_rule: Callable[[Word], Fraction]
@@ -194,14 +175,12 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
     while len(levels) <= t:
         d = len(levels)
         lo, hi, scale = levels[-1]
-        radices = (2,) * d
         # product() counts with its last digit fastest, so reversed tuples
         # run through the words in ascending odometer value
-        widths = [as_fraction(s.diam_rule(Word._unchecked(digits[::-1], radices)))
+        widths = [as_fraction(s.diam_rule(Word._unchecked(digits[::-1])))
                   for digits in product((0, 1), repeat=d)]
-        new = lcm(scale, *{x.denominator for x in widths})
+        w, new = scaled(widths, scale)
         lo, hi = ([v * (new // scale) for v in ends] for ends in (lo, hi))
-        w = [x.numerator * (new // x.denominator) for x in widths]
         if min(w) <= 0:
             raise ValueError(f"diameter rule must be positive, got {min(widths)}")
         # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
@@ -212,8 +191,6 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
 
 def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
     """K_a, read from the level table; exact rational endpoints."""
-    if any(q != 2 for q in a.radices):
-        raise ValueError("interval systems are binary")
     lo, hi, scale = _level(s, len(a))
     j = a.to_int()
     return CompactInterval(Fraction(lo[j], scale), Fraction(hi[j], scale))
@@ -282,31 +259,21 @@ def _leaf_tests(lo: Sequence[int], hi: Sequence[int], scale: int,
     order: rows (lo, x, y, hi) of 2 p_t entries, interval a of test k at
     k p_t + a (k = 0 strict, 1 closed), such that a and b pass iff
     lo_a <= x_b and y_b < hi_a."""
-    common = lcm(scale, eps.denominator)
-    f, e = common // scale, eps.numerator * (common // eps.denominator)
-    # int64 only when no endpoint +- eps can overflow, and Python ints
-    # otherwise: never a dtype numpy infers, which could wrap as uint64
-    fits = max(max(hi), -min(lo)) * f + e < 2 ** 63
-    ends = np.array(lo + hi, dtype=np.int64 if fits else object) * f
-    # return_index makes np.unique sort stably, as the other rank tables do;
-    # its quicksort path alone adds about 0.6 MB of resident sort code
-    values, _, rank = np.unique(ends, return_index=True, return_inverse=True)
-    p = len(lo)
-    los, his, rank_lo, rank_hi = ends[:p], ends[p:], rank[:p], rank[p:]
-
-    def cut(ends, side):
-        return np.searchsorted(values, ends, side=side)
-
+    table = rqa._int_table(lo + hi, scale)
+    p, n_values = len(lo), len(table.values)
+    rank_lo, rank_hi = table.rank[:p], table.rank[p:]
     # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    strict = (cut(los - e, "right"), rank_hi, rank_lo, cut(his + e, "left"))
+    near_lo, near_hi = rqa._exact_cuts(table, eps, strict=True)
+    strict = (near_lo[rank_lo], rank_hi, rank_lo, near_hi[rank_hi])
     # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
     # diameters are <= eps: a wider interval gets the out-of-range rank
     # len(values), which fails either comparison as a or as b
-    closed_hi = cut(los + e, "right")
+    within_lo, within_hi = rqa._exact_cuts(table, eps, strict=False)
+    closed_hi = within_hi[rank_lo]
     wide = rank_hi >= closed_hi
-    closed = (np.where(wide, len(values), cut(his - e, "left")), rank_lo,
-              np.where(wide, len(values), rank_hi), closed_hi)
-    dtype = np.min_scalar_type(len(values))   # the narrowest type is the fastest
+    closed = (np.where(wide, n_values, within_lo[rank_hi]), rank_lo,
+              np.where(wide, n_values, rank_hi), closed_hi)
+    dtype = np.min_scalar_type(n_values)   # the narrowest type is the fastest
     return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
 
 
@@ -394,10 +361,10 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         raise ValueError("m_max must be >= 1")
     if t < 1:
         raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
-    p = 2 ** t
-    if p * p > max_pairs_limit():
+    p, limit = 2 ** t, max_pairs_limit()
+    if p * p > limit:
         raise ResourceGuardError(
-            f"{p}^2 pairs exceed the guard ({max_pairs_limit()}); "
+            f"{p}^2 pairs exceed the guard ({limit}); "
             "raise RQA_MAX_PAIRS to override")
     steps = min(m_max, p)
     strict, closed = _walk(_leaf_tests(*_level(s, t), eps), t, steps).tolist()

@@ -5,9 +5,25 @@ import pytest
 
 from rqamaps import PiecewiseLinearMap, build_delahaye, build_prop42
 
-# Largest common denominator for which scaled points in [0, 1], and their
-# differences, fit in int64; the test pools are sized to fall on either side.
+# The test pools fall on either side of this common denominator: well below
+# it, points in [0, 1] and their cuts stay in int64; far above it, the
+# scaled points themselves leave int64.  The code does not switch at this
+# value: the rank table is int64 while its values fit, and a cut while
+# max|v| + e < 2^63 (the int64 boundary tests sit on that edge).
 INT64_SCALE_LIMIT = 2 ** 62
+
+# The int64 edge of the exact rank cuts.  Over S = 2^62 the point 1 plus the
+# closed cut is exactly 2^63 at eps = 1 and 2^63 - 1 at eps = 1 - 2^-62, and
+# plus the strict cut it is 2^63 at eps = 1 + 2^-62; over S = 2^63 the
+# point 1 itself leaves int64.
+EDGE_SCALES = (2 ** 62, 2 ** 63)
+EDGE_EPS = (1 - Fraction(1, 2 ** 62), Fraction(1), 1 + Fraction(1, 2 ** 62))
+
+
+def edge_points(scale: int) -> tuple[Fraction, ...]:
+    """Distinct points of [0, 1], 0 and 1 among them, over exactly ``scale``."""
+    return (Fraction(0), Fraction(1, scale), Fraction(1, 2),
+            Fraction(scale - 1, scale), Fraction(1))
 
 
 @pytest.fixture(scope="session")

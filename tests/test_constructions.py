@@ -227,7 +227,7 @@ class TestDelahaye:
         lo, _, _ = _level(system, t + 1)
         lo[j + 2 ** t] += 1
         with pytest.raises(AssertionError,
-                           match=f"sibling gap below {Word.from_int(j, (2,) * t)} "
+                           match=f"sibling gap below {Word.from_int(j, t)} "
                                  "violates"):
             _check_delahaye_gaps(system, 5)
 

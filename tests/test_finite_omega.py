@@ -16,6 +16,8 @@ from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   recurrent_orbit_pairs, report, report_json)
 from rqamaps.rqa import RQAParams, correlation_sum
 
+from conftest import EDGE_EPS, EDGE_SCALES, edge_points
+
 TWO = PeriodicOrbitData.of(["1/4", "3/4"])
 THREE = PeriodicOrbitData.of(["1/5", "1/2", "4/5"])
 FIXED = PeriodicOrbitData.of(["1/2"])
@@ -158,20 +160,29 @@ _ORBIT_POOLS = {
 @given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5),
        st.sampled_from([rqa._BLOCK_ELEMS, 1]))
 def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
-    # one block per cycle, or blocks of one row
-    with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
-        _check_closed_forms(kind, seed, m)
-
-
-def _check_closed_forms(kind, seed, m):
     rnd = random.Random(seed)
     pool = _ORBIT_POOLS[kind]
     o = PeriodicOrbitData(tuple(rnd.sample(pool, rnd.randint(1, 7))))
-    p = o.period
-    i, j = rnd.randrange(p), rnd.randrange(p)
+    i, j = rnd.randrange(o.period), rnd.randrange(o.period)
     eps = bowen_orbit_distance(o, i, j, rnd.choice([1, m])) or pool[2] - pool[0]
     if kind == "float, exact eps":
         eps = F(eps) + rnd.choice([0, F(1, 10 ** 30), -F(1, 10 ** 30)])
+    # one block per cycle, or blocks of one row
+    with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+        _check_closed_forms(o, m, eps)
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+@pytest.mark.parametrize("eps", EDGE_EPS)
+def test_closed_forms_at_the_int64_edge(scale, eps):
+    for m in (1, 2, 3):
+        _check_closed_forms(PeriodicOrbitData(edge_points(scale)), m, eps)
+
+
+def _check_closed_forms(o, m, eps):
+    """The closed forms of orbit ``o`` at threshold ``eps`` against brute
+    Bowen-distance counts, ties and their warnings included."""
+    p = o.period
 
     def brute(w, compare=operator.le):
         return sum(compare(bowen_orbit_distance(o, a, b, w), eps)

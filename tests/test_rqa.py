@@ -17,7 +17,7 @@ from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
                          recurrence_matrix, rqa_det, write_series_csv)
 
-from conftest import INT64_SCALE_LIMIT, random_pl_map
+from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT, edge_points, random_pl_map
 
 
 def brute_bits(points, m, eps, n):
@@ -407,6 +407,16 @@ def test_reduced_windows_match_all_windows(backend, seed, windows):
         with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
             got = rqa._pair_counts(pts, schedule, windows, eps, reduce=reduce)
         assert got == [row if w in reduce else None for w, row in enumerate(full, 1)]
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+@pytest.mark.parametrize("eps", EDGE_EPS)
+def test_counts_at_the_int64_edge(scale, eps):
+    pts = list(edge_points(scale)) * 2
+    assert common_scale(pts) == scale
+    n = len(pts) - 2
+    for m in (1, 2, 3):
+        assert correlation_sum(pts, RQAParams(m, eps, n)) == brute_corr_sum(pts, m, eps, n)
 
 
 def test_det_window_one_needs_only_n_points():

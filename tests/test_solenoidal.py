@@ -19,7 +19,7 @@ from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
                                 midpoint_trajectory, symbolic_trajectory,
                                 word_add, word_midpoint, write_counts_csv)
 
-from conftest import INT64_SCALE_LIMIT
+from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT
 
 W = Word.parse
 
@@ -59,7 +59,7 @@ def oracle_counts(r, t, m, eps):
 
 def level_intervals(s, t):
     """The depth-t intervals of ``s``, indexed by odometer value."""
-    return [interval_of_word(s, Word.from_int(j, (2,) * t)) for j in range(2 ** t)]
+    return [interval_of_word(s, Word.from_int(j, t)) for j in range(2 ** t)]
 
 
 def dense_counts(ivs, eps, m_max):
@@ -123,23 +123,19 @@ class TestWords:
         assert word_add(W("000"), 1) == W("100")
         assert W("100").to_int() == 1
 
-    def test_mixed_radix(self):
-        w = Word((1, 2), (2, 3))
-        assert word_add(w, 1) == Word((0, 0), (2, 3))  # carry through both digits
-
     def test_digit_validation(self):
         with pytest.raises(ValueError):
-            Word((2,), (2,))
+            Word((2,))
 
     @pytest.mark.parametrize("value", [4, 5, -1])
     def test_from_int_rejects_values_outside_group(self, value):
         # no silent wrap: 5 is not the word 10, nor -1 the word 11
         with pytest.raises(ValueError, match="outside 0..3"):
-            Word.from_int(value, (2, 2))
+            Word.from_int(value, 2)
 
     @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), st.integers(1, 8))
     def test_addition_is_group_action(self, a, b, t):
-        w = Word.from_int(a % 2 ** t, (2,) * t)
+        w = Word.from_int(a % 2 ** t, t)
         assert word_add(word_add(w, a), b) == word_add(w, a + b)
         assert word_add(w, w.group_order) == w
 
@@ -159,7 +155,7 @@ class TestIntervals:
     def test_matches_oracle(self, delahaye5):
         s = delahaye5.system
         for t in range(1, 6):
-            got = [interval_of_word(s, Word.from_int(j, (2,) * t))
+            got = [interval_of_word(s, Word.from_int(j, t))
                    for j in range(2 ** t)]
             assert [(iv.lo, iv.hi) for iv in got] == oracle_intervals(5, t)
 
@@ -167,21 +163,21 @@ class TestIntervals:
         s = delahaye5.system
         for t in range(1, 6):
             for j in range(2 ** t):
-                a = Word.from_int(j, (2,) * t)
+                a = Word.from_int(j, t)
                 parent = interval_of_word(s, a)
-                left = interval_of_word(s, Word.binary(a.digits + (0,)))
-                right = interval_of_word(s, Word.binary(a.digits + (1,)))
+                left = interval_of_word(s, Word(a.digits + (0,)))
+                right = interval_of_word(s, Word(a.digits + (1,)))
                 assert parent.lo == left.lo and parent.hi == right.hi
                 assert left.hi < right.lo
                 assert left.lo >= parent.lo and right.hi <= parent.hi
 
     def test_depth_cap(self, delahaye5):
         with pytest.raises(ValueError):
-            interval_of_word(delahaye5.system, Word.binary((0,) * 99))
+            interval_of_word(delahaye5.system, Word((0,) * 99))
 
     def test_depth_zero_is_the_unit_interval(self, delahaye5):
         s = delahaye5.system
-        iv = interval_of_word(s, Word.binary(()))
+        iv = interval_of_word(s, Word(()))
         assert (iv.lo, iv.hi) == (0, 1)
         assert max_diam(s, 0) == 1
 
@@ -224,7 +220,7 @@ class TestWindowDistances:
     def test_shift_invariance_at_full_window(self, delahaye5):
         s = delahaye5.system
         for a0, b0 in [(0, 3), (2, 5), (1, 6)]:
-            a, b = Word.from_int(a0, (2,) * 3), Word.from_int(b0, (2,) * 3)
+            a, b = Word.from_int(a0, 3), Word.from_int(b0, 3)
             assert dist_m_words(s, a, b, 8) == \
                 dist_m_words(s, word_add(a, 1), word_add(b, 1), 8)
             assert diam_m_words(s, a, b, 8) == \
@@ -286,16 +282,19 @@ class TestCounts:
             counts_by_window(delahaye5.system, 6, F(1, 25), 3)
 
 
-def random_system(rnd, big):
+def random_system(rnd, big, scale=None):
     """Diameter rule with widths on a 1/8 grid, drawn independently of the
     parent's, so that children may overlap or leave their parent.  With
     ``big``, the two depth-1 widths get coprime denominators above 2**33, so
-    that every depth has a common scale above 2**62."""
+    that every depth has a common scale above 2**62.  With ``scale``, a power
+    of two from 8 up, every width gets 1/scale added, so that every depth
+    from 1 has the common scale ``scale``."""
     widths = {}
 
     def rule(w):
         if w.digits not in widths:
-            extra = F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0
+            extra = (F(1, scale) if scale else
+                     F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0)
             widths[w.digits] = F(rnd.randint(1, 6), 8) + extra
         return widths[w.digits]
     return AdmissibleSystem(diam_rule=rule)
@@ -305,7 +304,7 @@ def descent(rule, a):
     """Oracle: K_a from the diameter rule, prefix by prefix, in Fractions."""
     lo, hi = F(0), F(1)
     for d in range(1, len(a) + 1):
-        width = rule(Word.binary(a.digits[:d]))
+        width = rule(Word(a.digits[:d]))
         lo, hi = (lo, lo + width) if a.digits[d - 1] == 0 else (hi - width, hi)
     return lo, hi
 
@@ -320,7 +319,7 @@ def test_depth_endpoints_match_descent(seed, t, delahaye, big):
     rule = (build_delahaye(rnd.randint(5, 9)).system if delahaye
             else random_system(rnd, big)).diam_rule
     ivs = level_intervals(AdmissibleSystem(diam_rule=rule), t)
-    words = [Word.from_int(j, (2,) * t) for j in range(2 ** t)]
+    words = [Word.from_int(j, t) for j in range(2 ** t)]
     assert [(iv.lo, iv.hi) for iv in ivs] == [descent(rule, a) for a in words]
     assert interval_of_word(AdmissibleSystem(diam_rule=rule), words[-1]) == ivs[-1]
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
@@ -337,7 +336,7 @@ def test_level_build_calls_rule_once_per_node_in_odometer_order():
             calls.append(w)
             return F(1, 3 ** len(w))
         max_diam(AdmissibleSystem(diam_rule=rule), t)
-        want = [Word.from_int(j, (2,) * d) for d in range(1, t + 1) for j in range(2 ** d)]
+        want = [Word.from_int(j, d) for d in range(1, t + 1) for j in range(2 ** d)]
         assert calls == want
         assert [hash(w) for w in calls] == [hash(w) for w in want]
 
@@ -345,7 +344,7 @@ def test_level_build_calls_rule_once_per_node_in_odometer_order():
 def test_depth_endpoints_reject_nonpositive_width():
     def rule(w):
         return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 2 ** len(w))
-    for build in (lambda s: interval_of_word(s, Word.from_int(0, (2,) * 4)),
+    for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
                   lambda s: max_diam(s, 3),
                   lambda s: counts_by_window(s, 3, F(1, 8), 1)):
         with pytest.raises(ValueError, match="diameter rule must be positive"):
@@ -372,6 +371,23 @@ def test_counts_by_window_matches_dense_oracle(seed, t, big):
             got = counts_by_window(s, t, eps, m_max)
         assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
             [(m, ns, nc) for m, (ns, nc) in enumerate(want, start=1)]
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+def test_counts_by_window_at_the_int64_edge(scale):
+    # at depth 1 the endpoints lie in [0, 1] with 1 the largest, so the cuts
+    # reach 2^63 at the edge thresholds; deeper endpoints may leave [0, 1],
+    # and the threshold whose strict cut puts the largest one on 2^63 joins
+    for t in (1, 2, 3):
+        s = random_system(random.Random(t), False, scale)
+        ivs = level_intervals(s, t)
+        ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs]
+        assert common_scale(ends) == scale
+        top = max(abs(v) for v in ends) * scale
+        edge = [F(2 ** 63 - top + 1, scale)] if top < 2 ** 63 else []
+        for eps in set(EDGE_EPS).union(edge):
+            got = counts_by_window(s, t, eps, 2 ** t + 1)
+            assert [(c.n_strict, c.n_closed) for c in got] == dense_counts(ivs, eps, 2 ** t + 1)
 
 
 @settings(max_examples=60, deadline=None)
