@@ -11,25 +11,28 @@ values are flagged rather than silently accepted.  Determinism follows as
 c_m / c_1 and equals exactly 1 whenever eps is below the smallest spatial
 gap of the orbit.
 
-The counts come from the pair kernel of :mod:`rqamaps.rqa`, run on the
-cycle unrolled to p + m - 1 points, so one scan gives every window 1..m.
-A threshold is excluded exactly when some pair sits at Bowen distance eps,
-that is when the count with ``<= eps`` differs from the count with
-``< eps``; the warning needs no list of the p^2 distances.  Exact orbits
-are compared exactly; float orbits compare float distances against eps
-itself, also when eps is an exact rational.
+A p-cycle is counted as what it is, the trajectory of y_0: the index-order
+pair scan of :mod:`rqamaps.rqa` over its first p indices gives every
+window 1..m at once.  The orbit keeps that trajectory, the cycle repeated
+to 2p - 1 points, and the trajectory keeps its rank table, so every count
+on one orbit, at any m or eps, ranks the cycle once.  A threshold is
+excluded exactly when some pair sits at Bowen distance eps, that is when
+the count with ``<= eps`` differs from the count with ``< eps``; the
+warning needs no list of the p^2 distances.  Exact orbits are compared
+exactly; float orbits compare float distances against eps itself, as every
+float count does.
 """
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .dynamics import PeriodicStructure
+from .dynamics import PeriodicStructure, Trajectory
 from .rational import Number, as_fraction, fraction_str
-from .rqa import _cuts, _rank_table, _rank_test, _window_counts
+from .rqa import _ranks, _window_counts
 
 
 class ExcludedEpsilonWarning(UserWarning):
@@ -51,6 +54,12 @@ class PeriodicOrbitData:
     @property
     def period(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _unrolled(self) -> Trajectory:
+        """The trajectory of y_0: the cycle repeated to 2p - 1 points, enough
+        for every window; the pair counts keep its rank table."""
+        return Trajectory(self.points[0], self.points + self.points[:-1])
 
     @staticmethod
     def of(points) -> "PeriodicOrbitData":
@@ -86,41 +95,23 @@ def excluded_epsilons(o: PeriodicOrbitData, m: int) -> frozenset:
     return frozenset(vals)
 
 
-def _float_threshold(eps: Number, strict: bool) -> float:
-    """The float f with d <= eps iff d <= f (d < eps iff d < f when
-    ``strict``) for every float d: the float nearest eps, moved onto eps's
-    side of the comparison."""
-    f = float(eps)
-    if strict and f < eps:
-        return math.nextafter(f, math.inf)
-    if not strict and f > eps:
-        return math.nextafter(f, -math.inf)
-    return f
-
-
-def _orbit_counter(o: PeriodicOrbitData, m: int, epsilon: Number):
-    """count(strict=False) -> [N_w for w = 1..m], N_w = #{(i, j) in Z_p^2 :
-    bowen_w(y_i, y_j) <= eps} (< eps when ``strict``), each from one scan
-    of the cycle unrolled to p + m - 1 points, ranked once for both tests."""
+def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
+                  strict: bool = False) -> list[int]:
+    """[N_w for w = 1..m], N_w = #{(i, j) in Z_p^2 : bowen_w(y_i, y_j) <=
+    eps} (< eps when ``strict``), from one scan of the trajectory of y_0."""
     if m < 1:
         raise ValueError("window length must be >= 1")
+    eps = epsilon if isinstance(epsilon, float) else as_fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
     p = o.period
     steps = min(m, p)   # offsets repeat mod p
-    table = _rank_table([o.points[i % p] for i in range(p + steps - 1)])
-    rank = table.rank
-
-    def count(strict: bool = False) -> list[int]:
-        eps = epsilon
-        if table.scale is None and not isinstance(eps, float):
-            eps = _float_threshold(eps, strict)
-        lo, hi = _cuts(table, eps, strict)
-        counts = _window_counts(_rank_test(lo[rank], rank, rank, hi[rank]), p, steps)
-        return counts + counts[-1:] * (m - steps)
-    return count
+    counts = _window_counts(*_ranks(o._unrolled, p + steps - 1, eps, strict), p, steps)
+    return counts + counts[-1:] * (m - steps)
 
 
 def recurrent_orbit_pairs(o: PeriodicOrbitData, m: int, epsilon: Number) -> int:
-    return _orbit_counter(o, m, epsilon)()[-1]
+    return _orbit_counts(o, m, epsilon)[-1]
 
 
 def _warn_if_excluded(epsilon, n_closed: int, n_strict: int) -> None:
@@ -134,12 +125,8 @@ def _warn_if_excluded(epsilon, n_closed: int, n_strict: int) -> None:
 
 def closed_form_corr_sum(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fraction:
     """c_m(eps) for the orbit; warns when eps is an excluded threshold."""
-    eps = as_fraction(epsilon) if not isinstance(epsilon, float) else epsilon
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    count = _orbit_counter(o, m, eps)
-    n_m = count()[-1]
-    _warn_if_excluded(epsilon, n_m, count(strict=True)[-1])
+    n_m = _orbit_counts(o, m, epsilon)[-1]
+    _warn_if_excluded(epsilon, n_m, _orbit_counts(o, m, epsilon, strict=True)[-1])
     return Fraction(n_m, o.period ** 2)
 
 
@@ -153,20 +140,10 @@ def min_spatial_gap(o: PeriodicOrbitData) -> Number:
 
 def asymptotic_rdet_finite(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fraction:
     """Asymptotic determinism c_m / c_1; exactly 1 below the minimal gap."""
-    eps = as_fraction(epsilon) if not isinstance(epsilon, float) else epsilon
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    p = o.period
-    count = _orbit_counter(o, m, eps)
-    closed = count()
-    if p == 1 or eps < min_spatial_gap(o):
-        # only diagonal pairs recur, in every window length
-        assert closed[0] == p
-        assert closed[m - 1] == p
-        return Fraction(1)
-    strict = count(strict=True)
+    closed = _orbit_counts(o, m, epsilon)
+    strict = _orbit_counts(o, m, epsilon, strict=True)
     for w in (m, 1):
-        _warn_if_excluded(eps, closed[w - 1], strict[w - 1])
+        _warn_if_excluded(epsilon, closed[w - 1], strict[w - 1])
     return Fraction(closed[m - 1], closed[0])
 
 

@@ -32,12 +32,14 @@ while they fit and Python ints otherwise, and the cut stays in int64 while
 ``max|v| + e < 2^63``.  This one table and cut serve the trajectory counts,
 the finite cycles of :mod:`rqamaps.finite_omega` and the interval endpoints
 of the word counts of :mod:`rqamaps.solenoidal`.  Float mode keeps the
-test ``|fl(x_i - x_j)| <= eps``;
-rounding is monotone, so the values that pass it also form a rank range,
-whose ends are found with the test itself.  Only these rank ranges are
-computed per threshold.  A :class:`~rqamaps.dynamics.Trajectory` ranks all
-of its points on its first count and keeps the table, so later counts on it,
-at any threshold or n, reuse it; a plain sequence is ranked on every call.
+test ``|fl(x_i - x_j)| <= eps`` against eps itself, float or exact: it
+runs at the float nearest eps, moved onto eps's side of the comparison,
+which decides every float distance as eps does.  Rounding is monotone, so
+the values that pass it also form a rank range, whose ends are found with
+the test itself.  Only these rank ranges are computed per threshold.  A
+:class:`~rqamaps.dynamics.Trajectory` ranks all of its points on its first
+count and keeps the table, so later counts on it, at any threshold or n,
+reuse it; a plain sequence is ranked on every call.
 
 Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
 :func:`rqa_det`, :func:`estimate_asymptotics`) run over the distinct delay
@@ -56,10 +58,11 @@ every pair recurs.
 
 :func:`_window_counts` keeps the scan over index pairs in index order, at
 one n, for what needs every pair or its position: the bits of
-:func:`recurrence_matrix`, and, through a symmetric block test, the finite
-cycles of :mod:`rqamaps.finite_omega`, whose strict (``< eps``) count backs
-the excluded-threshold check.  It walks the upper triangle in row blocks and
-counts each off-diagonal hit twice.  The word counts of
+:func:`recurrence_matrix`, and the finite cycles of
+:mod:`rqamaps.finite_omega`, counted on the cycle's own trajectory, whose
+strict (``< eps``) count backs the excluded-threshold check.  It reads the
+same ranks and rank ranges as the class scan, walks the upper triangle in
+row blocks and counts each off-diagonal hit twice.  The word counts of
 :mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
 instead, and read the rank table, its cuts and :data:`_BLOCK_ELEMS` from
 here.  Every count is serial.
@@ -161,7 +164,7 @@ def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, n
     num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
     e = -(-num // den) - 1 if strict else num // den
     values = table.values
-    if max(-int(values[0]), int(values[-1])) + e >= 2 ** 63:
+    if values.dtype == np.int64 and max(-int(values[0]), int(values[-1])) + e >= 2 ** 63:
         values = values.astype(object)
     return (np.searchsorted(values, values - e, side="left"),
             np.searchsorted(values, values + e, side="right"))
@@ -177,12 +180,19 @@ def _float_table(pts: Sequence) -> _RankTable:
 
 def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """The float analogue of :func:`_exact_cuts` for ``|fl(x_i - x_j)| <=
-    eps`` (``< eps`` when ``strict``).  Rounding is monotone, so the values
-    passing the test form a rank range around each value; ``searchsorted``
-    on ``fl(x +- eps)`` lands within an ulp of its ends, and a few steps of
-    the test itself find them exactly."""
+    epsilon`` (``< epsilon`` when ``strict``) against epsilon itself, float
+    or exact.  The test runs at the float eps that decides every float
+    distance as epsilon does: the float nearest epsilon, moved onto its
+    side of the comparison.  Rounding is monotone, so the
+    values passing the test form a rank range around each value;
+    ``searchsorted`` on ``fl(x +- eps)`` lands within an ulp of its ends,
+    and a few steps of the test itself find them exactly."""
     values = table.values
     eps, last = float(epsilon), len(values) - 1
+    if strict and eps < epsilon:
+        eps = math.nextafter(eps, math.inf)
+    elif not strict and eps > epsilon:
+        eps = math.nextafter(eps, -math.inf)
     compare = np.less if strict else np.less_equal
     if not compare(0.0, eps):   # not even a point and itself are close
         own = np.arange(len(values))
@@ -227,38 +237,27 @@ def _ranks(t, need: int, epsilon, strict: bool = False):
     return (table.rank[:need], *_cuts(table, epsilon, strict))
 
 
-def _rank_test(lo: np.ndarray, x: np.ndarray, y: np.ndarray, hi: np.ndarray):
-    """close(i0, i1, j0, j1): the block of ``lo_i <= x_j and y_j < hi_i``
-    over i in [i0, i1), j in [j0, j1), all four arrays holding small-integer
-    ranks."""
-    def close(i0, i1, j0, j1):
-        return (lo[i0:i1, None] <= x[None, j0:j1]) & (y[None, j0:j1] < hi[i0:i1, None])
-    return close
+def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   n: int, windows: int, collect=None) -> list[int]:
+    """counts[w-1] = #{(i, j) in [0, n)^2 : lo[rank_{i+s}] <= rank_{j+s} <
+    hi[rank_{i+s}] for s < w}, over index pairs in index order.
 
-
-def _pointwise_test(t, need: int, epsilon):
-    """close(i0, i1, j0, j1): the block of |x_i - x_j| <= epsilon over i in
-    [i0, i1), j in [j0, j1), on the first ``need`` points of t."""
-    rank, lo, hi = _ranks(t, need, epsilon)
-    return _rank_test(lo[rank], rank, rank, hi[rank])
-
-
-def _window_counts(close, n: int, windows: int, collect=None) -> list[int]:
-    """counts[w-1] = #{(i, j) in [0, n)^2 : close at offsets 0..w-1}.
-
-    ``close`` covers n + windows - 1 points and must be symmetric.
-    ``collect(lo, hi, block)``, when given, receives the window-``windows``
-    hits of rows [lo, hi) and columns [lo, n), with the entries below the
-    diagonal cleared.
+    ``rank`` holds n + windows - 1 point ranks, and [lo[r], hi[r]) is the
+    rank range of the values close to rank r, a relation that must be
+    symmetric and contain r.  ``collect(i0, i1, block)``, when given,
+    receives the window-``windows`` hits of rows [i0, i1) and columns
+    [i0, n), with the entries below the diagonal cleared.
     """
     extra = windows - 1
+    row_lo, row_hi = lo[rank], hi[rank]
     rows = max(1, min(n, _BLOCK_ELEMS // n))
     upper = np.triu(np.ones((rows, rows), dtype=bool))
     counts = [0] * windows
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        h, c = hi - lo, n - lo
-        near = close(lo, hi + extra, lo, n + extra)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        h, c = i1 - i0, n - i0
+        col = rank[None, i0:n + extra]
+        near = (row_lo[i0:i1 + extra, None] <= col) & (col < row_hi[i0:i1 + extra, None])
         hit = near[:h, :c].copy()
         hit[:, :h] &= upper[:h, :h]
         for s in range(windows):
@@ -267,7 +266,7 @@ def _window_counts(close, n: int, windows: int, collect=None) -> list[int]:
             # (i, j) and (j, i), and (i, i) once
             counts[s] += int(2 * np.count_nonzero(hit) - np.count_nonzero(hit.diagonal()))
         if collect is not None:
-            collect(lo, hi, hit)
+            collect(i0, i1, hit)
     return counts
 
 
@@ -402,8 +401,7 @@ def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
     def collect(lo, hi, block):
         bits[lo:hi, lo:] = block
 
-    close = _pointwise_test(t, p.n + p.m - 1, p.epsilon)
-    _window_counts(close, p.n, p.m, collect)
+    _window_counts(*_ranks(t, p.n + p.m - 1, p.epsilon), p.n, p.m, collect)
     bits |= bits.T
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
 

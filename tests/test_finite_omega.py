@@ -204,6 +204,19 @@ def _check_closed_forms(o, m, eps):
                                          for y in o.points if x != y)
 
 
+@pytest.mark.filterwarnings("ignore::rqamaps.finite_omega.ExcludedEpsilonWarning")
+def test_one_rank_table_per_orbit():
+    # every count on one orbit, at any window, at tie and non-tie thresholds,
+    # reads the rank table of the orbit's one trajectory
+    o = PeriodicOrbitData.of(["1/5", "1/2", "4/5"])
+    with mock.patch.object(rqa, "_rank_table", wraps=rqa._rank_table) as table:
+        for m in (1, 2, 3):
+            for eps in (F(3, 10), F(9, 20)):
+                closed_form_corr_sum(o, m, eps)
+                asymptotic_rdet_finite(o, m, eps)
+    assert table.call_count == 1
+
+
 def test_report_shape():
     data = report(THREE, 2, F(9, 20))
     assert data == {

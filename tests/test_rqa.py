@@ -100,6 +100,14 @@ class TestCorrelationSum:
         t = Trajectory(F(0), (F(0), F(1, 2), F(0), F(1, 2)))
         assert correlation_sum(t, RQAParams(1, F(1, 2), 4)) == 1
 
+    def test_float_points_against_exact_threshold(self):
+        # fl(0.1 - 0.0) = 0.1 lies just above 1/10, so only the diagonal
+        # recurs, for the trajectory and for the cycle alike
+        pts, eps = [0.0, 0.1], F(1, 10)
+        assert correlation_sum(pts, RQAParams(1, eps, 2)) == \
+            brute_corr_sum(pts, 1, eps, 2) == F(1, 2)
+        assert closed_form_corr_sum(PeriodicOrbitData(tuple(pts)), 1, eps) == F(1, 2)
+
 
 class TestDeterminism:
     def test_window_one_is_one(self):
@@ -237,6 +245,9 @@ def test_rqa_invariants(seed):
 
 _POOLS = {
     "float": [k / 10 for k in range(11)] + [0.15, 0.3 + 1e-9],
+    # float points with exact thresholds on, just above or just below a
+    # float distance
+    "float, exact eps": [k / 10 for k in range(11)] + [0.15, 0.3 + 1e-9],
     "int64": [F(k, 12) for k in range(13)],
     # denominators 2**33 + k: any two distinct points have a common scale
     # above 2**62
@@ -244,7 +255,7 @@ _POOLS = {
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=55, deadline=None)
 @given(st.sampled_from(sorted(_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_kernel_matches_oracle(backend, seed, m):
     rnd = random.Random(seed)
@@ -255,7 +266,9 @@ def test_kernel_matches_oracle(backend, seed, m):
                                  for _ in range(n_max + m - 2)]
     a, b = rnd.randrange(len(pts)), rnd.randrange(len(pts))
     eps = abs(pts[a] - pts[b]) or pool[1]
-    if backend != "float":
+    if backend == "float, exact eps":
+        eps = F(eps) + rnd.choice([0, F(1, 10 ** 30), -F(1, 10 ** 30)])
+    elif backend != "float":
         scale = common_scale(list(pts) + [eps])
         assert (scale <= INT64_SCALE_LIMIT) == (backend == "int64")
     schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, n_max)))
