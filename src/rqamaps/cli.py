@@ -3,7 +3,8 @@
 Subcommands: ``corrsum``, ``rdet``, ``det`` (tables over an n-schedule),
 ``rplot`` (plain-bitmap recurrence plot), ``config`` (ordered-interval
 pair analysis and the extremal/zero generators), ``solenoid`` (word-pair
-counts with certified enclosures), ``prop42`` and ``prop52`` (the two
+counts with certified enclosures, each width checked against its bound by
+``solenoidal.asymptotic_corr_sum``), ``prop42`` and ``prop52`` (the two
 shipped counterexample constructions).
 
 All table/plot output is deterministic: identical invocations produce
@@ -94,29 +95,19 @@ def _write_or_print(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_corrsum(args) -> int:
-    eps = _parse_epsilon(args.epsilon, args.float)
-    schedule = _schedule_arg(args)
-    traj = _load_trajectory(args, max(schedule) + args.m - 1)
-    series = rqa.estimate_asymptotics(traj, args.m, eps, schedule)
-    if args.output:
-        rqa.write_series_csv(series, args.output)
-    else:
-        rows = ["n,C_m_exact_num,C_m_exact_den,C_m_float"]
-        rows += [f"{n},{c.numerator},{c.denominator},{float(c)!r}"
-                 for n, c in series.values]
-        print("\n".join(rows))
-    return 0
-
-
-def _cmd_ratio(args, kind: str) -> int:
+def _cmd_table(args, kind: str) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
     schedule = _schedule_arg(args)
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
-    rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
-    values = rqa._ratio_series(traj, schedule, args.m, eps, det=kind == "det")
-    lines = [f"n,{kind}_num,{kind}_den,{kind}_float"]
+    if kind == "corrsum":
+        header = "n,C_m_exact_num,C_m_exact_den,C_m_float"
+        values = [c for _, c in rqa.estimate_asymptotics(traj, args.m, eps, schedule).values]
+    else:
+        header = f"n,{kind}_num,{kind}_den,{kind}_float"
+        rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
+        values = rqa._ratio_series(traj, schedule, args.m, eps, det=kind == "det")
+    lines = [header]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
               for n, v in zip(schedule, values)]
     _write_or_print("\n".join(lines) + "\n", args.output)
@@ -163,7 +154,7 @@ def _cmd_config(args) -> int:
 def _cmd_solenoid(args) -> int:
     inst = constructions.build_delahaye(args.r, depth_cap=max(args.t_schedule))
     eps = _parse_rational(args.epsilon)
-    rows = [solenoidal.count_pairs(inst.system, t, args.m, eps) for t in args.t_schedule]
+    rows = solenoidal.asymptotic_corr_sum(inst.system, args.m, eps, args.t_schedule)
     if args.output:
         solenoidal.write_counts_csv(rows, args.output)
     else:
@@ -175,8 +166,9 @@ def _cmd_solenoid(args) -> int:
 
 def _cmd_prop42(args) -> int:
     inst = constructions.build_prop42(args.depth)
+    k_max = args.depth if args.kmax is None else args.kmax
     if args.emit == "positions":
-        n = args.n or inst.n_points
+        n = inst.n_points if args.n is None else args.n
         lines = ["index,value"]
         lines += [f"{i},{fraction_str(x)}"
                   for i, x in enumerate(constructions.prop42_positions(inst, n))]
@@ -185,12 +177,10 @@ def _cmd_prop42(args) -> int:
         text = constructions.prop42_numeric_map(inst).to_json()
         _write_or_print(text + "\n", args.output)
     elif args.emit == "c1-table":
-        k_max = args.kmax or args.depth
         if not args.output:
             raise ValueError("c1-table requires --output")
         constructions.write_c1_csv(inst, k_max, args.output)
     else:  # report
-        k_max = args.kmax or args.depth
         report = constructions.prop42_report(inst, k_max)
         _write_or_print(json.dumps(report, indent=2) + "\n", args.output)
     return 0
@@ -267,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "corrsum": _cmd_corrsum,
-    "rdet": lambda a: _cmd_ratio(a, "rdet"),
-    "det": lambda a: _cmd_ratio(a, "det"),
+    "corrsum": lambda a: _cmd_table(a, "corrsum"),
+    "rdet": lambda a: _cmd_table(a, "rdet"),
+    "det": lambda a: _cmd_table(a, "det"),
     "rplot": _cmd_rplot,
     "config": _cmd_config,
     "solenoid": _cmd_solenoid,

@@ -8,7 +8,9 @@ Two fully parameterized objects:
   schedule n_k = 2*(2^{k+1} - 1) the even-k values settle at 7/10 and the
   odd-k values at 8/10, so no asymptotic correlation sum exists.  The
   symbolic point positions are authoritative; the numeric map is a
-  depth-truncated cross-check.
+  depth-truncated cross-check.  The report and the C_1 table read one
+  schedule, whose k_max is checked before any value is computed or any
+  file is opened.
 
 * ``delahaye`` (prop52): the admissible nested-interval system with
   diameters r^-t / 2*r^-t (by leading digit), whose word-pair counts at
@@ -93,7 +95,7 @@ class Prop42Instance:
     @cached_property
     def positions(self) -> tuple[Fraction, ...]:
         """All n_points positions x_0 ... x_{n_points - 1} (exact rationals)."""
-        return tuple(_position(i) for i in range(self.n_points))
+        return prop42_positions(self, self.n_points)
 
 
 def _position(index: int) -> Fraction:
@@ -274,19 +276,24 @@ def prop42_numeric_map(inst: Prop42Instance, depth: int | None = None) -> Piecew
     return PiecewiseLinearMap(tuple(breakpoints), tuple(values))
 
 
+def _c1_schedule(inst: Prop42Instance, k_max: int) -> list[tuple[int, int, Fraction]]:
+    """The rows (k, n_k, C_1(n_k)) for k = 1..k_max, once k_max is checked
+    to be >= 1 and within the generated depth."""
+    if not 1 <= k_max:
+        raise ValueError("k_max must be >= 1")
+    if prop42_schedule_n(k_max) > inst.n_points:
+        raise ValueError("schedule exceeds generated depth")
+    return [(k, prop42_schedule_n(k), prop42_C1(inst, prop42_schedule_n(k)))
+            for k in range(1, k_max + 1)]
+
+
 def prop42_report(inst: Prop42Instance, k_max: int) -> dict:
     """Oscillation report over the schedule k = 1..k_max.
 
     liminf/limsup estimates are the min/max of the tail half of the
     scheduled values, which the even-k and odd-k subfamilies pull apart.
     """
-    if not 1 <= k_max:
-        raise ValueError("k_max must be >= 1")
-    if prop42_schedule_n(k_max) > inst.n_points:
-        raise ValueError("schedule exceeds generated depth")
-    ks = list(range(1, k_max + 1))
-    values = [(k, prop42_schedule_n(k), prop42_C1(inst, prop42_schedule_n(k)))
-              for k in ks]
+    values = _c1_schedule(inst, k_max)
     tail = values[len(values) // 2:]
     liminf_est = min(c for _, _, c in tail)
     limsup_est = max(c for _, _, c in tail)
@@ -305,12 +312,13 @@ def prop42_report(inst: Prop42Instance, k_max: int) -> dict:
 
 
 def write_c1_csv(inst: Prop42Instance, k_max: int, path) -> None:
-    """CSV export (k, n, c1_num, c1_den, c1_float, parity) over the schedule."""
+    """CSV export (k, n, c1_num, c1_den, c1_float, parity) over the schedule
+    of :func:`prop42_report`; an invalid k_max raises before the file is
+    opened."""
+    rows = _c1_schedule(inst, k_max)
     with open(path, "w", newline="") as fh:
         fh.write("k,n,c1_num,c1_den,c1_float,parity\n")
-        for k in range(1, k_max + 1):
-            n = prop42_schedule_n(k)
-            c = prop42_C1(inst, n)
+        for k, n, c in rows:
             parity = "even" if k % 2 == 0 else "odd"
             fh.write(f"{k},{n},{c.numerator},{c.denominator},{float(c)!r},{parity}\n")
 

@@ -102,7 +102,7 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
     if m < 1:
         raise ValueError("window length must be >= 1")
     eps = epsilon if isinstance(epsilon, float) else as_fraction(epsilon)
-    if eps <= 0:
+    if not eps > 0:   # NaN fails this too
         raise ValueError("epsilon must be positive")
     p = o.period
     steps = min(m, p)   # offsets repeat mod p

@@ -148,7 +148,7 @@ def epsilon_pairs(c: Configuration, epsilon: Number,
     Both comparisons are strict; ties (dist == epsilon or diam == epsilon)
     exclude the pair.  (a, a) is included exactly when diam(J_a) > epsilon.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:   # NaN fails this too
         raise ValueError("epsilon must be positive")
     ivs = c.intervals
     n = len(ivs)

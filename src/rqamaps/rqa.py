@@ -70,6 +70,7 @@ here.  Every count is serial.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, NamedTuple, Sequence
@@ -95,7 +96,7 @@ class RQAParams:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:   # NaN fails this too
             raise ValueError("epsilon must be positive")
 
 
@@ -187,26 +188,27 @@ def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, n
     values passing the test form a rank range around each value;
     ``searchsorted`` on ``fl(x +- eps)`` lands within an ulp of its ends,
     and a few steps of the test itself find them exactly."""
-    values = table.values
-    eps, last = float(epsilon), len(values) - 1
+    values, last = table.values, len(table.values) - 1
+    # float() raises above the float range, where eps, like inf, exceeds
+    # every finite float
+    eps = math.inf if epsilon > sys.float_info.max else float(epsilon)
     if strict and eps < epsilon:
         eps = math.nextafter(eps, math.inf)
     elif not strict and eps > epsilon:
         eps = math.nextafter(eps, -math.inf)
     compare = np.less if strict else np.less_equal
-    if not compare(0.0, eps):   # not even a point and itself are close
-        own = np.arange(len(values))
-        return own, own
-    lo = np.searchsorted(values, values - eps, side="left")
-    while (step := ~compare(values - values[lo], eps)).any():
-        lo += step
-    while (step := (lo > 0) & compare(values - values[lo - 1], eps)).any():
-        lo -= step
-    hi = np.searchsorted(values, values + eps, side="right")
-    while (step := ~compare(values[hi - 1] - values, eps)).any():
-        hi -= step
-    while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
-        hi += step
+    # a difference that overflows is inf, which the test then decides
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(values, values - eps, side="left")
+        while (step := ~compare(values - values[lo], eps)).any():
+            lo += step
+        while (step := (lo > 0) & compare(values - values[lo - 1], eps)).any():
+            lo -= step
+        hi = np.searchsorted(values, values + eps, side="right")
+        while (step := ~compare(values[hi - 1] - values, eps)).any():
+            hi -= step
+        while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
+            hi += step
     return lo, hi
 
 
@@ -457,11 +459,3 @@ def pgm_bytes(matrix: RecurrenceMatrix) -> bytes:
 def write_pgm(matrix: RecurrenceMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(pgm_bytes(matrix))
-
-
-def write_series_csv(series: SeriesEstimate, path) -> None:
-    """CSV export (n, C_m_exact_num, C_m_exact_den, C_m_float)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,C_m_exact_num,C_m_exact_den,C_m_float\n")
-        for n, c in series.values:
-            fh.write(f"{n},{c.numerator},{c.denominator},{float(c)!r}\n")

@@ -14,7 +14,9 @@ For window length m and threshold eps the depth-t word-pair counts are
 
 whose densities N°/p_t^2 <= c <= N/p_t^2 sandwich every asymptotic
 correlation sum over the system, with enclosure width at most
-4m(p_t - 1)/p_t^2.
+4m(p_t - 1)/p_t^2.  A :class:`SolenoidalCounts` row carries both counts
+and this enclosure; :func:`asymptotic_corr_sum` returns the rows of a depth
+schedule after checking each width against its bound.
 
 Each system keeps one table of levels: level d is K_j = [lo[j], hi[j]] /
 scale for every odometer value j, in Python ints over one denominator,
@@ -230,7 +232,8 @@ def diam_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SolenoidalCounts:
-    """Depth-t pair counts for one window length."""
+    """Depth-t pair counts for one window length, and the enclosure
+    [lower, upper] = [N_m°, N_m]/p_t^2 they certify."""
 
     t: int
     p_t: int
@@ -380,36 +383,22 @@ def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number) -> Solenoi
     return counts_by_window(s, t, epsilon, m)[-1]
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Certified enclosure [N_m°, N_m]/p_t^2 of the asymptotic correlation sum."""
-
-    t: int
-    p_t: int
-    value: Fraction
-    lower: Fraction
-    upper: Fraction
-    width_bound: Fraction
-
-
 def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
-                        t_schedule: Sequence[int]) -> tuple[Enclosure, ...]:
-    """Depth-indexed values N_m°/p_t^2 with certified enclosure widths.
+                        t_schedule: Sequence[int]) -> tuple[SolenoidalCounts, ...]:
+    """The window-m counts at every depth of ``t_schedule``, each checked
+    against its certified enclosure width.
 
-    The enclosure [N_m°, N_m]/p_t^2 contains both asymptotic correlation
-    sums of any trajectory attracted to the system, and its width never
-    exceeds 4m(p_t - 1)/p_t^2, which vanishes as t grows.
+    The enclosure [N_m°, N_m]/p_t^2 (``lower``, ``upper``) contains both
+    asymptotic correlation sums of any trajectory attracted to the system,
+    and its width never exceeds ``width_bound`` = 4m(p_t - 1)/p_t^2, which
+    vanishes as t grows.  A wider enclosure is a bug and raises
+    AssertionError.
     """
-    out = []
-    for t in t_schedule:
-        c = count_pairs(s, t, m, epsilon)
-        enc = Enclosure(t=t, p_t=c.p_t, value=c.lower, lower=c.lower,
-                        upper=c.upper, width_bound=c.width_bound)
-        if enc.upper - enc.lower > enc.width_bound:
-            raise AssertionError(
-                f"enclosure width exceeds bound at t={t}: {enc}")
-        out.append(enc)
-    return tuple(out)
+    out = tuple(count_pairs(s, t, m, epsilon) for t in t_schedule)
+    for c in out:
+        if c.upper - c.lower > c.width_bound:
+            raise AssertionError(f"enclosure width exceeds bound at t={c.t}: {c}")
+    return out
 
 
 def symbolic_trajectory(prefix: Word, n: int) -> tuple[Word, ...]:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from rqamaps import cli
+from rqamaps import cli, solenoidal
 from rqamaps.constructions import build_prop42, delahaye_counts, prop42_C1
 from rqamaps.dynamics import iterate
 from rqamaps.rqa import RQAParams, correlation_sum
@@ -165,6 +167,21 @@ class TestSolenoid:
         captured = capsys.readouterr()
         assert captured.out == "" and "needs p_t >= 2" in captured.err
 
+    @pytest.mark.parametrize("output", [False, True])
+    def test_rows_come_from_asymptotic_corr_sum(self, tmp_path, capsys, output):
+        # the table is the checked enclosures, so it gets their width check
+        argv = ["solenoid", "--r", "5", "--m", "2", "--epsilon", "1/5",
+                "--t-schedule", "2,3"]
+        if output:
+            argv += ["--output", str(tmp_path / "counts.csv")]
+        with mock.patch.object(solenoidal, "asymptotic_corr_sum",
+                               wraps=solenoidal.asymptotic_corr_sum) as spy:
+            assert run(*argv) == 0
+        spy.assert_called_once()
+        _, m, eps, schedule = spy.call_args.args
+        assert (m, eps, schedule) == (2, F(1, 5), [2, 3])
+        assert len(capsys.readouterr().out.splitlines()) == (0 if output else 2)
+
     def test_resource_guard_exit_code(self, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "4")
         assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",
@@ -196,6 +213,24 @@ class TestConstructionCommands:
         assert run("prop42", "--depth", "5", "--emit", "c1-table", "--kmax", "4",
                    "--output", str(out)) == 0
         assert len(out.read_text().splitlines()) == 5
+
+    def test_prop42_c1_table_beyond_depth_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c1.csv"
+        assert run("prop42", "--depth", "3", "--emit", "c1-table", "--kmax", "5",
+                   "--output", str(out)) == 1
+        assert not out.exists()
+        message = capsys.readouterr().err
+        assert run("prop42", "--depth", "3", "--emit", "report", "--kmax", "5") == 1
+        assert capsys.readouterr().err == message == "error: schedule exceeds generated depth\n"
+
+    @pytest.mark.parametrize("argv", [["--emit", "positions", "--n", "0"],
+                                      ["--emit", "report", "--kmax", "0"],
+                                      ["--emit", "c1-table", "--kmax", "0"]])
+    def test_prop42_zero_n_or_kmax_exits_one(self, tmp_path, capsys, argv):
+        # 0 is a value, not "use the default"
+        out = tmp_path / "out"
+        assert run("prop42", "--depth", "3", *argv, "--output", str(out)) == 1
+        assert not out.exists() and capsys.readouterr().out == ""
 
     def test_prop52_report(self, capsys):
         assert run("prop52", "--r", "5", "--k", "1", "--m", "2", "--t", "2") == 0
@@ -264,3 +299,36 @@ class TestErrors:
         with pytest.raises(error, match="internal bug"):
             run("corrsum", "--map", plateau_map_file, "--x0", "1/5",
                 "--m", "1", "--epsilon", "1/2", "--n", "5")
+
+
+# SHA-256 of stdout and of the --output file, recorded before the table
+# handlers and the solenoid rows were merged; corrsum/rdet/det print the
+# file's bytes
+_GOLDEN = {
+    "corrsum": ("5766690ea4dbba10369a62709bb1380ac5b45a06360d05df9b8ddd3c059c7456",) * 2,
+    "rdet": ("536ae73c0f94420f7758d91abba8d3a9e6eedf5d1eb9dc515e9f13e51148341d",) * 2,
+    "det": ("5411d0c2b1f14ae8d72ae45b1730e2b3ba30dde854fdc398f3ca1f33acdad4b4",) * 2,
+    "solenoid": ("0bf34afd72541f410a181ff7650bbb46f3d7bdad462113dcb8a05a8198284dcb",
+                 "0f7a56f6b24e918d67e7b93f3c6e99536caf90f265b40513414ffc1cbaa23246"),
+    "report": ("0b91abe56369d74b03754496620e87a5bac16add87bd6e95c89d95377ce45539",) * 2,
+    "positions": ("0a35bffdb8c7c463a96cbb4de47bd26312b1f57f40b5ea44bc54b9594af2cd3c",) * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
+    series = ["--map", plateau_map_file, "--x0", "21/100", "--m", "2",
+              "--epsilon", "9/20", "--schedule", "40,80,160"]
+    argv = {"corrsum": ["corrsum", *series], "rdet": ["rdet", *series],
+            "det": ["det", *series],
+            "solenoid": ["solenoid", "--r", "5", "--m", "3", "--epsilon", "1/5",
+                         "--t-schedule", "2,3,4,5,6"],
+            "report": ["prop42", "--depth", "8", "--emit", "report"],
+            "positions": ["prop42", "--depth", "4", "--emit", "positions"]}[name]
+    out = tmp_path / "artifact"
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert run(*argv, "--output", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (printed, out.read_bytes()))
+    assert digests == _GOLDEN[name]

@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import sys
 import warnings
 from fractions import Fraction as F
 from unittest import mock
@@ -72,6 +74,17 @@ class TestClosedForm:
             PeriodicOrbitData.of(["1/2", "1/2"])
         with pytest.raises(ValueError):
             closed_form_corr_sum(TWO, 1, 0)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            closed_form_corr_sum(TWO, 1, math.nan)
+
+    def test_float_orbit_with_exact_threshold_above_the_float_range(self):
+        huge, top = F(10 ** 400), sys.float_info.max
+        assert closed_form_corr_sum(PeriodicOrbitData((0.0, 0.1)), 1, huge) == 1
+        # the distance 2 top overflows to inf, which 10^400 excludes, strict
+        # or not, so no pair sits at the threshold and nothing warns
+        assert closed_form_corr_sum(PeriodicOrbitData((-top, top)), 1, huge) == F(1, 2)
 
 
 class TestExcluded:

@@ -126,6 +126,11 @@ class TestEpsilonPairs:
         with pytest.raises(ValueError):
             epsilon_pairs(c, 0)
 
+    def test_rejects_nan_epsilon(self):
+        c = Configuration.of([(0, 1)])
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            epsilon_pairs(c, float("nan"))
+
 
 def _random_config(rnd, n, exact=True):
     ivs, x = [], F(rnd.randint(0, 8), 8)

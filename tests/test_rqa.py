@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
@@ -15,7 +16,7 @@ from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
-                         recurrence_matrix, rqa_det, write_series_csv)
+                         recurrence_matrix, rqa_det)
 
 from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT, edge_points, random_pl_map
 
@@ -108,6 +109,33 @@ class TestCorrelationSum:
             brute_corr_sum(pts, 1, eps, 2) == F(1, 2)
         assert closed_form_corr_sum(PeriodicOrbitData(tuple(pts)), 1, eps) == F(1, 2)
 
+    def test_exact_threshold_above_the_float_range(self):
+        # every finite float distance is below 10^400; a distance that
+        # overflows to inf is not, but passes the float threshold inf
+        huge, top = F(10 ** 400), sys.float_info.max
+        assert correlation_sum([0.0, 0.1], RQAParams(1, huge, 2)) == 1
+        assert correlation_sum([-top, 0.0, top], RQAParams(1, huge, 3)) == F(7, 9)
+        assert correlation_sum([-top, 0.0, top], RQAParams(1, math.inf, 3)) == 1
+        for strict in (False, True):
+            _, lo, hi = rqa._ranks([-top, 0.0, top], 3, huge, strict)
+            assert lo.tolist() == [0, 0, 1] and hi.tolist() == [2, 3, 3]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_threshold_below_the_smallest_float(self, strict):
+        # fl(eps) is 0.0, yet every point is still within eps of itself
+        pts, tiny = [0.0, 5e-324, 0.1], F(1, 10 ** 400)
+        _, lo, hi = rqa._ranks(pts, 3, tiny, strict)
+        assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 2, 3]
+        _, lo, hi = rqa._ranks(pts, 3, F(5e-324), strict)
+        assert (lo.tolist(), hi.tolist()) == (([0, 1, 2], [1, 2, 3]) if strict
+                                              else ([0, 0, 2], [2, 2, 3]))
+        assert correlation_sum(pts, RQAParams(1, tiny, 3)) == F(1, 3)
+
+    @pytest.mark.parametrize("eps", [0, -1, F(-1, 2), math.nan])
+    def test_rejects_threshold_that_is_not_positive(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            correlation_sum([0.0, 0.1, 0.2], RQAParams(1, eps, 3))
+
 
 class TestDeterminism:
     def test_window_one_is_one(self):
@@ -197,14 +225,6 @@ class TestEstimator:
         closed = closed_form_corr_sum(PeriodicOrbitData.of(["1/5", "1/2", "4/5"]),
                                       2, F(9, 20))
         assert abs(float(est.liminf_est) - float(closed)) <= 1e-2
-
-    def test_series_csv(self, tmp_path):
-        t = Trajectory(F(1, 2), (F(1, 2),) * 10)
-        est = estimate_asymptotics(t, 1, F(1, 2), [2, 4])
-        out = tmp_path / "series.csv"
-        write_series_csv(est, out)
-        assert out.read_text() == ("n,C_m_exact_num,C_m_exact_den,C_m_float\n"
-                                   "2,1,1,1.0\n4,1,1,1.0\n")
 
 
 class TestShiftBound:

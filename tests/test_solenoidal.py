@@ -435,9 +435,9 @@ def test_count_memory_does_not_grow_with_pairs():
 class TestEnclosure:
     def test_values_constant_in_depth(self, delahaye5):
         enc = asymptotic_corr_sum(delahaye5.system, 1, F(1, 5), range(2, 8))
-        assert {e.value for e in enc} == {F(3, 8)}
+        assert {e.lower for e in enc} == {F(3, 8)}
         enc = asymptotic_corr_sum(delahaye5.system, 2, F(1, 5), range(2, 8))
-        assert {e.value for e in enc} == {F(1, 4)}
+        assert {e.lower for e in enc} == {F(1, 4)}
 
     def test_width_within_bound_and_vanishing(self, delahaye5):
         for m in (1, 2, 3):
