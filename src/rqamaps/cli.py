@@ -98,6 +98,7 @@ def _write_or_print(text: str, output: str | None):
 def _cmd_table(args, kind: str) -> int:
     eps = _parse_epsilon(args.epsilon, args.float)
     schedule = _schedule_arg(args)
+    rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
     if kind == "corrsum":
@@ -105,7 +106,6 @@ def _cmd_table(args, kind: str) -> int:
         values = [c for _, c in rqa.estimate_asymptotics(traj, args.m, eps, schedule).values]
     else:
         header = f"n,{kind}_num,{kind}_den,{kind}_float"
-        rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
         values = rqa._ratio_series(traj, schedule, args.m, eps, det=kind == "det")
     lines = [header]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
@@ -117,9 +117,9 @@ def _cmd_table(args, kind: str) -> int:
 def _cmd_rplot(args) -> int:
     if not args.output:
         raise ValueError("rplot requires --output")
-    eps = _parse_epsilon(args.epsilon, args.float)
+    params = rqa.RQAParams(args.m, _parse_epsilon(args.epsilon, args.float), args.n)
     traj = _load_trajectory(args, args.n + args.m - 1)
-    matrix = rqa.recurrence_matrix(traj, rqa.RQAParams(args.m, eps, args.n))
+    matrix = rqa.recurrence_matrix(traj, params)
     rqa.write_pgm(matrix, args.output)
     return 0
 

@@ -431,7 +431,14 @@ def delahaye_det(inst: DelahayeInstance, k: int, m: int) -> Fraction:
 
 
 def system_from_json(text: str) -> DelahayeInstance:
+    """Parse a system file; a malformed one raises ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed system JSON: {data!r} is not an object")
     if data.get("kind") != "delahaye":
         raise ValueError(f"unknown system kind: {data.get('kind')!r}")
-    return build_delahaye(int(data["r"]), int(data.get("depth_cap", 13)))
+    try:
+        r, depth_cap = int(data["r"]), int(data.get("depth_cap", 13))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed system JSON: {exc!r}") from exc
+    return build_delahaye(r, depth_cap)

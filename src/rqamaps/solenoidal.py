@@ -24,9 +24,12 @@ built from level d - 1 on first use.  A level costs one ``diam_rule`` call
 per node: its words come in ascending odometer value from
 ``itertools.product`` with each digit tuple reversed, skip ``Word``'s digit
 validation (every digit is 0 or 1 by construction), and each width's sign
-is checked on its integer numerator over the level's denominator.  A cold
-``interval_of_word`` thus builds its word's whole level, at most
-2^depth_cap nodes.
+is checked on its integer numerator over the level's denominator.  The
+level then checks admissibility, one integer comparison per parent: the
+children of K_a lie inside it and in order iff max K_{a0} < min K_{a1}.  A rule
+that breaks either check raises ValueError naming the first depth that
+shows it.  A cold ``interval_of_word`` thus builds and checks its word's
+whole level, at most 2^depth_cap nodes.
 
 Counts come from a dual-tree walk over level t (Gray & Moore, "N-body
 problems in statistical learning", 2001).  Node u at depth d covers the
@@ -47,20 +50,16 @@ pair is decided exactly by small-integer comparisons, whatever the
 denominator.
 
 Each node keeps the min and max of these ranks over its leaves, reduced
-bottom-up by halves; no nesting is assumed, since arbitrary diameter rules
-may break it.  The walk starts from the root pair and, per pair of nodes
-and shift s < m, asks whether every leaf pair under the shifted nodes
+bottom-up by halves.  The walk starts from the root pair and, per pair of
+nodes and shift s < m, asks whether every leaf pair under the shifted nodes
 passes or none does.  A pair whose leading all-pass shifts end at an
 all-fail shift (or at m) adds 4^(t-d) to each of those windows at once;
-any other pair splits into its four child pairs.  Below depth t - 4 the
-pairs left are tested densely over their 16 x 16 leaves.  The buckets, like
-the walk's frontier, run in blocks of about ``rqa._BLOCK_ELEMS`` entries,
-so no temporary grows with p_t^2.  On the Delahaye systems a few dozen node
-pairs per test decide all p_t^2 leaf pairs.  On rules whose children do
-not nest most pairs reach the buckets, and a count at t = 9 costs 1.4-2.6
-times a blockwise scan of all p_t^2 pairs.  A resource guard bounds the
-depth by p_t^2 pairs before any level is built (env RQA_MAX_PAIRS
-overrides).
+any other pair splits into its four child pairs.  At depth t each node is
+one leaf, so every pair left is decided there.  The walk's frontier runs
+in blocks of about ``rqa._BLOCK_ELEMS`` entries, so no temporary grows with
+p_t^2.  On the Delahaye systems a few dozen node pairs per test decide all
+p_t^2 leaf pairs.  A resource guard bounds the depth by p_t^2 pairs before
+any level is built (env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
@@ -148,7 +147,10 @@ class AdmissibleSystem:
 
     ``diam_rule(word)`` fixes the width of K_word; interval placement then
     follows from endpoint sharing: the 0-child keeps the parent's lo, the
-    1-child keeps the parent's hi.
+    1-child keeps the parent's hi.  The rule is admissible when every width
+    is positive and the two children of every word lie inside it in order
+    (their widths sum to less than the parent's); each level checks this
+    as it is built and raises ValueError at the first depth that breaks it.
     """
 
     diam_rule: Callable[[Word], Fraction]
@@ -171,7 +173,8 @@ def _check_depth(s: AdmissibleSystem, t: int) -> None:
 def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
     """Level t, each new level built from its parent with one rule call per
     node in odometer order, over the lcm of the parent's scale and its
-    width denominators.  Word j + b 2^(d-1) is child b of word j."""
+    width denominators, and checked for positive widths and nesting.
+    Word j + b 2^(d-1) is child b of word j."""
     _check_depth(s, t)
     levels = s._levels
     while len(levels) <= t:
@@ -186,8 +189,12 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
         if min(w) <= 0:
             raise ValueError(f"diameter rule must be positive, got {min(widths)}")
         # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
-        levels.append((lo + [h - x for h, x in zip(hi, w[len(hi):])],
-                       [v + x for v, x in zip(lo, w)] + hi, new))
+        lo_1 = [h - x for h, x in zip(hi, w[len(hi):])]
+        hi_0 = [v + x for v, x in zip(lo, w)]
+        if any(a >= b for a, b in zip(hi_0, lo_1)):
+            raise ValueError(f"diameter rule is not admissible at depth {d}: "
+                             "children must lie inside their parent, in order")
+        levels.append((lo + lo_1, hi_0 + hi, new))
     return levels[t]
 
 
@@ -284,10 +291,9 @@ def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
     """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : test k of ``leaf`` (see
     :func:`_leaf_tests`) passes for (a + s, b + s) at every shift s < w}.
 
-    A dual-tree walk from the root pair down to depth t - 4 decides whole
-    pairs of subtrees on their bounds; dense 16 x 16 leaf buckets test the
-    pairs it leaves."""
-    p, last = 1 << t, max(t - 4, 0)
+    A dual-tree walk from the root pair decides whole pairs of subtrees on
+    their bounds; at depth t, where each row's min equals its max, every
+    shift passes or fails, so no pair is left."""
     # node u at depth d covers the leaves a = u mod 2^d and has the children
     # u and u + 2^d; its bounds are each row's min and max over those leaves
     mins, maxs = [leaf], [leaf]
@@ -297,13 +303,9 @@ def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
         mins.insert(0, np.minimum(lower[..., :h], lower[..., h:]).reshape(4, 2 * h))
         maxs.insert(0, np.maximum(upper[..., :h], upper[..., h:]).reshape(4, 2 * h))
     walk_rows = max(1, rqa._BLOCK_ELEMS // (2 * steps))
-    side = 1 << (t - last)
-    leaf_rows = max(1, rqa._BLOCK_ELEMS // (side * side))
-    below = (np.arange(side) << last)[:, None]
     shifts = np.arange(steps)[:, None]
     halves = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])   # of the four child pairs
     by_lead = np.zeros(2 * (steps + 1), dtype=np.int64)
-    counts = np.zeros((2, steps), dtype=np.int64)
     root = np.zeros(2, dtype=np.int64)
     stack = [(0, np.arange(2), root, root)]
     while stack:
@@ -325,31 +327,16 @@ def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
         done = lead + tail == steps
         by_lead += np.bincount(k[done] * (steps + 1) + lead[done],
                                minlength=2 * (steps + 1)) << 2 * (t - d)
+        # the four child pairs of each pair left in turn, so k stays sorted
         k, u, v = k[~done], u[~done], v[~done]
-        if d < last:
-            # the four child pairs of each pair in turn, so k stays sorted
-            k = np.repeat(k, 4)
-            u = (u[:, None] + halves[0] * nodes).ravel()
-            v = (v[:, None] + halves[1] * nodes).ravel()
-            stack.extend((d + 1, k[i:i + walk_rows], u[i:i + walk_rows], v[i:i + walk_rows])
-                         for i in range(0, len(k), walk_rows))
-            continue
-        for i in range(0, len(k), leaf_rows):
-            # a[x, j] is leaf x below u_j and b[y, j] leaf y below v_j, and
-            # test[x, y, j] tests them; the block's strict pairs come first
-            offset = k[i:i + leaf_rows] * p
-            a, b = below + u[i:i + leaf_rows], below + v[i:i + leaf_rows]
-            n_strict = int(np.count_nonzero(offset == 0))
-            for s in range(steps):
-                lo_a, hi_a = np.take(leaf[::3], offset + ((a + s) & (p - 1)), axis=1)
-                x_b, y_b = np.take(leaf[1:3], offset + ((b + s) & (p - 1)), axis=1)
-                test = (lo_a[:, None] <= x_b) & (y_b < hi_a[:, None])
-                hit = test if s == 0 else hit & test
-                counts[0, s] += np.count_nonzero(hit[..., :n_strict])
-                counts[1, s] += np.count_nonzero(hit[..., n_strict:])
+        k = np.repeat(k, 4)
+        u = (u[:, None] + halves[0] * nodes).ravel()
+        v = (v[:, None] + halves[1] * nodes).ravel()
+        stack.extend((d + 1, k[i:i + walk_rows], u[i:i + walk_rows], v[i:i + walk_rows])
+                     for i in range(0, len(k), walk_rows))
     # a pair decided after P leading passes counts in every window w <= P
     by_lead = by_lead.reshape(2, steps + 1)
-    return counts + np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
+    return np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
 
 
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,

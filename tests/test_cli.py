@@ -277,6 +277,19 @@ class TestErrors:
         assert run("rplot", "--map", plateau_map_file, "--x0", "1/5",
                    "--m", "1", "--epsilon", "1/2", "--output", "unused.pgm") == 1
 
+    @pytest.mark.parametrize("command,m,n", [("corrsum", "2", "-3"), ("rdet", "2", "-3"),
+                                             ("rplot", "2", "-3"), ("corrsum", "-9", "5")])
+    def test_nonpositive_m_or_n_exits_one_before_the_trajectory(
+            self, monkeypatch, capsys, tmp_path, plateau_map_file, command, m, n):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trajectory loaded before m and n were checked")
+
+        monkeypatch.setattr(cli, "_load_trajectory", unreachable)
+        assert run(command, "--map", plateau_map_file, "--x0", "21/100", "--m", m,
+                   "--epsilon", "1/2", "--n", n, "--output", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: m and n must be positive\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--epsilon", "--x0"])
     def test_zero_denominator_exits_one(self, plateau_map_file, flag):
         args = {"--epsilon": "1/2", "--x0": "1/5", flag: "1/0"}

@@ -297,3 +297,12 @@ def test_system_json_round_trip(delahaye5):
     assert json.loads(text) == {"kind": "delahaye", "r": 5, "depth_cap": 13}
     again = system_from_json(text)
     assert isinstance(again, DelahayeInstance) and again.r == 5
+
+
+@pytest.mark.parametrize("text", ['{"kind": "delahaye"}', '[1]',
+                                  '{"kind": "delahaye", "r": 5, "depth_cap": null}',
+                                  '{"kind": "delahaye", "r": Infinity}',
+                                  '{"kind": "prop42", "r": 5}'])
+def test_system_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError, match="malformed system JSON|unknown system kind"):
+        system_from_json(text)

@@ -282,22 +282,59 @@ class TestCounts:
             counts_by_window(delahaye5.system, 6, F(1, 25), 3)
 
 
-def random_system(rnd, big, scale=None):
+def random_system(rnd, big=False, scale=None, near=False):
+    """Admissible diameter rule with widths drawn lazily per word.  Each
+    width at depth d is k/8^d with k in 1..3, so two children never fill
+    more than 6/8 of their parent.  With ``big``, each width gets
+    8^-d / (2^33 + 2d + last digit) added, coprime denominators that put the
+    common scale of every depth from 1 above 2**62.  With ``scale``, a power
+    of two from 2^9 up, every width gets 1/scale added, so that depths 1 to
+    3 have the common scale ``scale``.  With ``near``, the children nearly
+    tile their parent: word w of depth d has width (64 - a_w) / (64 2^d),
+    with a_w drawn from a_parent + 1..3 (a = 0 at the root), so each child
+    is just under half its parent and the sibling gap is
+    (a_0 + a_1 - 2 a_parent) / (64 2^d)."""
+    widths, shortfall = {}, {(): 0}
+
+    def deficit(digits):
+        if digits not in shortfall:
+            shortfall[digits] = deficit(digits[:-1]) + rnd.randint(1, 3)
+        return shortfall[digits]
+
+    def rule(w):
+        d = len(w)
+        if w.digits not in widths and near:
+            widths[w.digits] = F(64 - deficit(w.digits), 64 * 2 ** d)
+        elif w.digits not in widths:
+            extra = (F(1, scale) if scale else
+                     F(1, 8 ** d * (2 ** 33 + 2 * d + w.digits[-1])) if big else 0)
+            widths[w.digits] = F(rnd.randint(1, 3), 8 ** d) + extra
+        return widths[w.digits]
+    return AdmissibleSystem(diam_rule=rule)
+
+
+def nonnesting_rule(rnd, big):
     """Diameter rule with widths on a 1/8 grid, drawn independently of the
-    parent's, so that children may overlap or leave their parent.  With
-    ``big``, the two depth-1 widths get coprime denominators above 2**33, so
-    that every depth has a common scale above 2**62.  With ``scale``, a power
-    of two from 8 up, every width gets 1/scale added, so that every depth
-    from 1 has the common scale ``scale``."""
+    parent's, so that children may overlap or leave their parent; with
+    ``big``, each width gets 1/(2^33 + 2d + last digit) added."""
     widths = {}
 
     def rule(w):
         if w.digits not in widths:
-            extra = (F(1, scale) if scale else
-                     F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0)
+            extra = F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0
             widths[w.digits] = F(rnd.randint(1, 6), 8) + extra
         return widths[w.digits]
-    return AdmissibleSystem(diam_rule=rule)
+    return rule
+
+
+def draw_system(rnd, kind):
+    """A Delahaye system or one of the ``random_system`` families."""
+    if kind == "delahaye":
+        return build_delahaye(rnd.randint(5, 9)).system
+    return random_system(rnd, big=kind == "random big", near=kind == "near tiling")
+
+
+RANDOM_KINDS = ["random", "random big", "near tiling"]
 
 
 def descent(rule, a):
@@ -310,21 +347,20 @@ def descent(rule, a):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(0, 8), st.booleans(), st.booleans())
-def test_depth_endpoints_match_descent(seed, t, delahaye, big):
+@given(st.integers(0, 10 ** 6), st.integers(0, 8), st.sampled_from(["delahaye"] + RANDOM_KINDS))
+def test_depth_endpoints_match_descent(seed, t, kind):
     # the level table against the word-by-word descent, each call on a cold
     # system sharing one diameter rule; the table draws the rule's lazy
     # widths first, level by level
     rnd = random.Random(seed)
-    rule = (build_delahaye(rnd.randint(5, 9)).system if delahaye
-            else random_system(rnd, big)).diam_rule
+    rule = draw_system(rnd, kind).diam_rule
     ivs = level_intervals(AdmissibleSystem(diam_rule=rule), t)
     words = [Word.from_int(j, t) for j in range(2 ** t)]
     assert [(iv.lo, iv.hi) for iv in ivs] == [descent(rule, a) for a in words]
     assert interval_of_word(AdmissibleSystem(diam_rule=rule), words[-1]) == ivs[-1]
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
     scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs])
-    assert (scale > INT64_SCALE_LIMIT) == (big and not delahaye and t > 0)
+    assert (scale > INT64_SCALE_LIMIT) == (kind == "random big" and t > 0)
 
 
 def test_level_build_calls_rule_once_per_node_in_odometer_order():
@@ -343,7 +379,7 @@ def test_level_build_calls_rule_once_per_node_in_odometer_order():
 
 def test_depth_endpoints_reject_nonpositive_width():
     def rule(w):
-        return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 2 ** len(w))
+        return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 3 ** len(w))
     for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
                   lambda s: max_diam(s, 3),
                   lambda s: counts_by_window(s, 3, F(1, 8), 1)):
@@ -351,18 +387,63 @@ def test_depth_endpoints_reject_nonpositive_width():
             build(AdmissibleSystem(diam_rule=rule))
 
 
+def overlapping(w):
+    # the children of K_0 = [0, 1/3] have widths 1/5 + 1/5 > 1/3
+    return F(1, 5) if len(w) == 2 and w.digits[0] == 0 else F(1, 3 ** len(w))
+
+
+def touching(w):
+    # the children of K_1 = [2/3, 1] have widths 1/9 + 2/9 = 1/3
+    return F(1 + w.digits[1], 9) if len(w) == 2 and w.digits[0] == 1 else F(1, 3 ** len(w))
+
+
+def wider(w):
+    # K_110 is wider than its parent K_11, of width 1/9
+    return F(1, 2) if w.digits == (1, 1, 0) else F(1, 3 ** len(w))
+
+
+@pytest.mark.parametrize("rule,depth", [(overlapping, 2), (touching, 2), (wider, 3)],
+                         ids=["overlapping", "touching", "wider"])
+def test_rule_whose_children_do_not_nest_is_rejected(rule, depth):
+    # every level above the first that breaks nesting builds; every entry
+    # point raises there, naming that depth
+    assert max_diam(AdmissibleSystem(diam_rule=rule), depth - 1) == F(1, 3 ** (depth - 1))
+    for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
+                  lambda s: max_diam(s, depth),
+                  lambda s: counts_by_window(s, 4, F(1, 8), 2),
+                  lambda s: asymptotic_corr_sum(s, 1, F(1, 8), range(1, 5))):
+        with pytest.raises(ValueError, match=f"not admissible at depth {depth}:"):
+            build(AdmissibleSystem(diam_rule=rule))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.booleans())
-def test_counts_by_window_matches_dense_oracle(seed, t, big):
+@given(st.integers(0, 10 ** 6), st.integers(2, 5),
+       st.sampled_from([F(1, 8), F(1, 4), F(3, 8), F(1, 2)]), st.integers(1, 3),
+       st.booleans())
+def test_nonnesting_rule_never_breaks_the_enclosure(seed, t, eps, m, big):
+    # a rule drawn without regard to nesting is either rejected or
+    # admissible, and then its enclosure keeps its width bound
+    s = AdmissibleSystem(diam_rule=nonnesting_rule(random.Random(seed), big))
+    try:
+        rows = asymptotic_corr_sum(s, m, eps, [t])
+    except ValueError as exc:
+        assert "not admissible at depth" in str(exc)
+    else:
+        assert all(c.upper - c.lower <= c.width_bound for c in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from(RANDOM_KINDS))
+def test_counts_by_window_matches_dense_oracle(seed, t, kind):
     rnd = random.Random(seed)
-    s = random_system(rnd, big)
+    s = draw_system(rnd, kind)
     ivs = level_intervals(s, t)
     p = 2 ** t
     a, b = rnd.choice(ivs), rnd.choice(ivs)
     # ties: eps equal to a gap, a hull or a diameter, each decided exactly
     eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
     ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs] + [eps]
-    assert (common_scale(ends) > INT64_SCALE_LIMIT) == big
+    assert (common_scale(ends) > INT64_SCALE_LIMIT) == (kind == "random big")
     m_max = rnd.randint(1, p + 2)
     want = dense_counts(ivs, eps, m_max)
     # one block per call, and blocks of a single row
@@ -375,31 +456,27 @@ def test_counts_by_window_matches_dense_oracle(seed, t, big):
 
 @pytest.mark.parametrize("scale", EDGE_SCALES)
 def test_counts_by_window_at_the_int64_edge(scale):
-    # at depth 1 the endpoints lie in [0, 1] with 1 the largest, so the cuts
-    # reach 2^63 at the edge thresholds; deeper endpoints may leave [0, 1],
-    # and the threshold whose strict cut puts the largest one on 2^63 joins
+    # the endpoints of an admissible system lie in [0, 1] with 1 the
+    # largest at every depth, so the cuts reach 2^63 at the edge thresholds
     for t in (1, 2, 3):
-        s = random_system(random.Random(t), False, scale)
+        s = random_system(random.Random(t), scale=scale)
         ivs = level_intervals(s, t)
         ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs]
         assert common_scale(ends) == scale
-        top = max(abs(v) for v in ends) * scale
-        edge = [F(2 ** 63 - top + 1, scale)] if top < 2 ** 63 else []
-        for eps in set(EDGE_EPS).union(edge):
+        assert (min(ends), max(ends)) == (0, 1)
+        for eps in EDGE_EPS:
             got = counts_by_window(s, t, eps, 2 ** t + 1)
             assert [(c.n_strict, c.n_closed) for c in got] == dense_counts(ivs, eps, 2 ** t + 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 8),
-       st.sampled_from(["delahaye", "random", "random big"]))
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.sampled_from(["delahaye"] + RANDOM_KINDS))
 def test_counts_by_window_matches_integer_oracle(seed, t, kind):
     # the walk against the dense integer scan up to depth 8: on Delahaye
-    # systems it decides most pairs of subtrees on their bounds, on rules
-    # that do not nest most pairs reach the leaf buckets
+    # systems it decides most pairs of subtrees on their bounds, on
+    # near-tiling rules some pairs only at depth t
     rnd = random.Random(seed)
-    s = (build_delahaye(rnd.randint(5, 9)).system if kind == "delahaye"
-         else random_system(rnd, kind == "random big"))
+    s = draw_system(rnd, kind)
     ivs = level_intervals(s, t)
     a, b = rnd.choice(ivs), rnd.choice(ivs)
     eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
@@ -411,17 +488,17 @@ def test_counts_by_window_matches_integer_oracle(seed, t, kind):
 
 def test_integer_oracle_matches_fraction_oracle(delahaye5):
     rnd = random.Random(3)
-    for s, t in [(delahaye5.system, 3), (random_system(rnd, False), 4),
-                 (random_system(rnd, True), 3)]:
+    for s, t in [(delahaye5.system, 3), (random_system(rnd), 4),
+                 (random_system(rnd, big=True), 3), (random_system(rnd, near=True), 4)]:
         ivs = level_intervals(s, t)
         for eps in (F(1, 5), ivs[1].diam, union_diam(ivs[0], ivs[2])):
             assert integer_dense_counts(ivs, eps, 2 ** t + 1) == dense_counts(ivs, eps, 2 ** t + 1)
 
 
 def test_count_memory_does_not_grow_with_pairs():
-    # on a rule whose children do not nest, nearly every leaf pair reaches
-    # the leaf buckets, which run in blocks of rqa._BLOCK_ELEMS
-    s = random_system(random.Random(1), False)
+    # on a near-tiling rule many node pairs reach deep levels, and the
+    # walk's frontier runs in blocks of rqa._BLOCK_ELEMS
+    s = random_system(random.Random(1), near=True)
     max_diam(s, 10)   # the level is built outside the measurement
     tracemalloc.start()
     try:
