@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -268,10 +269,24 @@ _HANDLERS = {
 }
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """``--opt -1/5`` as ``--opt=-1/5``: argparse reads a value that starts
+    with "-" as an option unless it is a plain negative number, and no
+    option of this parser starts with "-" and a digit or a point."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] \
+                and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse help/usage exits
         return 0 if exc.code in (0, None) else 1
     try:

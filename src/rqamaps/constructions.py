@@ -437,8 +437,9 @@ def system_from_json(text: str) -> DelahayeInstance:
         raise ValueError(f"malformed system JSON: {data!r} is not an object")
     if data.get("kind") != "delahaye":
         raise ValueError(f"unknown system kind: {data.get('kind')!r}")
-    try:
-        r, depth_cap = int(data["r"]), int(data.get("depth_cap", 13))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed system JSON: {exc!r}") from exc
+    r, depth_cap = data.get("r"), data.get("depth_cap", 13)
+    for name, value in (("r", r), ("depth_cap", depth_cap)):
+        # JSON integers only: int() would truncate 5.7, and read true as 1
+        if type(value) is not int:
+            raise ValueError(f"malformed system JSON: {name} = {value!r} is not an integer")
     return build_delahaye(r, depth_cap)

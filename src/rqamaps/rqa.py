@@ -48,21 +48,31 @@ an eventually periodic orbit has at most k + p of them.  Each class is
 weighted by its multiplicity below every scheduled n, and a pair of
 classes adds the product of their weights.  The classes are sorted by
 their first coordinate, so the classes d >= c that can pass at offset 0
-form a band that ends where the first coordinate leaves c's range.  The
-scan covers the upper triangle of the classes in row blocks, each reading
-only the columns up to the band end of its last row, and counts each
-off-diagonal hit twice; the pointwise test is symmetric in both modes
-(``fl(a - b) = -fl(b - a)`` under IEEE round-to-nearest).  The cost is the
-band area times W, at most O(n^2 W) when every vector is distinct and
-every pair recurs.
+form a band that starts at c and ends where the first coordinate leaves
+c's range.  The scan reads the band by diagonal offset, as a sheared
+strip: row c holds the classes c + k for offsets k below the widest band,
+and past the last class a sentinel rank that no range contains, with
+weight 0.  The strip is a zero-copy view (:func:`_strip`), so there is no
+triangle below the diagonal to mask and no column beyond the band.  Rows
+are taken in blocks of at most :data:`_BLOCK_ELEMS` entries, each as wide
+as its widest band, and a band wider than that is split into chunks of
+offsets.  Offset 0 of the window is one compare against the range end;
+every later offset is one unsigned range test (:func:`_in_ranges`),
+``(rank - lo) < (hi - lo)`` in the smallest unsigned dtype that holds the
+sentinel, where a rank below lo wraps past every span.  Each off-diagonal
+hit counts twice, the diagonal once; the pointwise test is symmetric in
+both modes (``fl(a - b) = -fl(b - a)`` under IEEE round-to-nearest).  The
+cost is the sum over blocks of rows times their widest band, times W, at
+most O(n^2 W) when every vector is distinct and every pair recurs.
 
 :func:`_window_counts` keeps the scan over index pairs in index order, at
 one n, for what needs every pair or its position: the bits of
 :func:`recurrence_matrix`, and the finite cycles of
 :mod:`rqamaps.finite_omega`, counted on the cycle's own trajectory, whose
 strict (``< eps``) count backs the excluded-threshold check.  It reads the
-same ranks and rank ranges as the class scan, walks the upper triangle in
-row blocks and counts each off-diagonal hit twice.  The word counts of
+same ranks and rank ranges as the class scan, with the same unsigned range
+test, walks the upper triangle in row blocks and counts each off-diagonal
+hit twice.  The word counts of
 :mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
 instead, and read the rank table, its cuts and :data:`_BLOCK_ELEMS` from
 here.  Every count is serial.
@@ -239,6 +249,34 @@ def _ranks(t, need: int, epsilon, strict: bool = False):
     return (table.rank[:need], *_cuts(table, epsilon, strict))
 
 
+def _unsigned(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``rank``, and the start and length of each entry's rank range, in
+    the smallest unsigned dtype that holds len(lo), for :func:`_in_ranges`."""
+    dtype = np.min_scalar_type(len(lo))
+    start = lo[rank]
+    return rank.astype(dtype), start.astype(dtype), (hi[rank] - start).astype(dtype)
+
+
+def _in_ranges(col: np.ndarray, start: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """start <= col < start + span, for unsigned ranks: a col below start
+    wraps past every span, so one compare tests both ends."""
+    return (col - start) < span
+
+
+def _strip(a: np.ndarray, band: int, fill) -> np.ndarray:
+    """The read-only view strip[..., c, k] = a[..., c + k] for k < band,
+    over a copy of ``a`` extended by band - 1 entries ``fill``."""
+    padded = np.full(a.shape[:-1] + (a.shape[-1] + band - 1,), fill, dtype=a.dtype)
+    padded[..., :a.shape[-1]] = a
+    step = padded.strides[-1]
+    # the ndarray constructor makes the same view as as_strided at a
+    # seventh of its cost, which counts on calls with a handful of classes
+    strip = np.ndarray(a.shape + (band,), a.dtype, padded,
+                       strides=padded.strides[:-1] + (step, step))
+    strip.flags.writeable = False
+    return strip
+
+
 def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    n: int, windows: int, collect=None) -> list[int]:
     """counts[w-1] = #{(i, j) in [0, n)^2 : lo[rank_{i+s}] <= rank_{j+s} <
@@ -251,7 +289,7 @@ def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     [i0, n), with the entries below the diagonal cleared.
     """
     extra = windows - 1
-    row_lo, row_hi = lo[rank], hi[rank]
+    rank, row_lo, span = _unsigned(rank, lo, hi)
     rows = max(1, min(n, _BLOCK_ELEMS // n))
     upper = np.triu(np.ones((rows, rows), dtype=bool))
     counts = [0] * windows
@@ -259,7 +297,7 @@ def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         i1 = min(i0 + rows, n)
         h, c = i1 - i0, n - i0
         col = rank[None, i0:n + extra]
-        near = (row_lo[i0:i1 + extra, None] <= col) & (col < row_hi[i0:i1 + extra, None])
+        near = _in_ranges(col, row_lo[i0:i1 + extra, None], span[i0:i1 + extra, None])
         hit = near[:h, :c].copy()
         hit[:, :h] &= upper[:h, :h]
         for s in range(windows):
@@ -298,46 +336,47 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         key = cls * len(lo) + rank[s:s + n]
     _, first, cls = np.unique(key, return_index=True, return_inverse=True)
     u = len(first)
-    dtype = np.min_scalar_type(len(lo))
-    col = rank[first + np.arange(windows)[:, None]].astype(dtype)   # (windows, u)
-    row_lo, row_hi = lo[col].astype(dtype), hi[col].astype(dtype)
+    col, row_lo, span = _unsigned(rank[first + np.arange(windows)[:, None]], lo, hi)
+    row_hi = row_lo[0] + span[0]   # offset 0 tests the range end alone
     # each class's multiplicity below every scheduled n
     weight = np.array([np.bincount(cls[:k], minlength=u) for k in ns], dtype=np.float32)
-    # classes ascend in their first coordinate, so the columns d >= c that
-    # can pass at offset 0 end where the first coordinate leaves c's range
-    end = np.searchsorted(col[0], row_hi[0])
-    end = np.maximum.accumulate(np.maximum(end, np.arange(1, u + 1)))
-    side = math.isqrt(_BLOCK_ELEMS)   # block rows r satisfy r^2 <= r * width
-    upper = np.triu(np.ones((min(side, u),) * 2, dtype=bool))
+    # classes ascend in their first coordinate, so the classes d >= c that
+    # can pass at offset 0 end where the first coordinate leaves c's range:
+    # class c's band has width >= 1, c itself included
+    width = np.searchsorted(col[0], row_hi) - np.arange(u)
+    # the band as a sheared strip: entry (c, k) is class c + k, and past the
+    # last class a sentinel rank that fails every range test, with weight 0
+    band = int(width.max())
+    col_strip, w_strip = _strip(col, band, len(lo)), _strip(weight, band, 0)
     totals = np.zeros((windows, len(ns)))
     c0 = 0
     while c0 < u:
-        # the most rows whose block, up to the band end of its last row,
-        # has at most _BLOCK_ELEMS entries; a wider band is split into chunks
-        tall = min(side, u - c0)
-        area = np.arange(1, tall + 1) * (end[c0:c0 + tall] - c0)
-        c1 = c0 + max(1, int(np.searchsorted(area, _BLOCK_ELEMS, side="right")))
-        h = c1 - c0
+        # the most rows whose block, rows times their widest band, has at
+        # most _BLOCK_ELEMS entries (no more than _BLOCK_ELEMS over the
+        # first row's band); a wider band is split into chunks of offsets
+        tall = min(u - c0, max(1, _BLOCK_ELEMS // int(width[c0])))
+        widest = np.maximum.accumulate(width[c0:c0 + tall])
+        h = max(1, int(np.searchsorted(np.arange(1, tall + 1) * widest, _BLOCK_ELEMS,
+                                       side="right")))
+        c1, b = c0 + h, int(widest[h - 1])
         w_row = weight[:, c0:c1].astype(np.float64)
         chunk = max(1, _BLOCK_ELEMS // h)
-        for j0 in range(c0, end[c1 - 1], chunk):
-            j1 = min(j0 + chunk, end[c1 - 1])
-            w_col = weight[:, j0:j1]
+        for k0 in range(0, b, chunk):
+            k1 = min(k0 + chunk, b)
             # at offset 0 every column ranks at or above the row's range start
-            hit = col[0, None, j0:j1] < row_hi[0, c0:c1, None]
-            if j0 == c0:
-                hit[:, :h] &= upper[:h, :h]
+            hit = col_strip[0, c0:c1, k0:k1] < row_hi[c0:c1, None]
             for s in range(windows):
                 if s:
-                    hit &= row_lo[s, c0:c1, None] <= col[s, None, j0:j1]
-                    hit &= col[s, None, j0:j1] < row_hi[s, c0:c1, None]
+                    hit &= _in_ranges(col_strip[s, c0:c1, k0:k1],
+                                      row_lo[s, c0:c1, None], span[s, c0:c1, None])
                 if s + 1 not in reduce:
                     continue
-                per_row = np.matmul(hit, w_col.T, dtype=np.float32)
-                pairs = np.einsum("kr,rk->k", w_row, per_row)
+                per_row = np.einsum("rk,nrk->nr", hit.astype(np.float32),
+                                    w_strip[:, c0:c1, k0:k1])
+                pairs = np.einsum("nr,nr->n", w_row, per_row)
                 totals[s] += 2 * pairs   # (c, d) and (d, c) ...
-                if j0 == c0:             # ... and (c, c) once
-                    totals[s] -= w_row ** 2 @ hit[:, :h].diagonal()
+                if k0 == 0:              # ... and (c, c) once
+                    totals[s] -= w_row ** 2 @ hit[:, 0]
         c0 = c1
     counts = totals.astype(np.int64).tolist()
     return [counts[w - 1] if w in reduce else None for w in range(1, windows + 1)]

@@ -160,12 +160,23 @@ class TestSolenoid:
         got = [int(line.split(",")[6]) for line in lines[1:]]
         assert got == [nm for _, nm in expected]
 
-    @pytest.mark.parametrize("schedule", ["-1,2", "0,2"])
+    @pytest.mark.parametrize("schedule", [
+        pytest.param(["--t-schedule=-1,2"], id="-1,2"),
+        pytest.param(["--t-schedule", "-1,2"], id="-1,2 spaced"),
+        pytest.param(["--t-schedule=0,2"], id="0,2")])
     def test_depth_below_one_exits_one(self, capsys, schedule):
-        assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",
-                   f"--t-schedule={schedule}") == 1
+        assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5", *schedule) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "needs p_t >= 2" in captured.err
+
+    @pytest.mark.parametrize("epsilon", [
+        pytest.param(["--epsilon", "-1/5"], id="-1/5 spaced"),
+        pytest.param(["--epsilon", "-.2"], id="-.2 spaced"),
+        pytest.param(["--epsilon=-1/5"], id="-1/5")])
+    def test_negative_epsilon_exits_one(self, capsys, epsilon):
+        assert run("solenoid", "--r", "5", "--m", "1", *epsilon, "--t-schedule", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon must be positive" in captured.err
 
     @pytest.mark.parametrize("output", [False, True])
     def test_rows_come_from_asymptotic_corr_sum(self, tmp_path, capsys, output):

@@ -302,6 +302,12 @@ def test_system_json_round_trip(delahaye5):
 @pytest.mark.parametrize("text", ['{"kind": "delahaye"}', '[1]',
                                   '{"kind": "delahaye", "r": 5, "depth_cap": null}',
                                   '{"kind": "delahaye", "r": Infinity}',
+                                  '{"kind": "delahaye", "r": 5.7}',
+                                  '{"kind": "delahaye", "r": true}',
+                                  '{"kind": "delahaye", "r": "5"}',
+                                  '{"kind": "delahaye", "r": 5, "depth_cap": 5.7}',
+                                  '{"kind": "delahaye", "r": 5, "depth_cap": true}',
+                                  '{"kind": "delahaye", "r": 5, "depth_cap": "5"}',
                                   '{"kind": "prop42", "r": 5}'])
 def test_system_json_rejects_malformed_input(text):
     with pytest.raises(ValueError, match="malformed system JSON|unknown system kind"):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rqamaps import rqa
 from rqamaps.constructions import prop42_positions
-from rqamaps.dynamics import Trajectory, iterate
+from rqamaps.dynamics import PiecewiseLinearMap, Trajectory, iterate
 from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
@@ -475,3 +476,66 @@ def test_pgm_bytes_matches_joined_rendering(n, seed):
     matrix = rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=bits)
     assert pgm_bytes(matrix) == joined_pgm(matrix)
 
+
+
+# the class scan at the edges of its rank dtype: ranks are held in the
+# smallest unsigned dtype that holds the sentinel rank len(lo), and a rank
+# below its range start wraps past every span
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("distinct", [255, 256, 257, 65535, 65536])
+def test_counts_at_the_rank_dtype_edges(distinct, exact):
+    rnd = random.Random(distinct)
+    unit = F(1, 7) if exact else 0.125
+    ends = [0, 1, 2, 3, distinct - 4, distinct - 3, distinct - 2, distinct - 1]
+    ks = [rnd.choice(ends) for _ in range(42)]
+    ks += sorted(set(range(distinct)) - set(ks))
+    # the trajectory ranks all of its points, so lo and hi have an entry
+    # for every value, though the counted prefix uses only a few ranks
+    t = Trajectory(ks[0] * unit, tuple(k * unit for k in ks))
+    for eps in (unit, 3 * unit, (distinct - 4) * unit, (distinct - 1) * unit):
+        assert len(rqa._ranks(t, 1, eps)[1]) == distinct
+        for m in (1, 2, 3):
+            schedule = [10, 25, 43 - m]
+            dense = {w: brute_bits(t.points, w, eps, schedule[-1]) for w in (1, m)}
+            assert rqa._pair_counts(t, schedule, m, eps, {1, m}) == [
+                [sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
+                if w in (1, m) else None for w in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_wide_band_split_into_offset_chunks(exact):
+    # one class whose band covers a cluster of values above it, the others
+    # narrow: blocks of one row split the wide band into chunks of offsets
+    rnd = random.Random(5)
+    unit = F(1, 9) if exact else 0.125
+    ks = list(range(7)) + [20 * (i + 1) for i in range(12)]
+    rnd.shuffle(ks)
+    pts = [k * unit for k in ks + ks[:3]]
+    n, eps = len(ks), 6 * unit
+    b = max(sum(0 <= y - x <= eps for y in pts[:n]) for x in pts[:n])
+    assert b == 7
+    for m in (1, 2, 3):
+        dense = {w: brute_bits(pts, w, eps, n) for w in range(1, m + 1)}
+        want = [[sum(sum(row[:k]) for row in dense[w][:k]) for k in (n // 2, n)]
+                for w in range(1, m + 1)]
+        for block_elems in (1, b - 1, b, b + 1):
+            with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+                assert rqa._pair_counts(pts, [n // 2, n], m, eps) == want
+
+
+def test_class_scan_memory_stays_within_blocks():
+    # an expanding tent's float orbit has every delay vector distinct and a
+    # band of about a hundred classes; only the per-point arrays and
+    # temporaries of _BLOCK_ELEMS entries may be held, never the whole
+    # strip of u rows by the widest band, nor a u-by-u block
+    f = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(0), F(39, 40), F(0)))
+    n, m = 4400, 3
+    args = rqa._ranks(iterate(f, 0.3, n + m), n + m, 0.02)
+    tracemalloc.start()
+    try:
+        rqa._class_counts(*args, [n // 4, n // 2, n], m + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n + 6 * rqa._BLOCK_ELEMS
