@@ -20,24 +20,16 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import constructions, rqa, solenoidal
 from .dynamics import PiecewiseLinearMap, Trajectory, iterate
 from .intervals import Configuration, epsilon_pairs, extremal_configuration, zero_configuration
-from .rational import fraction_str
+from .rational import as_fraction, fraction_str
 from .solenoidal import ResourceGuardError
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _parse_epsilon(text: str, as_float: bool):
-    eps = _parse_rational(text)
+    eps = as_fraction(text)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     return float(eps) if as_float else eps
@@ -64,7 +56,7 @@ def _load_trajectory(args, length: int) -> Trajectory:
             raise ValueError("--map needs a seed point --x0")
         with open(args.map) as fh:
             f = PiecewiseLinearMap.from_json(fh.read())
-        x0 = _parse_rational(args.x0)
+        x0 = as_fraction(args.x0)
         seed = float(x0) if args.float else x0
         return iterate(f, seed, length)
     if args.construction == "prop42":
@@ -126,7 +118,7 @@ def _cmd_rplot(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    eps = _parse_rational(args.epsilon)
+    eps = as_fraction(args.epsilon)
     if args.extremal:
         conf = extremal_configuration(args.n, eps)
     elif args.zero:
@@ -154,7 +146,7 @@ def _cmd_config(args) -> int:
 
 def _cmd_solenoid(args) -> int:
     inst = constructions.build_delahaye(args.r, depth_cap=max(args.t_schedule))
-    eps = _parse_rational(args.epsilon)
+    eps = as_fraction(args.epsilon)
     rows = solenoidal.asymptotic_corr_sum(inst.system, args.m, eps, args.t_schedule)
     if args.output:
         solenoidal.write_counts_csv(rows, args.output)

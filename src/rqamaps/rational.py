@@ -18,14 +18,18 @@ def as_fraction(value: Number | str) -> Fraction:
     """Convert exactly to Fraction.
 
     Accepts ints, Fractions, floats (exact binary expansion) and strings in
-    either "p/q" or decimal form ("1/625", "0.2", "3").
+    either "p/q" or decimal form ("1/625", "0.2", "3").  A bool is not a
+    number here (TypeError), and "p/0" is malformed (ValueError).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -71,9 +71,11 @@ one n, for what needs every pair or its position: the bits of
 :mod:`rqamaps.finite_omega`, counted on the cycle's own trajectory, whose
 strict (``< eps``) count backs the excluded-threshold check.  It reads the
 same ranks and rank ranges as the class scan, with the same unsigned range
-test, walks the upper triangle in row blocks and counts each off-diagonal
-hit twice.  The word counts of
-:mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
+test, over the full n-by-n square in row blocks, at a cost of n^2 W: each
+block tests its rows, extended by W - 1, against every column once, then
+ANDs the test shifted by each offset into the block's hits and counts
+them.  The plot's rows take the window-W hits in place.  The word counts
+of :mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
 instead, and read the rank table, its cuts and :data:`_BLOCK_ELEMS` from
 here.  Every count is serial.
 """
@@ -278,35 +280,28 @@ def _strip(a: np.ndarray, band: int, fill) -> np.ndarray:
 
 
 def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   n: int, windows: int, collect=None) -> list[int]:
+                   n: int, windows: int, out: np.ndarray | None = None) -> list[int]:
     """counts[w-1] = #{(i, j) in [0, n)^2 : lo[rank_{i+s}] <= rank_{j+s} <
     hi[rank_{i+s}] for s < w}, over index pairs in index order.
 
     ``rank`` holds n + windows - 1 point ranks, and [lo[r], hi[r]) is the
-    rank range of the values close to rank r, a relation that must be
-    symmetric and contain r.  ``collect(i0, i1, block)``, when given,
-    receives the window-``windows`` hits of rows [i0, i1) and columns
-    [i0, n), with the entries below the diagonal cleared.
+    rank range of the values close to rank r.  ``out``, an n-by-n bool
+    array when given, receives the window-``windows`` hits.
     """
-    extra = windows - 1
     rank, row_lo, span = _unsigned(rank, lo, hi)
     rows = max(1, min(n, _BLOCK_ELEMS // n))
-    upper = np.triu(np.ones((rows, rows), dtype=bool))
     counts = [0] * windows
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        h, c = i1 - i0, n - i0
-        col = rank[None, i0:n + extra]
-        near = _in_ranges(col, row_lo[i0:i1 + extra, None], span[i0:i1 + extra, None])
-        hit = near[:h, :c].copy()
-        hit[:, :h] &= upper[:h, :h]
+        h = i1 - i0
+        near = _in_ranges(rank[None, :], row_lo[i0:i1 + windows - 1, None],
+                          span[i0:i1 + windows - 1, None])
+        hit = np.empty((h, n), dtype=bool) if out is None else out[i0:i1]
+        hit[...] = near[:h, :n]
         for s in range(windows):
             if s:
-                hit &= near[s:s + h, s:s + c]
-            # (i, j) and (j, i), and (i, i) once
-            counts[s] += int(2 * np.count_nonzero(hit) - np.count_nonzero(hit.diagonal()))
-        if collect is not None:
-            collect(i0, i1, hit)
+                hit &= near[s:s + h, s:s + n]
+            counts[s] += int(np.count_nonzero(hit))
     return counts
 
 
@@ -437,13 +432,8 @@ class RecurrenceMatrix:
 
 
 def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
-    bits = np.zeros((p.n, p.n), dtype=bool)
-
-    def collect(lo, hi, block):
-        bits[lo:hi, lo:] = block
-
-    _window_counts(*_ranks(t, p.n + p.m - 1, p.epsilon), p.n, p.m, collect)
-    bits |= bits.T
+    bits = np.empty((p.n, p.n), dtype=bool)
+    _window_counts(*_ranks(t, p.n + p.m - 1, p.epsilon), p.n, p.m, bits)
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
 
 

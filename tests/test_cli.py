@@ -269,14 +269,16 @@ class TestParsing:
 class TestErrors:
     @pytest.mark.parametrize("text", ['{"breakpoints": [0, 1]}', '[0, 1]',
                                       '{"breakpoints": [0, null, 1], "values": [0, 1, 0]}',
-                                      '{"breakpoints": 5, "values": 3}'])
+                                      '{"breakpoints": 5, "values": 3}',
+                                      '{"breakpoints": [0, "1/0", 1], "values": [0, 1, 0]}',
+                                      '{"breakpoints": [false, true], "values": [true, false]}'])
     def test_malformed_map_file_exits_one(self, tmp_path, text):
         path = tmp_path / "map.json"
         path.write_text(text)
         assert run("corrsum", "--map", str(path), "--x0", "1/3",
                    "--m", "1", "--epsilon", "1/2", "--n", "3") == 1
 
-    @pytest.mark.parametrize("text", ['[[0, null]]', '[5]', '[[0, Infinity]]'])
+    @pytest.mark.parametrize("text", ['[[0, null]]', '[5]', '[[0, Infinity]]', '[[0, "1/0"]]'])
     def test_malformed_configuration_file_exits_one(self, tmp_path, text):
         path = tmp_path / "conf.json"
         path.write_text(text)
@@ -356,3 +358,23 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
     assert capsys.readouterr().out == ""
     digests = tuple(hashlib.sha256(data).hexdigest() for data in (printed, out.read_bytes()))
     assert digests == _GOLDEN[name]
+
+
+# SHA-256 of the rplot file, recorded before the index-order scan counted
+# the full square; at the default _BLOCK_ELEMS each plot spans two row
+# blocks
+_GOLDEN_PLOTS = {
+    "prop42": "46eab325784d282f8309a00df42538ac8a8ea4013ee6a2552e121413651e610a",
+    "float": "4d76b26a875252236406e3cd598da23ceb65403cde8e4ab2f16cfd41769273c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_PLOTS))
+def test_rplot_golden_digests(tmp_path, plateau_map_file, name):
+    argv = {"prop42": ["--construction", "prop42", "--depth", "8", "--m", "2",
+                       "--epsilon", "1/2", "--n", "500"],
+            "float": ["--map", plateau_map_file, "--x0", "33/100", "--float",
+                      "--m", "3", "--epsilon", "3/10", "--n", "400"]}[name]
+    out = tmp_path / "plot.pgm"
+    assert run("rplot", *argv, "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_PLOTS[name]

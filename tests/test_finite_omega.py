@@ -171,7 +171,7 @@ _ORBIT_POOLS = {
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5),
-       st.sampled_from([rqa._BLOCK_ELEMS, 1]))
+       st.sampled_from([rqa._BLOCK_ELEMS, 16, 1]))
 def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
     rnd = random.Random(seed)
     pool = _ORBIT_POOLS[kind]
@@ -180,7 +180,8 @@ def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
     eps = bowen_orbit_distance(o, i, j, rnd.choice([1, m])) or pool[2] - pool[0]
     if kind == "float, exact eps":
         eps = F(eps) + rnd.choice([0, F(1, 10 ** 30), -F(1, 10 ** 30)])
-    # one block per cycle, or blocks of one row
+    # one block per cycle, blocks of one row, or, for p = 5-7 at 16 entries
+    # per block, blocks of two or three rows with edges inside the cycle
     with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
         _check_closed_forms(o, m, eps)
 
@@ -209,7 +210,8 @@ def _check_closed_forms(o, m, eps):
         assert closed_form_corr_sum(o, m, eps) == F(brute(m), p * p)
         assert len(caught) == ties[0]
         assert asymptotic_rdet_finite(o, m, eps) == F(brute(m), brute(1))
-        # below the minimal gap nothing ties, so both calls warn per tie
+        # the determinism warns once per tied window among m and 1, after
+        # the correlation sum's one warning for a tie at window m
         assert len(caught) == ties[0] + sum(ties)
     assert all(issubclass(w.category, ExcludedEpsilonWarning) for w in caught)
     if p > 1:

@@ -539,3 +539,19 @@ def test_class_scan_memory_stays_within_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 200 * n + 6 * rqa._BLOCK_ELEMS
+
+
+def test_recurrence_matrix_memory_is_one_bitmap():
+    # the plot is written in place: beyond its n^2 bits only the per-point
+    # arrays and temporaries of _BLOCK_ELEMS entries may be held, never a
+    # second n-by-n array
+    f = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(0), F(39, 40), F(0)))
+    n, m = 2000, 2
+    t = iterate(f, 0.3, n + m)
+    tracemalloc.start()
+    try:
+        recurrence_matrix(t, RQAParams(m, 0.02, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n + 200 * n + 6 * rqa._BLOCK_ELEMS
