@@ -34,6 +34,19 @@ whatever its length.  An orbit that never repeats pays one comparison per
 step.  The points are equal, in value, type and float bits (signed zero
 included), to evaluating every step in full: equal floats differ in bits
 only as 0.0 and -0.0, which every piece maps to the same float.
+
+A repeat also fixes the orbit's shape, its lasso.  A point before k never
+recurs, so the checkpoint that repeats lies on the cycle, and p = j - c is
+the minimal period; the preperiod k is the first i with x_i = x_{i+p}, at
+most c, found in k + 1 comparisons.  The k + p points x_0, ..., x_{k+p-1}
+are pairwise distinct, or the orbit would have closed earlier, and every
+later point repeats one of them: x_i = x_{k + (i - k) mod p} for i >= k.
+The trajectory keeps (k, p), so the pair counts of :mod:`rqamaps.rqa` rank
+only those k + p points and take them as the classes of equal delay
+vectors, and :func:`detect_periodic` reads the cycle without a scan.
+Float orbits keep it too: their repeat is the same equality test.  A
+trajectory built by hand, or converted by :meth:`Trajectory.as_float`,
+has none, since two distinct rationals can round to one float.
 """
 from __future__ import annotations
 
@@ -172,11 +185,17 @@ class Trajectory:
     """Finite orbit segment: points[i] is the i-th iterate of ``base``.
 
     The pair counts of :mod:`rqamaps.rqa` keep the points' rank table in
-    ``_rank_cache`` (at most one, built on the first count)."""
+    ``_rank_cache`` (at most one, built on the first count).  ``_lasso``
+    is (k, p) when the first k + p points are known to be pairwise
+    distinct and point i >= k to equal point k + (i - k) mod p (see
+    "Iteration" in the module docstring), and None otherwise.  Neither
+    takes part in comparisons."""
 
     base: Number
     points: tuple[Number, ...]
     _rank_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _lasso: tuple[int, int] | None = field(default=None, kw_only=True, repr=False,
+                                           compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -185,9 +204,15 @@ class Trajectory:
         """Trajectory of the h-th iterate (drops the first h points)."""
         if not 0 <= h < len(self.points):
             raise ValueError(f"shift {h} outside trajectory")
-        return Trajectory(self.points[h], self.points[h:])
+        lasso = None
+        if self._lasso is not None:
+            k, p = self._lasso
+            lasso = (max(0, k - h), p)
+        return Trajectory(self.points[h], self.points[h:], _lasso=lasso)
 
     def as_float(self) -> "Trajectory":
+        """The points as floats, with no lasso: two distinct rationals can
+        round to one float."""
         return Trajectory(float(self.base), tuple(float(p) for p in self.points))
 
 
@@ -196,14 +221,15 @@ def iterate(f: PiecewiseLinearMap, x: Number, n: int) -> Trajectory:
 
     Arithmetic follows the seed: a float seed iterates in floats, anything
     else iterates exactly in rationals.  Once a point equals the checkpoint
-    x_c, the points x_{c+1}, ..., x_j are copied periodically to the end
-    (see "Iteration" in the module docstring).
+    x_c, the points x_{c+1}, ..., x_j are copied periodically to the end,
+    and the trajectory keeps the orbit's lasso (see "Iteration" in the
+    module docstring).
     """
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
     if not isinstance(x, float):
         x = as_fraction(x)
-    pts = [x]
+    pts, lasso = [x], None
     if n > 1:
         step = _stepper(f, x)
         c, mark, move = 0, x, 1
@@ -211,12 +237,15 @@ def iterate(f: PiecewiseLinearMap, x: Number, n: int) -> Trajectory:
             x = step(x)
             pts.append(x)
             if x == mark:
+                p = j - c
+                k = next(i for i in range(c + 1) if pts[i] == pts[i + p])
+                lasso = (k, p)
                 cycle, rest = pts[c + 1:], n - 1 - j
-                pts += (cycle * (rest // len(cycle) + 1))[:rest]
+                pts += (cycle * (rest // p + 1))[:rest]
                 break
             if j == move:
                 c, mark, move = j, x, 2 * j
-    return Trajectory(pts[0], tuple(pts))
+    return Trajectory(pts[0], tuple(pts), _lasso=lasso)
 
 
 @dataclass(frozen=True)
@@ -236,11 +265,21 @@ def detect_periodic(t: Trajectory, tol: Number = 0) -> PeriodicStructure | None:
     periodicity; with tol > 0 it certifies residuals over the observed
     window only, which is a heuristic for numerically converging orbits.
     Returns None when no (k, p) is certifiable.
+
+    With tol == 0, a trajectory that keeps its lasso (k, p) answers from
+    it: any period witnessed at tol 0 is a multiple of the minimal p, with
+    the same preperiod k, so the answer is (k, p) when k + 2p <= len and
+    None otherwise.  Other trajectories, and tol > 0, scan the residuals.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     pts = t.points
     n = len(pts)
+    if tol == 0 and t._lasso is not None:
+        k, p = t._lasso
+        if k + 2 * p > n:
+            return None
+        return PeriodicStructure(preperiod=k, period=p, orbit=tuple(pts[k:k + p]))
     # with tol == 0 equality is the test: repeated orbit points are often the
     # same object, and == skips a Fraction subtraction
     exact = tol == 0

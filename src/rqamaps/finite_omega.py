@@ -58,8 +58,10 @@ class PeriodicOrbitData:
     @cached_property
     def _unrolled(self) -> Trajectory:
         """The trajectory of y_0: the cycle repeated to 2p - 1 points, enough
-        for every window; the pair counts keep its rank table."""
-        return Trajectory(self.points[0], self.points + self.points[:-1])
+        for every window, with its lasso (0, p); the pair counts keep its
+        rank table."""
+        return Trajectory(self.points[0], self.points + self.points[:-1],
+                          _lasso=(0, self.period))
 
     @staticmethod
     def of(points) -> "PeriodicOrbitData":

@@ -37,16 +37,27 @@ runs at the float nearest eps, moved onto eps's side of the comparison,
 which decides every float distance as eps does.  Rounding is monotone, so
 the values that pass it also form a rank range, whose ends are found with
 the test itself.  Only these rank ranges are computed per threshold.  A
-:class:`~rqamaps.dynamics.Trajectory` ranks all of its points on its first
-count and keeps the table, so later counts on it, at any threshold or n,
-reuse it; a plain sequence is ranked on every call.
+:class:`~rqamaps.dynamics.Trajectory` ranks its points on its first count
+and keeps the table, so later counts on it, at any threshold or n, reuse
+it; a plain sequence is ranked on every call.  A trajectory that keeps
+its lasso (k, p), as :func:`~rqamaps.dynamics.iterate` leaves an orbit
+that repeats, ranks only the k + p lasso points: point i takes the rank of
+position i below k and of position k + (i - k) mod p beyond.
 
 Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
 :func:`rqa_det`, :func:`estimate_asymptotics`) run over the distinct delay
 vectors ``(x_i, ..., x_{i+W-1})``.  Rows with equal vectors form a class;
 an eventually periodic orbit has at most k + p of them.  Each class is
 weighted by its multiplicity below every scheduled n, and a pair of
-classes adds the product of their weights.  The classes are sorted by
+classes adds the product of their weights.  Where the rank table knows
+the lasso, the classes need no search: distinct lasso positions have
+distinct first coordinates, so the classes are the positions c reached
+below n.  Below a scheduled n, a position c < k occurs once if c < n, and
+a cycle position max(0, ceil((n - c) / p)) times.  Points that are all
+distinct are a lasso with no cycle, (their number, 1), whose classes are
+the indices themselves.  Other orbits find their classes with W
+``np.unique`` passes, one offset at a time, and weigh them with
+``np.bincount``.  Either way the classes are sorted by
 their first coordinate, so the classes d >= c that can pass at offset 0
 form a band that starts at c and ends where the first coordinate leaves
 c's range.  The scan reads the band by diagonal offset, as a sheared
@@ -132,11 +143,15 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
 class _RankTable(NamedTuple):
     """The threshold-free half of ranking: each point's rank among the
     distinct values, the distinct values in ascending order, and their
-    common denominator ``scale`` (None for float points)."""
+    common denominator ``scale`` (None for float points).  ``lasso`` is
+    (k, p) when the points at positions below k + p are pairwise distinct
+    and point i >= k has the rank of position k + (i - k) mod p, and None
+    when the table does not know."""
 
     rank: np.ndarray
     values: np.ndarray   # integers over scale (int64 or Python ints), or float64
     scale: int | None
+    lasso: tuple[int, int] | None = None
 
 
 def _int_table(ints: Sequence[int], scale: int) -> _RankTable:
@@ -224,9 +239,21 @@ def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def _rank_table(pts: Sequence) -> _RankTable:
-    """The points' rank table, in their own arithmetic."""
-    return (_float_table if isinstance(pts[0], float) else _exact_table)(pts)
+def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> _RankTable:
+    """The points' rank table, in their own arithmetic.  Given the points'
+    lasso (k, p), only its k + p points are ranked, and point i takes the
+    rank of its position: i below k, k + (i - k) mod p beyond.  Points
+    that are all distinct are a lasso with no cycle, (len(pts), 1)."""
+    head = pts if lasso is None else pts[:sum(lasso)]
+    table = (_float_table if isinstance(pts[0], float) else _exact_table)(head)
+    if lasso is not None:
+        k, p = lasso
+        at = np.arange(len(pts))
+        at[k:] = k + (at[k:] - k) % p
+        return table._replace(rank=table.rank[at], lasso=lasso)
+    if len(table.values) == len(pts):
+        return table._replace(lasso=(len(pts), 1))
+    return table
 
 
 def _cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -234,20 +261,26 @@ def _cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndar
     return (_float_cuts if table.scale is None else _exact_cuts)(table, epsilon, strict)
 
 
-def _ranks(t, need: int, epsilon, strict: bool = False):
-    """The ranks of the first ``need`` points of t, and per rank the rank
-    range of the values within epsilon (closer than epsilon when
-    ``strict``).  A Trajectory ranks all of its points on its first count
-    and keeps the table; a plain sequence is ranked on every call."""
+def _table(t, need: int) -> _RankTable:
+    """The rank table of at least the first ``need`` points of t.  A
+    Trajectory ranks all of its points on its first count, through its
+    lasso when it keeps one, and keeps the table; a plain sequence ranks
+    its first ``need`` points on every call."""
     pts = _points(t)
     if len(pts) < need:
         raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
-    if isinstance(t, Trajectory):
-        if not t._rank_cache:
-            t._rank_cache.append(_rank_table(pts))
-        table = t._rank_cache[0]
-    else:
-        table = _rank_table(pts[:need])
+    if not isinstance(t, Trajectory):
+        return _rank_table(pts[:need])
+    if not t._rank_cache:
+        t._rank_cache.append(_rank_table(pts, t._lasso))
+    return t._rank_cache[0]
+
+
+def _ranks(t, need: int, epsilon, strict: bool = False):
+    """The ranks of the first ``need`` points of t, and per rank the rank
+    range of the values within epsilon (closer than epsilon when
+    ``strict``)."""
+    table = _table(t, need)
     return (table.rank[:need], *_cuts(table, epsilon, strict))
 
 
@@ -307,15 +340,17 @@ def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   ns: Sequence[int], windows: int,
-                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
+                  reduce: Collection[int] | None = None,
+                  lasso: tuple[int, int] | None = None) -> list[list[int] | None]:
     """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
     rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the distinct delay
     vectors of length ``windows``.
 
     ``rank`` holds ns[-1] + windows - 1 point ranks, and [lo[r], hi[r]) is
     the rank range of the values close to rank r, a relation that must be
-    symmetric and contain r.  Only the windows in ``reduce`` (all of them
-    by default) are summed; the others read None.
+    symmetric and contain r.  ``lasso`` is the ranks' lasso (k, p), as the
+    rank table keeps it, when known.  Only the windows in ``reduce`` (all
+    of them by default) are summed; the others read None.
     """
     reduce = range(1, windows + 1) if reduce is None else reduce
     n = ns[-1]
@@ -323,18 +358,30 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # products and totals are integers <= n^2, exact in float64
     if n >= 2 ** 24:
         raise ValueError(f"n = {n} exceeds the exact pair-count limit 2^24")
-    # classes of equal delay rows, refined one offset at a time; np.unique
-    # sorts its keys, so the classes come out in lexicographic order
-    key = rank[:n].astype(np.int64)
-    for s in range(1, windows):
-        _, cls = np.unique(key, return_inverse=True)
-        key = cls * len(lo) + rank[s:s + n]
-    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    if lasso is None:
+        # classes of equal delay rows, refined one offset at a time; np.unique
+        # sorts its keys, so the classes come out in lexicographic order
+        key = rank[:n].astype(np.int64)
+        for s in range(1, windows):
+            _, cls = np.unique(key, return_inverse=True)
+            key = cls * len(lo) + rank[s:s + n]
+        _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+        # each class's multiplicity below every scheduled n
+        weight = np.array([np.bincount(cls[:k], minlength=len(first)) for k in ns],
+                          dtype=np.float32)
+    else:
+        # the lasso positions c reached below n are the classes, since their
+        # first coordinates differ; sorted by it, they are in lexicographic
+        # order.  Below every scheduled n, a position c < k occurs once if
+        # c < n, and a cycle position at c, c + p, c + 2p, ...
+        k, p = lasso
+        first = np.arange(min(n, k + p))
+        first = first[np.argsort(rank[first])]
+        ahead = np.array(ns)[:, None] - first
+        weight = np.where(first < k, ahead > 0, -(-ahead // p)).clip(0).astype(np.float32)
     u = len(first)
     col, row_lo, span = _unsigned(rank[first + np.arange(windows)[:, None]], lo, hi)
     row_hi = row_lo[0] + span[0]   # offset 0 tests the range end alone
-    # each class's multiplicity below every scheduled n
-    weight = np.array([np.bincount(cls[:k], minlength=u) for k in ns], dtype=np.float32)
     # classes ascend in their first coordinate, so the classes d >= c that
     # can pass at offset 0 end where the first coordinate leaves c's range:
     # class c's band has width >= 1, c itself included
@@ -381,7 +428,10 @@ def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
     """N_w(n) for the windows w in ``reduce`` (every w <= windows by
     default) and n in the increasing schedule ns; other windows read None."""
-    return _class_counts(*_ranks(t, ns[-1] + windows - 1, epsilon), ns, windows, reduce)
+    need = ns[-1] + windows - 1
+    table = _table(t, need)
+    return _class_counts(table.rank[:need], *_cuts(table, epsilon, False), ns, windows,
+                         reduce, table.lasso)
 
 
 def recurrent_pair_count(t, p: RQAParams) -> int:

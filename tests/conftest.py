@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rqamaps import PiecewiseLinearMap, build_delahaye, build_prop42
+from rqamaps.dynamics import PeriodicStructure
 
 # The test pools fall on either side of this common denominator: well below
 # it, points in [0, 1] and their cuts stay in int64; far above it, the
@@ -60,3 +61,44 @@ def random_pl_map(rnd: random.Random, max_den: int = 32) -> PiecewiseLinearMap:
     bps = [Fraction(0), *interior, Fraction(1)]
     vals = [Fraction(rnd.randint(0, max_den), max_den) for _ in bps]
     return PiecewiseLinearMap(tuple(bps), tuple(vals))
+
+
+def cycle_map(rnd, k, p):
+    """A map whose orbit from its first point y_0 lands on a p-cycle at step
+    k: y_0 -> y_1 -> ... -> y_{k+p-1} -> y_k, each y_i on a plateau sent to
+    its successor, with ramps between the plateaus."""
+    count = k + p
+    ys = [Fraction(2 * i + 1, 2 * count) for i in rnd.sample(range(count), count)]
+    succ = {y: ys[i + 1] if i + 1 < count else ys[k] for i, y in enumerate(ys)}
+    half = Fraction(1, 8 * count)
+    bps, vals = [Fraction(0)], [succ[min(ys)]]
+    for y in sorted(ys):
+        bps += [y - half, y + half]
+        vals += [succ[y], succ[y]]
+    bps.append(Fraction(1))
+    vals.append(succ[max(ys)])
+    return PiecewiseLinearMap(tuple(bps), tuple(vals)), ys[0]
+
+
+def residual_detect(t, tol):
+    """Reference: the residual loop |x_{i+p} - x_i| <= tol for every tol."""
+    pts, n = t.points, len(t.points)
+    for p in range(1, n // 2 + 1):
+        k = n - p
+        for i in range(n - p - 1, -1, -1):
+            if abs(pts[i + p] - pts[i]) <= tol:
+                k = i
+            else:
+                break
+        if k + 2 * p <= n:
+            return PeriodicStructure(k, p, tuple(pts[k:k + p]))
+    return None
+
+
+def assert_lasso_holds(t):
+    """t's lasso (k, p) describes its points: the first k + p pairwise
+    distinct, and every later point equal to point k + (i - k) mod p."""
+    k, p = t._lasso
+    pts = t.points
+    assert len(set(pts[:k + p])) == min(len(pts), k + p)
+    assert all(pts[i] == pts[k + (i - k) % p] for i in range(k, len(pts)))

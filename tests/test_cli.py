@@ -329,11 +329,15 @@ class TestErrors:
 
 # SHA-256 of stdout and of the --output file, recorded before the table
 # handlers and the solenoid rows were merged; corrsum/rdet/det print the
-# file's bytes
+# file's bytes.  The --float digests were recorded before float orbits kept
+# their lasso; every float distance on this plateau orbit decides as the
+# exact one does, so they match the exact tables byte for byte
 _GOLDEN = {
     "corrsum": ("5766690ea4dbba10369a62709bb1380ac5b45a06360d05df9b8ddd3c059c7456",) * 2,
+    "corrsum-float": ("5766690ea4dbba10369a62709bb1380ac5b45a06360d05df9b8ddd3c059c7456",) * 2,
     "rdet": ("536ae73c0f94420f7758d91abba8d3a9e6eedf5d1eb9dc515e9f13e51148341d",) * 2,
     "det": ("5411d0c2b1f14ae8d72ae45b1730e2b3ba30dde854fdc398f3ca1f33acdad4b4",) * 2,
+    "det-float": ("5411d0c2b1f14ae8d72ae45b1730e2b3ba30dde854fdc398f3ca1f33acdad4b4",) * 2,
     "solenoid": ("0bf34afd72541f410a181ff7650bbb46f3d7bdad462113dcb8a05a8198284dcb",
                  "0f7a56f6b24e918d67e7b93f3c6e99536caf90f265b40513414ffc1cbaa23246"),
     "report": ("0b91abe56369d74b03754496620e87a5bac16add87bd6e95c89d95377ce45539",) * 2,
@@ -347,6 +351,8 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
               "--epsilon", "9/20", "--schedule", "40,80,160"]
     argv = {"corrsum": ["corrsum", *series], "rdet": ["rdet", *series],
             "det": ["det", *series],
+            "corrsum-float": ["corrsum", *series, "--float"],
+            "det-float": ["det", *series, "--float"],
             "solenoid": ["solenoid", "--r", "5", "--m", "3", "--epsilon", "1/5",
                          "--t-schedule", "2,3,4,5,6"],
             "report": ["prop42", "--depth", "8", "--emit", "report"],

@@ -11,7 +11,7 @@ from rqamaps.constructions import build_prop42, prop42_numeric_map
 from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
                               detect_periodic, evaluate, iterate)
 
-from conftest import random_pl_map
+from conftest import assert_lasso_holds, cycle_map, random_pl_map, residual_detect
 
 IDENTITY = PiecewiseLinearMap.of([0, 1], [0, 1])
 TENT = PiecewiseLinearMap.of([0, "1/2", 1], [0, 1, 0])
@@ -93,6 +93,21 @@ class TestIterate:
         t = iterate(SWAP, F(1, 4), 6)
         assert t.shifted(1).points == t.points[1:]
         assert t.shifted(1).base == F(3, 4)
+        assert t._lasso == t.shifted(1)._lasso == (0, 2)
+
+
+@pytest.mark.parametrize("k, p", [(0, 1), (1, 4), (4, 3), (9, 2)])
+def test_shifted_lasso(k, p):
+    # shifts before, at and past the preperiod, down to a single point
+    f, y0 = cycle_map(random.Random(k + p), k, p)
+    t = iterate(f, y0, 40)
+    assert t._lasso == (k, p)
+    for h in sorted({0, k - 1, k, k + 1, k + p, 39} - {-1}):
+        s = t.shifted(h)
+        assert s.points == t.points[h:]
+        assert s._lasso == (max(0, k - h), p)
+        assert_lasso_holds(s)
+        assert detect_periodic(s, 0) == residual_detect(s, 0)
 
 
 def oracle_orbit(f, x, n):
@@ -135,25 +150,10 @@ def assert_matches_oracle(f, x, n):
     got = outcome(lambda *a: iterate(*a).points, f, x, n)
     assert got == outcome(oracle_orbit, f, x, n)
     if isinstance(got, list):
-        pts = iterate(f, x, n).points
-        assert [bits(evaluate(f, p)) for p in pts[:-1]] == got[1:]
-
-
-def cycle_map(rnd, k, p):
-    """A map whose orbit from its first point y_0 lands on a p-cycle at step
-    k: y_0 -> y_1 -> ... -> y_{k+p-1} -> y_k, each y_i on a plateau sent to
-    its successor, with ramps between the plateaus."""
-    count = k + p
-    ys = [F(2 * i + 1, 2 * count) for i in rnd.sample(range(count), count)]
-    succ = {y: ys[i + 1] if i + 1 < count else ys[k] for i, y in enumerate(ys)}
-    half = F(1, 8 * count)
-    bps, vals = [F(0)], [succ[min(ys)]]
-    for y in sorted(ys):
-        bps += [y - half, y + half]
-        vals += [succ[y], succ[y]]
-    bps.append(F(1))
-    vals.append(succ[max(ys)])
-    return PiecewiseLinearMap(tuple(bps), tuple(vals)), ys[0]
+        t = iterate(f, x, n)
+        assert [bits(evaluate(f, p)) for p in t.points[:-1]] == got[1:]
+        if t._lasso is not None:
+            assert_lasso_holds(t)
 
 
 # lengths just below, at and just past each index where the checkpoint moves
@@ -184,6 +184,9 @@ def test_iterate_matches_oracle_on_cycles(seed, k, p, n):
     for x in (y0, float(y0), big):
         for length in (n, k + p, k + p + 1, k + 2 * p, 2 * (k + p) + p):
             assert_matches_oracle(f, x, length)
+        # a repeat fixes the lasso: big is off the cycle, and lands on y_1
+        assert iterate(f, x, 2 * max(k, p) + p + 1)._lasso == \
+            ((max(k, 1) if x is big else k), p)
     # the orbit stops being evaluated by step 2 max(k, p) + p
     steps, step = [], f._step(True)
     f._step_cache[True] = lambda x: steps.append(x) or step(x)
@@ -281,21 +284,6 @@ class TestDetectPeriodic:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             detect_periodic(Trajectory(F(0), (F(0), F(0))), -1)
-
-
-def residual_detect(t, tol):
-    """Reference: the residual loop |x_{i+p} - x_i| <= tol for every tol."""
-    pts, n = t.points, len(t.points)
-    for p in range(1, n // 2 + 1):
-        k = n - p
-        for i in range(n - p - 1, -1, -1):
-            if abs(pts[i + p] - pts[i]) <= tol:
-                k = i
-            else:
-                break
-        if k + 2 * p <= n:
-            return PeriodicStructure(k, p, tuple(pts[k:k + p]))
-    return None
 
 
 @settings(max_examples=80, deadline=None)

@@ -18,7 +18,8 @@ from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   recurrent_orbit_pairs, report, report_json)
 from rqamaps.rqa import RQAParams, correlation_sum
 
-from conftest import EDGE_EPS, EDGE_SCALES, edge_points
+from conftest import (EDGE_EPS, EDGE_SCALES, assert_lasso_holds, edge_points,
+                      residual_detect)
 
 TWO = PeriodicOrbitData.of(["1/4", "3/4"])
 THREE = PeriodicOrbitData.of(["1/5", "1/2", "4/5"])
@@ -230,6 +231,17 @@ def test_one_rank_table_per_orbit():
                 closed_form_corr_sum(o, m, eps)
                 asymptotic_rdet_finite(o, m, eps)
     assert table.call_count == 1
+
+
+def test_unrolled_cycle_keeps_its_lasso():
+    # the cycle repeated to 2p - 1 points is its own lasso (0, p), seen
+    # only once, so no period is witnessed twice
+    for o in (FIXED, TWO, THREE, PeriodicOrbitData((0.25, 0.5, 0.125))):
+        u = o._unrolled
+        assert u._lasso == (0, o.period)
+        assert_lasso_holds(u)
+        assert detect_periodic(u, 0) is None and residual_detect(u, 0) is None
+        assert rqa._table(u, 1).rank.tolist() == rqa._rank_table(u.points).rank.tolist()
 
 
 def test_report_shape():

@@ -12,14 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from rqamaps import rqa
 from rqamaps.constructions import prop42_positions
-from rqamaps.dynamics import PiecewiseLinearMap, Trajectory, iterate
+from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
+                              detect_periodic, iterate)
 from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
                          recurrence_matrix, rqa_det)
 
-from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT, edge_points, random_pl_map
+from conftest import (EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT, assert_lasso_holds,
+                      cycle_map, edge_points, random_pl_map, residual_detect)
 
 
 def brute_bits(points, m, eps, n):
@@ -362,18 +364,22 @@ def eventually_periodic(rnd, pool, length):
 
 
 def thresholds(rnd, pts):
-    """An orbit distance, one float ulp below and above it, and eps > 1."""
-    d = abs(rnd.choice(pts) - rnd.choice(pts)) or abs(pts[0] - pts[1])
+    """An orbit distance, one float ulp below and above it, and eps > 1;
+    points that are all equal, as on a fixed point, get 1/4 and eps > 1."""
+    d = abs(rnd.choice(pts) - rnd.choice(pts)) or max(pts) - min(pts)
+    if not d:
+        return [type(d)(1) / 4, type(d)(3) / 2]
     if isinstance(d, float):
         return [d, math.nextafter(d, 0), math.nextafter(d, math.inf), 1.5]
     return [d, d - F(1, 2 ** 70), d + F(1, 2 ** 70), F(3, 2)]
 
 
-def assert_one_trajectory_matches_oracle(rnd, pts, m, schedule):
-    """Every count on one Trajectory of ``pts`` (n_max + m points), over
-    every threshold, in a random order, against the dense oracle; the
-    trajectory ranks its points once and keeps one table."""
-    t = Trajectory(pts[0], tuple(pts))
+def assert_one_trajectory_matches_oracle(rnd, pts, m, schedule, lasso=None):
+    """Every count on one Trajectory of ``pts`` (n_max + m points, with the
+    points' ``lasso`` when given), over every threshold, in a random order,
+    against the dense oracle; the trajectory ranks its points once and
+    keeps one table."""
+    t = Trajectory(pts[0], tuple(pts), _lasso=lasso)
 
     def values(eps):
         return estimate_asymptotics(t, m, eps, schedule).values
@@ -398,8 +404,10 @@ def assert_one_trajectory_matches_oracle(rnd, pts, m, schedule):
     for call, want in checks:
         assert call() == want
     assert len(t._rank_cache) == 1
+    # equality and hash ignore the rank table and the lasso
     twin = Trajectory(pts[0], tuple(pts))
     assert t == twin and hash(t) == hash(twin) and not twin._rank_cache
+    assert twin._lasso is None and t._lasso == lasso
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,6 +433,88 @@ def test_sorted_counts_on_periodic_orbits(backend, seed, m):
         mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
         assert mat.popcount == rqa._pair_counts(pts, [n_max], m, eps)[m - 1][0]
     assert_one_trajectory_matches_oracle(rnd, pts, m, schedule)
+
+
+# counts through the lasso that iterate keeps: the k + p lasso points are
+# the classes, against the class scan on a lasso-free twin and the dense
+# oracle, at schedules below k, between k and k + p, and beyond
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 40), st.integers(1, 6), st.booleans(),
+       st.integers(1, 4))
+def test_lasso_counts_match_the_class_scan(seed, k, p, exact, windows):
+    rnd = random.Random(seed)
+    f, y0 = cycle_map(rnd, k, p)
+    x = y0 if exact else float(y0)
+    # long enough for iterate to see the repeat
+    t = iterate(f, x, 2 * max(k, p) + p + windows + rnd.randint(0, 8))
+    assert t._lasso == (k, p)
+    for length in (k + 2 * p - 1, k + 2 * p):
+        if length >= 1:
+            short = iterate(f, x, length)
+            assert short._lasso in (None, (k, p))
+            assert detect_periodic(short, 0) == residual_detect(short, 0)
+    # half the time the trajectory of a later point, before or past k
+    if rnd.random() < 0.5:
+        t = t.shifted(rnd.randint(0, k + p))
+    kt = t._lasso[0]
+    assert detect_periodic(t, 0) == residual_detect(t, 0)
+    for length in (kt + 2 * p - 1, kt + 2 * p):
+        cut = Trajectory(t.base, t.points[:length], _lasso=t._lasso)
+        assert detect_periodic(cut, 0) == residual_detect(cut, 0)
+    # at most 30 points counted, so that the dense oracle stays small; one
+    # scheduled n below k, one in [k, k + p) and one beyond, where they fit.
+    # The oracle check at the end counts windows m and m + 1
+    m = max(1, windows - 1)
+    top = min(len(t) - m, 30)
+    ends = ((1, kt), (max(kt, 1), kt + p), (kt + p, top + 1))
+    schedule = sorted({top} | {rnd.randrange(lo, min(hi, top + 1))
+                               for lo, hi in ends if lo < min(hi, top + 1)})
+    pts = t.points[:top + windows - 1]
+    twin = Trajectory(t.base, t.points)
+    for eps in thresholds(rnd, pts):
+        dense = {w: brute_bits(pts, w, eps, top) for w in range(1, windows + 1)}
+        want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
+                for w in range(1, windows + 1)]
+        assert rqa._pair_counts(t, schedule, windows, eps) == want
+        # the class scan's own classes, from W np.unique passes
+        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule, windows) == want
+    assert len(t._rank_cache) == 1 and twin._rank_cache[0].lasso is None
+    assert_one_trajectory_matches_oracle(rnd, t.points[:top + m], m, schedule, t._lasso)
+
+
+def test_all_distinct_points_are_a_lasso_without_cycle():
+    # distinct points take their indices as classes, with no np.unique pass;
+    # one repeat leaves the classes to the generic scan
+    assert rqa._rank_table([F(1, 3), F(1, 2), F(0), F(1, 7)]).lasso == (4, 1)
+    assert rqa._rank_table([0.5, 0.25, 0.125]).lasso == (3, 1)
+    assert rqa._rank_table([F(1, 3), F(1, 2), F(1, 3)]).lasso is None
+    assert rqa._rank_table([0.5, 0.25, 0.125, 0.25]).lasso is None
+    pts = [k / 64 for k in (5, 1, 9, 33, 17, 2, 40)]
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        assert rqa._pair_counts(pts, [3, 6], 2, 1 / 16) == \
+            [[sum(map(sum, brute_bits(pts, w, 1 / 16, n))) for n in (3, 6)] for w in (1, 2)]
+    assert unique.call_count == 1   # the rank table's own
+
+
+def test_as_float_drops_the_lasso():
+    # an exact 2-cycle a <-> b whose points round to one float: the float
+    # points repeat with period 1, which no lasso of the exact orbit says
+    a, d = F(1, 3), F(1, 2 ** 82)
+    b = a + 4 * d
+    f = PiecewiseLinearMap.of([0, a - d, a + d, b - d, b + d, 1], [b, b, b, a, a, a])
+    t = iterate(f, a, 8)
+    assert t._lasso == (0, 2) and float(a) == float(b)
+    ft = t.as_float()
+    hand = Trajectory(float(a), (float(a),) * 8)
+    assert ft == hand and ft._lasso is None
+    assert detect_periodic(ft, 0) == residual_detect(ft, 0) == \
+        PeriodicStructure(0, 1, (float(a),))
+    for eps in (2.0 ** -90, 0.5):
+        assert rqa._pair_counts(ft, [3, 6], 2, eps) == rqa._pair_counts(hand, [3, 6], 2, eps) \
+            == [[9, 36], [9, 36]]
+    # exactly, a and b are 2^-80 apart
+    assert rqa._pair_counts(t, [3, 6], 2, d) == [[5, 18], [5, 18]]
 
 
 @settings(max_examples=40, deadline=None)
