@@ -11,11 +11,11 @@ from .intervals import (CompactInterval, Configuration, EpsilonPairSet,
                         union_diam, zero_configuration)
 from .dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
                        detect_periodic, evaluate, iterate)
-from .rqa import (RQAParams, RecurrenceMatrix, SeriesEstimate, bowen_distance,
-                  correlation_sum, estimate_asymptotics, recurrence_determinism,
-                  recurrence_matrix, rqa_det)
-from .solenoidal import (AdmissibleSystem, ResourceGuardError, SolenoidalCounts,
-                         Word, asymptotic_corr_sum, count_pairs, diam_m_words,
+from .rqa import (RQAParams, RecurrenceMatrix, ResourceGuardError, SeriesEstimate,
+                  bowen_distance, correlation_sum, estimate_asymptotics,
+                  recurrence_determinism, recurrence_matrix, rqa_det)
+from .solenoidal import (AdmissibleSystem, SolenoidalCounts, Word,
+                         asymptotic_corr_sum, count_pairs, diam_m_words,
                          dist_m_words, interval_of_word, symbolic_trajectory,
                          word_add)
 from .finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,

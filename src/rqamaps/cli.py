@@ -25,7 +25,7 @@ from . import constructions, rqa, solenoidal
 from .dynamics import PiecewiseLinearMap, Trajectory, iterate
 from .intervals import Configuration, epsilon_pairs, extremal_configuration, zero_configuration
 from .rational import as_fraction, fraction_str
-from .solenoidal import ResourceGuardError
+from .rqa import ResourceGuardError
 
 
 def _parse_epsilon(text: str, as_float: bool):

@@ -29,8 +29,8 @@ from fractions import Fraction
 from .dynamics import PiecewiseLinearMap
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import fraction_str
-from .solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
-                         counts_by_window)
+from .rqa import ResourceGuardError
+from .solenoidal import AdmissibleSystem, Word, _level, counts_by_window
 
 Y0 = Fraction(1, 4)
 Y1 = Fraction(3, 4)

@@ -108,11 +108,15 @@ class PiecewiseLinearMap:
 
     @staticmethod
     def from_json(text: str) -> "PiecewiseLinearMap":
-        """Parse a map file; a malformed one raises ValueError."""
+        """Parse a map file, an object whose "breakpoints" and "values" are
+        JSON arrays; a malformed one raises ValueError."""
         data = json.loads(text)
+        keys = ("breakpoints", "values")
+        if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in keys)):
+            raise ValueError('malformed map JSON: need "breakpoints" and "values" arrays')
         try:
             return PiecewiseLinearMap.of(data["breakpoints"], data["values"])
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed map JSON: {exc!r}") from exc
 
 

@@ -109,8 +109,12 @@ class Configuration:
 
     @staticmethod
     def from_json(text: str) -> "Configuration":
-        """Parse a configuration file; a malformed one raises ValueError."""
+        """Parse a configuration file, an array of [lo, hi] arrays; a
+        malformed one raises ValueError."""
         data = json.loads(text)
+        if not (isinstance(data, list)
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in data)):
+            raise ValueError("malformed configuration JSON: need [lo, hi] arrays in an array")
         try:
             return Configuration.of(data)
         except (TypeError, OverflowError) as exc:

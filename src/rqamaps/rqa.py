@@ -39,42 +39,39 @@ the values that pass it also form a rank range, whose ends are found with
 the test itself.  Only these rank ranges are computed per threshold.  A
 :class:`~rqamaps.dynamics.Trajectory` ranks its points on its first count
 and keeps the table, so later counts on it, at any threshold or n, reuse
-it; a plain sequence is ranked on every call.  A trajectory that keeps
-its lasso (k, p), as :func:`~rqamaps.dynamics.iterate` leaves an orbit
-that repeats, ranks only the k + p lasso points: point i takes the rank of
-position i below k and of position k + (i - k) mod p beyond.
+it; a plain sequence is ranked on every call.  Every rank table carries a
+lasso (k, p): point i takes the rank of position i below k and of position
+k + (i - k) mod p beyond, so only the k + p lasso points are ranked.  It is
+the lasso that :func:`~rqamaps.dynamics.iterate` leaves an orbit that
+repeats, and otherwise (their number, 1), a lasso with no cycle.
 
 Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
-:func:`rqa_det`, :func:`estimate_asymptotics`) run over the distinct delay
-vectors ``(x_i, ..., x_{i+W-1})``.  Rows with equal vectors form a class;
-an eventually periodic orbit has at most k + p of them.  Each class is
-weighted by its multiplicity below every scheduled n, and a pair of
-classes adds the product of their weights.  Where the rank table knows
-the lasso, the classes need no search: distinct lasso positions have
-distinct first coordinates, so the classes are the positions c reached
-below n.  Below a scheduled n, a position c < k occurs once if c < n, and
-a cycle position max(0, ceil((n - c) / p)) times.  Points that are all
-distinct are a lasso with no cycle, (their number, 1), whose classes are
-the indices themselves.  Other orbits find their classes with W
-``np.unique`` passes, one offset at a time, and weigh them with
-``np.bincount``.  Either way the classes are sorted by
-their first coordinate, so the classes d >= c that can pass at offset 0
-form a band that starts at c and ends where the first coordinate leaves
-c's range.  The scan reads the band by diagonal offset, as a sheared
-strip: row c holds the classes c + k for offsets k below the widest band,
-and past the last class a sentinel rank that no range contains, with
-weight 0.  The strip is a zero-copy view (:func:`_strip`), so there is no
-triangle below the diagonal to mask and no column beyond the band.  Rows
-are taken in blocks of at most :data:`_BLOCK_ELEMS` entries, each as wide
-as its widest band, and a band wider than that is split into chunks of
-offsets.  Offset 0 of the window is one compare against the range end;
-every later offset is one unsigned range test (:func:`_in_ranges`),
-``(rank - lo) < (hi - lo)`` in the smallest unsigned dtype that holds the
-sentinel, where a rank below lo wraps past every span.  Each off-diagonal
-hit counts twice, the diagonal once; the pointwise test is symmetric in
-both modes (``fl(a - b) = -fl(b - a)`` under IEEE round-to-nearest).  The
-cost is the sum over blocks of rows times their widest band, times W, at
-most O(n^2 W) when every vector is distinct and every pair recurs.
+:func:`rqa_det`, :func:`estimate_asymptotics`) run over classes of indices
+with equal delay vectors ``(x_i, ..., x_{i+W-1})``: the lasso positions c
+reached below n, since every index has the vector of its position.  An
+eventually periodic orbit has at most k + p of them; other points are each
+their own class, repeated values included.  Each class is weighted by its
+multiplicity below every scheduled n, and a pair of classes adds the
+product of their weights: below n, a position c < k occurs once if c < n,
+and a cycle position max(0, ceil((n - c) / p)) times.  The classes are
+sorted by their first coordinate, which they may share, so the classes
+d >= c that can pass at offset 0 form a band that starts at c and ends
+where the first coordinate leaves c's range.  The scan reads the band by
+diagonal offset, as a sheared strip: row c holds the classes c + k for
+offsets k below the widest band, and past the last class a sentinel rank
+that no range contains, with weight 0.  The strip is a zero-copy view
+(:func:`_strip`), so there is no triangle below the diagonal to mask and
+no column beyond the band.  Rows are taken in blocks of at most
+:data:`_BLOCK_ELEMS` entries, each as wide as its widest band, and a band
+wider than that is split into chunks of offsets.  Offset 0 of the window
+is one compare against the range end; every later offset is one unsigned
+range test (:func:`_in_ranges`), ``(rank - lo) < (hi - lo)`` in the
+smallest unsigned dtype that holds the sentinel, where a rank below lo
+wraps past every span.  Each off-diagonal hit counts twice, the diagonal
+once; the pointwise test is symmetric in both modes (``fl(a - b) = -fl(b -
+a)`` under IEEE round-to-nearest).  The cost is the sum over blocks of
+rows times their widest band, times W, at most O(n^2 W) when every index
+is its own class and every pair recurs.  These counts are not guarded.
 
 :func:`_window_counts` keeps the scan over index pairs in index order, at
 one n, for what needs every pair or its position: the bits of
@@ -85,14 +82,17 @@ same ranks and rank ranges as the class scan, with the same unsigned range
 test, over the full n-by-n square in row blocks, at a cost of n^2 W: each
 block tests its rows, extended by W - 1, against every column once, then
 ANDs the test shifted by each offset into the block's hits and counts
-them.  The plot's rows take the window-W hits in place.  The word counts
-of :mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
-instead, and read the rank table, its cuts and :data:`_BLOCK_ELEMS` from
-here.  Every count is serial.
+them.  The plot's rows take the window-W hits in place; a plot of more
+than :func:`max_pairs_limit` pairs raises :class:`ResourceGuardError`
+before its bits are allocated (env RQA_MAX_PAIRS overrides).  The word
+counts of :mod:`rqamaps.solenoidal` do not use it: they walk pairs of
+subtrees instead, and read the rank table, its cuts, :data:`_BLOCK_ELEMS`
+and the guard from here.  Every count is serial.
 """
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -106,6 +106,16 @@ from .rational import Number, as_fraction, scaled
 # Block rows are chosen so that each block temporary has about this many
 # elements (1 MB of float64), which keeps the scan in cache at any n.
 _BLOCK_ELEMS = 1 << 17
+
+_DEFAULT_MAX_PAIRS = 2 ** 26
+
+
+class ResourceGuardError(RuntimeError):
+    """Raised when a pair scan would exceed the configured quadratic budget."""
+
+
+def max_pairs_limit() -> int:
+    return int(os.environ.get("RQA_MAX_PAIRS", str(_DEFAULT_MAX_PAIRS)))
 
 
 @dataclass(frozen=True)
@@ -142,16 +152,17 @@ def bowen_distance(t, i: int, j: int, m: int) -> Number:
 
 class _RankTable(NamedTuple):
     """The threshold-free half of ranking: each point's rank among the
-    distinct values, the distinct values in ascending order, and their
-    common denominator ``scale`` (None for float points).  ``lasso`` is
-    (k, p) when the points at positions below k + p are pairwise distinct
-    and point i >= k has the rank of position k + (i - k) mod p, and None
-    when the table does not know."""
+    distinct values, the distinct values in ascending order, their common
+    denominator ``scale`` (None for float points), and the points' lasso
+    (k, p): point i >= k has the rank of position k + (i - k) mod p.  The
+    k + p lasso positions are the index classes of the pair counts; they
+    may share a value, as on points that are all their own class, (their
+    number, 1)."""
 
     rank: np.ndarray
     values: np.ndarray   # integers over scale (int64 or Python ints), or float64
     scale: int | None
-    lasso: tuple[int, int] | None = None
+    lasso: tuple[int, int]
 
 
 def _int_table(ints: Sequence[int], scale: int) -> _RankTable:
@@ -165,21 +176,13 @@ def _int_table(ints: Sequence[int], scale: int) -> _RankTable:
     # return_index makes np.unique sort stably, as the other rank tables do;
     # its quicksort path alone adds about 0.6 MB of resident sort code
     values, _, rank = np.unique(array, return_index=True, return_inverse=True)
-    return _RankTable(rank, values, scale)
+    return _RankTable(rank, values, scale, (len(rank), 1))
 
 
 def _exact_table(pts: Sequence) -> _RankTable:
-    """The distinct values as integers over the points' common denominator.
-
-    A Fraction's hash costs a modular inverse, so repeated point objects
-    are merged by identity first (``pts`` keeps them alive, so their ids
-    are stable); equal values among the distinct objects then merge as
-    scaled integers, which also sort faster than Fractions.
-    """
-    _, first, which = np.unique(np.array([id(p) for p in pts], dtype=np.uint64),
-                                return_index=True, return_inverse=True)
-    table = _int_table(*scaled([as_fraction(pts[i]) for i in first]))
-    return table._replace(rank=table.rank[which])
+    """The distinct values as integers over the points' common denominator,
+    which sort faster than Fractions."""
+    return _int_table(*scaled([as_fraction(p) for p in pts]))
 
 
 def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +206,7 @@ def _float_table(pts: Sequence) -> _RankTable:
     values, rank = np.unique(np.asarray(pts, dtype=np.float64), return_inverse=True)
     if not np.isfinite(values).all():
         raise ValueError("float points must be finite")
-    return _RankTable(rank, values, None)
+    return _RankTable(rank, values, None, (len(rank), 1))
 
 
 def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -240,20 +243,15 @@ def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, n
 
 
 def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> _RankTable:
-    """The points' rank table, in their own arithmetic.  Given the points'
-    lasso (k, p), only its k + p points are ranked, and point i takes the
-    rank of its position: i below k, k + (i - k) mod p beyond.  Points
-    that are all distinct are a lasso with no cycle, (len(pts), 1)."""
-    head = pts if lasso is None else pts[:sum(lasso)]
-    table = (_float_table if isinstance(pts[0], float) else _exact_table)(head)
-    if lasso is not None:
-        k, p = lasso
-        at = np.arange(len(pts))
-        at[k:] = k + (at[k:] - k) % p
-        return table._replace(rank=table.rank[at], lasso=lasso)
-    if len(table.values) == len(pts):
-        return table._replace(lasso=(len(pts), 1))
-    return table
+    """The points' rank table, in their own arithmetic, through their lasso
+    (k, p): only the first k + p points are ranked, and point i takes the
+    rank of its position, i below k and k + (i - k) mod p beyond.  Points
+    without a known lasso are their own, (len(pts), 1)."""
+    k, p = (len(pts), 1) if lasso is None else lasso
+    table = (_float_table if isinstance(pts[0], float) else _exact_table)(pts[:k + p])
+    at = np.arange(len(pts))
+    at[k:] = k + (at[k:] - k) % p
+    return table._replace(rank=table.rank[at], lasso=(k, p))
 
 
 def _cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -339,18 +337,18 @@ def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  ns: Sequence[int], windows: int,
-                  reduce: Collection[int] | None = None,
-                  lasso: tuple[int, int] | None = None) -> list[list[int] | None]:
+                  ns: Sequence[int], windows: int, lasso: tuple[int, int],
+                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
     """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
-    rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the distinct delay
-    vectors of length ``windows``.
+    rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the index classes
+    of the ranks' lasso.
 
     ``rank`` holds ns[-1] + windows - 1 point ranks, and [lo[r], hi[r]) is
     the rank range of the values close to rank r, a relation that must be
     symmetric and contain r.  ``lasso`` is the ranks' lasso (k, p), as the
-    rank table keeps it, when known.  Only the windows in ``reduce`` (all
-    of them by default) are summed; the others read None.
+    rank table keeps it: rank i >= k equals rank k + (i - k) mod p.  Only
+    the windows in ``reduce`` (all of them by default) are summed; the
+    others read None.
     """
     reduce = range(1, windows + 1) if reduce is None else reduce
     n = ns[-1]
@@ -358,33 +356,22 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # products and totals are integers <= n^2, exact in float64
     if n >= 2 ** 24:
         raise ValueError(f"n = {n} exceeds the exact pair-count limit 2^24")
-    if lasso is None:
-        # classes of equal delay rows, refined one offset at a time; np.unique
-        # sorts its keys, so the classes come out in lexicographic order
-        key = rank[:n].astype(np.int64)
-        for s in range(1, windows):
-            _, cls = np.unique(key, return_inverse=True)
-            key = cls * len(lo) + rank[s:s + n]
-        _, first, cls = np.unique(key, return_index=True, return_inverse=True)
-        # each class's multiplicity below every scheduled n
-        weight = np.array([np.bincount(cls[:k], minlength=len(first)) for k in ns],
-                          dtype=np.float32)
-    else:
-        # the lasso positions c reached below n are the classes, since their
-        # first coordinates differ; sorted by it, they are in lexicographic
-        # order.  Below every scheduled n, a position c < k occurs once if
-        # c < n, and a cycle position at c, c + p, c + 2p, ...
-        k, p = lasso
-        first = np.arange(min(n, k + p))
-        first = first[np.argsort(rank[first])]
-        ahead = np.array(ns)[:, None] - first
-        weight = np.where(first < k, ahead > 0, -(-ahead // p)).clip(0).astype(np.float32)
+    # the lasso positions c reached below n are the classes, since every
+    # index has the delay vector of its position; sorted by their first
+    # coordinate, positions may tie in it.  Below every scheduled n, a
+    # position c < k occurs once if c < n, and a cycle position at c, c + p,
+    # c + 2p, ...
+    k, p = lasso
+    first = np.arange(min(n, k + p))
+    first = first[np.argsort(rank[first])]
+    ahead = np.array(ns)[:, None] - first
+    weight = np.where(first < k, ahead > 0, -(-ahead // p)).clip(0).astype(np.float32)
     u = len(first)
     col, row_lo, span = _unsigned(rank[first + np.arange(windows)[:, None]], lo, hi)
     row_hi = row_lo[0] + span[0]   # offset 0 tests the range end alone
     # classes ascend in their first coordinate, so the classes d >= c that
-    # can pass at offset 0 end where the first coordinate leaves c's range:
-    # class c's band has width >= 1, c itself included
+    # can pass at offset 0 end where the first coordinate leaves c's range,
+    # ties with c included: class c's band has width >= 1, c itself included
     width = np.searchsorted(col[0], row_hi) - np.arange(u)
     # the band as a sheared strip: entry (c, k) is class c + k, and past the
     # last class a sentinel rank that fails every range test, with weight 0
@@ -431,7 +418,7 @@ def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
     need = ns[-1] + windows - 1
     table = _table(t, need)
     return _class_counts(table.rank[:need], *_cuts(table, epsilon, False), ns, windows,
-                         reduce, table.lasso)
+                         table.lasso, reduce)
 
 
 def recurrent_pair_count(t, p: RQAParams) -> int:
@@ -482,6 +469,14 @@ class RecurrenceMatrix:
 
 
 def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
+    """The n-by-n plot, one byte per pair; a plot of more than
+    :func:`max_pairs_limit` pairs raises ResourceGuardError before any of
+    it is allocated."""
+    limit = max_pairs_limit()
+    if p.n * p.n > limit:
+        raise ResourceGuardError(
+            f"a recurrence plot of {p.n}^2 pairs exceeds the guard ({limit}); "
+            "raise RQA_MAX_PAIRS to override")
     bits = np.empty((p.n, p.n), dtype=bool)
     _window_counts(*_ranks(t, p.n + p.m - 1, p.epsilon), p.n, p.m, bits)
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)

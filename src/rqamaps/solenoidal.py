@@ -63,7 +63,6 @@ any level is built (env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -74,16 +73,7 @@ import numpy as np
 from . import rqa
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import Number, as_fraction, fraction_str, scaled
-
-_DEFAULT_MAX_PAIRS = 2 ** 26
-
-
-class ResourceGuardError(RuntimeError):
-    """Raised when a pair scan would exceed the configured quadratic budget."""
-
-
-def max_pairs_limit() -> int:
-    return int(os.environ.get("RQA_MAX_PAIRS", str(_DEFAULT_MAX_PAIRS)))
+from .rqa import ResourceGuardError, max_pairs_limit
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,14 @@ class TestRplot:
             assert run("rplot", *source, "--m", "1", "--epsilon", "1/2", "--n", "6") == 1
             assert capsys.readouterr().err == "error: rplot requires --output\n"
 
+    def test_resource_guard_exit_code_writes_nothing(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("RQA_MAX_PAIRS", "35")
+        out = tmp_path / "plot.pgm"
+        assert run("rplot", "--construction", "prop42", "--depth", "4", "--m", "1",
+                   "--epsilon", "1/2", "--n", "6", "--output", str(out)) == 2
+        assert "6^2 pairs exceeds the guard (35)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
     def test_extremal_bound(self, capsys):
@@ -271,14 +279,17 @@ class TestErrors:
                                       '{"breakpoints": [0, null, 1], "values": [0, 1, 0]}',
                                       '{"breakpoints": 5, "values": 3}',
                                       '{"breakpoints": [0, "1/0", 1], "values": [0, 1, 0]}',
-                                      '{"breakpoints": [false, true], "values": [true, false]}'])
+                                      '{"breakpoints": [false, true], "values": [true, false]}',
+                                      '{"breakpoints": "01", "values": "10"}',
+                                      '{"breakpoints": {"0": 5, "1": 6}, "values": [1, 0]}'])
     def test_malformed_map_file_exits_one(self, tmp_path, text):
         path = tmp_path / "map.json"
         path.write_text(text)
         assert run("corrsum", "--map", str(path), "--x0", "1/3",
                    "--m", "1", "--epsilon", "1/2", "--n", "3") == 1
 
-    @pytest.mark.parametrize("text", ['[[0, null]]', '[5]', '[[0, Infinity]]', '[[0, "1/0"]]'])
+    @pytest.mark.parametrize("text", ['[[0, null]]', '[5]', '[[0, Infinity]]', '[[0, "1/0"]]',
+                                      '["01", "23"]', '[[0, 1, 2]]'])
     def test_malformed_configuration_file_exits_one(self, tmp_path, text):
         path = tmp_path / "conf.json"
         path.write_text(text)
@@ -342,6 +353,15 @@ _GOLDEN = {
                  "0f7a56f6b24e918d67e7b93f3c6e99536caf90f265b40513414ffc1cbaa23246"),
     "report": ("0b91abe56369d74b03754496620e87a5bac16add87bd6e95c89d95377ce45539",) * 2,
     "positions": ("0a35bffdb8c7c463a96cbb4de47bd26312b1f57f40b5ea44bc54b9594af2cd3c",) * 2,
+    # recorded while lasso-free points with repeated values still found their
+    # classes with np.unique: at depth 10 the 4094 prop42 positions round to
+    # 2688 distinct floats, and every index is now its own class
+    "corrsum-prop42-float":
+        ("f5e9b82215f51c84ddfc0af254f71d71577345675b3970f2392be100397a5f09",) * 2,
+    "det-prop42-float":
+        ("b7a3255dd65d33b30a0c90d3827b2a0b156d5fa243f18c6189fe0f3ea2f26f7b",) * 2,
+    "det2-prop42-float":
+        ("31153a38ac8bf7b25f81a139920d449d79d6e83f9fbd252b96835213b3ba54a8",) * 2,
 }
 
 
@@ -349,6 +369,7 @@ _GOLDEN = {
 def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
     series = ["--map", plateau_map_file, "--x0", "21/100", "--m", "2",
               "--epsilon", "9/20", "--schedule", "40,80,160"]
+    prop42_float = ["--construction", "prop42", "--depth", "10", "--float", "--epsilon", "1/2"]
     argv = {"corrsum": ["corrsum", *series], "rdet": ["rdet", *series],
             "det": ["det", *series],
             "corrsum-float": ["corrsum", *series, "--float"],
@@ -356,7 +377,13 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
             "solenoid": ["solenoid", "--r", "5", "--m", "3", "--epsilon", "1/5",
                          "--t-schedule", "2,3,4,5,6"],
             "report": ["prop42", "--depth", "8", "--emit", "report"],
-            "positions": ["prop42", "--depth", "4", "--emit", "positions"]}[name]
+            "positions": ["prop42", "--depth", "4", "--emit", "positions"],
+            "corrsum-prop42-float": ["corrsum", *prop42_float, "--m", "1",
+                                     "--schedule", "1024,2048,4093"],
+            "det-prop42-float": ["det", *prop42_float, "--m", "1",
+                                 "--schedule", "1024,2048,4093"],
+            "det2-prop42-float": ["det", *prop42_float, "--m", "2",
+                                  "--schedule", "1024,2048,4092"]}[name]
     out = tmp_path / "artifact"
     assert run(*argv) == 0
     printed = capsys.readouterr().out.encode()

@@ -311,6 +311,15 @@ class TestSerialization:
         f = SWAP
         assert PiecewiseLinearMap.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("text", ['{"breakpoints": "01", "values": "10"}',
+                                      '{"breakpoints": {"0": 5, "1": 6}, "values": [1, 0]}',
+                                      '{"breakpoints": [0, 1], "values": "10"}',
+                                      '{"breakpoints": [0, 1]}', '[[0, 1], [1, 0]]', '"01"'])
+    def test_map_json_needs_two_arrays(self, text):
+        # strings and objects are iterable, but no map file holds them
+        with pytest.raises(ValueError, match="malformed map JSON"):
+            PiecewiseLinearMap.from_json(text)
+
     def test_trajectory_csv(self, tmp_path):
         from rqamaps.dynamics import write_trajectory_csv
         t = iterate(SWAP, F(1, 4), 3)

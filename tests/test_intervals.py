@@ -93,6 +93,17 @@ class TestConfiguration:
         assert again == c
         assert json.loads(c.to_json()) == [["0", "1/3"], ["1/2", "2/3"]]
 
+    @pytest.mark.parametrize("text", ['["01", "23"]', '[[0, 1], "23"]', '[[0, 1, 2]]',
+                                      '[[0]]', '{"0": [0, 1]}', '"01"'])
+    def test_json_needs_an_array_of_pairs(self, text):
+        # strings and objects are iterable, but no configuration file holds them
+        with pytest.raises(ValueError, match="malformed configuration JSON"):
+            Configuration.from_json(text)
+
+    def test_of_stays_lenient(self):
+        # library callers may pass any iterable of pairs
+        assert Configuration.of(["01", "23"]) == Configuration.of([(0, 1), (2, 3)])
+
 
 class TestEpsilonPairs:
     def test_single_small_interval_empty(self):

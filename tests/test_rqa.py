@@ -192,6 +192,18 @@ class TestRecurrenceMatrix:
             assert (mat.bits == mat.bits.T).all()
             assert mat.bits.diagonal().all()
 
+    def test_guard_at_the_pair_budget(self, monkeypatch):
+        # a budget of n^2 pairs allows the plot's n^2 bytes; one pair less
+        # refuses it before anything is allocated
+        p = RQAParams(1, F(1, 2), 5)
+        monkeypatch.setenv("RQA_MAX_PAIRS", "25")
+        assert recurrence_matrix(ALTERNATING, p).popcount == 13
+        monkeypatch.setenv("RQA_MAX_PAIRS", "24")
+        with mock.patch.object(np, "empty", wraps=np.empty) as empty, \
+                pytest.raises(rqa.ResourceGuardError, match=r"5\^2 pairs exceeds the guard \(24\)"):
+            recurrence_matrix(ALTERNATING, p)
+        empty.assert_not_called()
+
     def test_pgm_bytes(self):
         mat = recurrence_matrix(ALTERNATING, RQAParams(1, F(1, 2), 3))
         assert pgm_bytes(mat) == b"P1\n3 3\n1 0 1\n0 1 0\n1 0 1\n"
@@ -477,24 +489,28 @@ def test_lasso_counts_match_the_class_scan(seed, k, p, exact, windows):
         want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
                 for w in range(1, windows + 1)]
         assert rqa._pair_counts(t, schedule, windows, eps) == want
-        # the class scan's own classes, from W np.unique passes
-        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule, windows) == want
-    assert len(t._rank_cache) == 1 and twin._rank_cache[0].lasso is None
+        # the lasso-free twin's index classes, each index its own
+        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule, windows,
+                                 (len(pts), 1)) == want
+    assert len(t._rank_cache) == 1 and twin._rank_cache[0].lasso == (len(twin), 1)
     assert_one_trajectory_matches_oracle(rnd, t.points[:top + m], m, schedule, t._lasso)
 
 
 def test_all_distinct_points_are_a_lasso_without_cycle():
-    # distinct points take their indices as classes, with no np.unique pass;
-    # one repeat leaves the classes to the generic scan
+    # points without a known lasso are a lasso with no cycle, repeated values
+    # or not: each index is its own class, with no np.unique pass
     assert rqa._rank_table([F(1, 3), F(1, 2), F(0), F(1, 7)]).lasso == (4, 1)
     assert rqa._rank_table([0.5, 0.25, 0.125]).lasso == (3, 1)
-    assert rqa._rank_table([F(1, 3), F(1, 2), F(1, 3)]).lasso is None
-    assert rqa._rank_table([0.5, 0.25, 0.125, 0.25]).lasso is None
-    pts = [k / 64 for k in (5, 1, 9, 33, 17, 2, 40)]
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        assert rqa._pair_counts(pts, [3, 6], 2, 1 / 16) == \
-            [[sum(map(sum, brute_bits(pts, w, 1 / 16, n))) for n in (3, 6)] for w in (1, 2)]
-    assert unique.call_count == 1   # the rank table's own
+    assert rqa._rank_table([F(1, 3), F(1, 2), F(1, 3)]).lasso == (3, 1)
+    assert rqa._rank_table([0.5, 0.25, 0.125, 0.25]).lasso == (4, 1)
+    distinct = [k / 64 for k in (5, 1, 9, 33, 17, 2, 40)]
+    repeated = [k / 64 for k in (5, 1, 9, 5, 17, 1, 5)]
+    for pts in (distinct, repeated, [F(x) for x in repeated]):
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            assert rqa._pair_counts(pts, [3, 6], 2, F(1, 16)) == \
+                [[sum(map(sum, brute_bits(pts, w, F(1, 16), n))) for n in (3, 6)]
+                 for w in (1, 2)]
+        assert unique.call_count == 1   # the rank table's own
 
 
 def test_as_float_drops_the_lasso():
@@ -624,7 +640,7 @@ def test_class_scan_memory_stays_within_blocks():
     args = rqa._ranks(iterate(f, 0.3, n + m), n + m, 0.02)
     tracemalloc.start()
     try:
-        rqa._class_counts(*args, [n // 4, n // 2, n], m + 1)
+        rqa._class_counts(*args, [n // 4, n // 2, n], m + 1, (n + m, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -271,6 +271,8 @@ class TestCounts:
         monkeypatch.setenv("RQA_MAX_PAIRS", "15")
         with pytest.raises(ResourceGuardError):
             count_pairs(delahaye5.system, 2, 1, F(1, 5))
+        # one guard for every path, still importable from here
+        assert ResourceGuardError is rqa.ResourceGuardError
 
     def test_guard_env_override(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "16")
