@@ -45,8 +45,8 @@ The trajectory keeps (k, p), so the pair counts of :mod:`rqamaps.rqa` rank
 only those k + p points and take them as the classes of equal delay
 vectors, and :func:`detect_periodic` reads the cycle without a scan.
 Float orbits keep it too: their repeat is the same equality test.  A
-trajectory built by hand, or converted by :meth:`Trajectory.as_float`,
-has none, since two distinct rationals can round to one float.
+trajectory built by hand has none; :meth:`Trajectory.as_float` keeps it
+only when the first k + p floats are pairwise distinct.
 """
 from __future__ import annotations
 
@@ -215,9 +215,15 @@ class Trajectory:
         return Trajectory(self.points[h], self.points[h:], _lasso=lasso)
 
     def as_float(self) -> "Trajectory":
-        """The points as floats, with no lasso: two distinct rationals can
-        round to one float."""
-        return Trajectory(float(self.base), tuple(float(p) for p in self.points))
+        """The points as floats, keeping the lasso (k, p) when the first
+        k + p floats are pairwise distinct: equal rationals round to equal
+        floats, and distinct lasso floats leave no shorter period or
+        preperiod.  Two distinct rationals can round to one float."""
+        pts = tuple(float(p) for p in self.points)
+        lasso = self._lasso
+        if lasso and len(set(pts[:sum(lasso)])) < sum(lasso):
+            lasso = None
+        return Trajectory(float(self.base), pts, _lasso=lasso)
 
 
 def iterate(f: PiecewiseLinearMap, x: Number, n: int) -> Trajectory:

@@ -16,12 +16,13 @@ trajectory's element type).
 
 Pair counting
 -------------
-All of these are read off one pair count ``N_w(n)``, and one pass yields it
-for every window w <= W and every n of an increasing schedule: the window-w
-test is the AND of the pointwise tests at offsets s < w.  Both arithmetic
-modes test points through ranks, in two parts.  The rank table does not
-depend on the threshold: each point's rank among the distinct values, and
-the distinct values in ascending order.  Exact mode holds them as integers
+All of these are read off one pair count ``N_w(n)`` at the windows each
+names (C_m at m, rdet_m at 1 and m, DET_m at 1, m and m + 1), and one pass
+to the widest yields them at every n of an increasing schedule: the
+window-w test is the AND of the pointwise tests at offsets s < w.  Both
+arithmetic modes test points through ranks, in two parts.  The rank table
+does not depend on the threshold: each point's rank among the distinct
+values, and the distinct values in ascending order.  Exact mode holds them as integers
 over a common denominator S (:func:`_int_table`), where ``|x_i - x_j| <=
 eps`` iff ``x_i - e <= x_j <= x_i + e`` with the integer cut ``e =
 floor(eps S)`` (``ceil(eps S) - 1`` for ``< eps``).  :func:`_exact_cuts`
@@ -61,11 +62,12 @@ diagonal offset, as a sheared strip: row c holds the classes c + k for
 offsets k below the widest band, and past the last class a sentinel rank
 that no range contains, with weight 0.  The strip is a zero-copy view
 (:func:`_strip`), so there is no triangle below the diagonal to mask and
-no column beyond the band.  Rows are taken in blocks of at most
-:data:`_BLOCK_ELEMS` entries, each as wide as its widest band, and a band
-wider than that is split into chunks of offsets.  Offset 0 of the window
-is one compare against the range end; every later offset is one unsigned
-range test (:func:`_in_ranges`), ``(rank - lo) < (hi - lo)`` in the
+no column beyond the band.  Rows are taken in blocks as wide as their
+widest band: at least one row, and beyond it the most rows whose block
+holds at most :data:`_BLOCK_ELEMS` entries, so a band wider than that
+takes a block of one row, O(n) entries.  Offset 0 of the window is one
+compare against the range end; every later offset is one unsigned range
+test (:func:`_in_ranges`), ``(rank - lo) < (hi - lo)`` in the
 smallest unsigned dtype that holds the sentinel, where a rank below lo
 wraps past every span.  Each off-diagonal hit counts twice, the diagonal
 once; the pointwise test is symmetric in both modes (``fl(a - b) = -fl(b -
@@ -84,10 +86,11 @@ block tests its rows, extended by W - 1, against every column once, then
 ANDs the test shifted by each offset into the block's hits and counts
 them.  The plot's rows take the window-W hits in place; a plot of more
 than :func:`max_pairs_limit` pairs raises :class:`ResourceGuardError`
-before its bits are allocated (env RQA_MAX_PAIRS overrides).  The word
-counts of :mod:`rqamaps.solenoidal` do not use it: they walk pairs of
-subtrees instead, and read the rank table, its cuts, :data:`_BLOCK_ELEMS`
-and the guard from here.  Every count is serial.
+before its bits are allocated (env RQA_MAX_PAIRS overrides), through
+:func:`_check_pairs`, which the word counts share.  The word counts of
+:mod:`rqamaps.solenoidal` do not use it: they walk pairs of subtrees
+instead, and read the rank table, its cuts, :data:`_BLOCK_ELEMS` and the
+guard from here.  Every count is serial.
 """
 from __future__ import annotations
 
@@ -96,7 +99,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,6 +119,15 @@ class ResourceGuardError(RuntimeError):
 
 def max_pairs_limit() -> int:
     return int(os.environ.get("RQA_MAX_PAIRS", str(_DEFAULT_MAX_PAIRS)))
+
+
+def _check_pairs(what: str, side: int) -> None:
+    """Raise ResourceGuardError when ``what``, of side^2 pairs, exceeds
+    :func:`max_pairs_limit`."""
+    limit = max_pairs_limit()
+    if side * side > limit:
+        raise ResourceGuardError(f"{what} of {side}^2 pairs exceeds the guard ({limit}); "
+                                 "raise RQA_MAX_PAIRS to override")
 
 
 @dataclass(frozen=True)
@@ -179,12 +191,6 @@ def _int_table(ints: Sequence[int], scale: int) -> _RankTable:
     return _RankTable(rank, values, scale, (len(rank), 1))
 
 
-def _exact_table(pts: Sequence) -> _RankTable:
-    """The distinct values as integers over the points' common denominator,
-    which sort faster than Fractions."""
-    return _int_table(*scaled([as_fraction(p) for p in pts]))
-
-
 def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per rank, the half-open rank range of the values within epsilon of
     it (closer than epsilon when ``strict``), decided in exact integers:
@@ -199,14 +205,6 @@ def _exact_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, n
         values = values.astype(object)
     return (np.searchsorted(values, values - e, side="left"),
             np.searchsorted(values, values + e, side="right"))
-
-
-def _float_table(pts: Sequence) -> _RankTable:
-    """The distinct values as float64, each point's rank among them."""
-    values, rank = np.unique(np.asarray(pts, dtype=np.float64), return_inverse=True)
-    if not np.isfinite(values).all():
-        raise ValueError("float points must be finite")
-    return _RankTable(rank, values, None, (len(rank), 1))
 
 
 def _float_cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -246,12 +244,20 @@ def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> _RankTab
     """The points' rank table, in their own arithmetic, through their lasso
     (k, p): only the first k + p points are ranked, and point i takes the
     rank of its position, i below k and k + (i - k) mod p beyond.  Points
-    without a known lasso are their own, (len(pts), 1)."""
+    without a known lasso are their own, (len(pts), 1).  Float values are
+    float64; exact values are integers over the points' common denominator,
+    which sort faster than Fractions."""
     k, p = (len(pts), 1) if lasso is None else lasso
-    table = (_float_table if isinstance(pts[0], float) else _exact_table)(pts[:k + p])
+    if isinstance(pts[0], float):
+        values, rank = np.unique(np.asarray(pts[:k + p], float), return_inverse=True)
+        if not np.isfinite(values).all():
+            raise ValueError("float points must be finite")
+        scale = None
+    else:
+        rank, values, scale, _ = _int_table(*scaled([as_fraction(x) for x in pts[:k + p]]))
     at = np.arange(len(pts))
     at[k:] = k + (at[k:] - k) % p
-    return table._replace(rank=table.rank[at], lasso=(k, p))
+    return _RankTable(rank[at], values, scale, (k, p))
 
 
 def _cuts(table: _RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -336,22 +342,19 @@ def _window_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return counts
 
 
-def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  ns: Sequence[int], windows: int, lasso: tuple[int, int],
-                  reduce: Collection[int] | None = None) -> list[list[int] | None]:
-    """counts[w-1][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
-    rank_{j+s} < hi[rank_{i+s}] for s < w}, counted over the index classes
-    of the ranks' lasso.
+def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray, ns: Sequence[int],
+                  windows: Sequence[int], lasso: tuple[int, int]) -> list[list[int]]:
+    """counts[a][k] = #{(i, j) in [0, ns[k])^2 : lo[rank_{i+s}] <=
+    rank_{j+s} < hi[rank_{i+s}] for s < windows[a]}, counted over the index
+    classes of the ranks' lasso, one row per entry of ``windows``, in any
+    order and with repeats.
 
-    ``rank`` holds ns[-1] + windows - 1 point ranks, and [lo[r], hi[r]) is
-    the rank range of the values close to rank r, a relation that must be
-    symmetric and contain r.  ``lasso`` is the ranks' lasso (k, p), as the
-    rank table keeps it: rank i >= k equals rank k + (i - k) mod p.  Only
-    the windows in ``reduce`` (all of them by default) are summed; the
-    others read None.
+    ``rank`` holds ns[-1] + max(windows) - 1 point ranks, and [lo[r], hi[r])
+    is the rank range of the values close to rank r, a relation that must
+    be symmetric and contain r.  ``lasso`` is the ranks' lasso (k, p), as
+    the rank table keeps it: rank i >= k equals rank k + (i - k) mod p.
     """
-    reduce = range(1, windows + 1) if reduce is None else reduce
-    n = ns[-1]
+    depth, n = max(windows), ns[-1]
     # weights and per-row sums are integers <= n, exact in float32; their
     # products and totals are integers <= n^2, exact in float64
     if n >= 2 ** 24:
@@ -367,7 +370,7 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ahead = np.array(ns)[:, None] - first
     weight = np.where(first < k, ahead > 0, -(-ahead // p)).clip(0).astype(np.float32)
     u = len(first)
-    col, row_lo, span = _unsigned(rank[first + np.arange(windows)[:, None]], lo, hi)
+    col, row_lo, span = _unsigned(rank[first + np.arange(depth)[:, None]], lo, hi)
     row_hi = row_lo[0] + span[0]   # offset 0 tests the range end alone
     # classes ascend in their first coordinate, so the classes d >= c that
     # can pass at offset 0 end where the first coordinate leaves c's range,
@@ -377,53 +380,47 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # last class a sentinel rank that fails every range test, with weight 0
     band = int(width.max())
     col_strip, w_strip = _strip(col, band, len(lo)), _strip(weight, band, 0)
-    totals = np.zeros((windows, len(ns)))
+    totals = np.zeros((depth, len(ns)))
     c0 = 0
     while c0 < u:
-        # the most rows whose block, rows times their widest band, has at
-        # most _BLOCK_ELEMS entries (no more than _BLOCK_ELEMS over the
-        # first row's band); a wider band is split into chunks of offsets
+        # at least one row, and beyond it the most rows whose block, rows
+        # times their widest band, has at most _BLOCK_ELEMS entries (no more
+        # than _BLOCK_ELEMS over the first row's band)
         tall = min(u - c0, max(1, _BLOCK_ELEMS // int(width[c0])))
         widest = np.maximum.accumulate(width[c0:c0 + tall])
         h = max(1, int(np.searchsorted(np.arange(1, tall + 1) * widest, _BLOCK_ELEMS,
                                        side="right")))
         c1, b = c0 + h, int(widest[h - 1])
         w_row = weight[:, c0:c1].astype(np.float64)
-        chunk = max(1, _BLOCK_ELEMS // h)
-        for k0 in range(0, b, chunk):
-            k1 = min(k0 + chunk, b)
-            # at offset 0 every column ranks at or above the row's range start
-            hit = col_strip[0, c0:c1, k0:k1] < row_hi[c0:c1, None]
-            for s in range(windows):
-                if s:
-                    hit &= _in_ranges(col_strip[s, c0:c1, k0:k1],
-                                      row_lo[s, c0:c1, None], span[s, c0:c1, None])
-                if s + 1 not in reduce:
-                    continue
+        # at offset 0 every column ranks at or above the row's range start
+        hit = col_strip[0, c0:c1, :b] < row_hi[c0:c1, None]
+        for s in range(depth):
+            if s:
+                hit &= _in_ranges(col_strip[s, c0:c1, :b],
+                                  row_lo[s, c0:c1, None], span[s, c0:c1, None])
+            if s + 1 in windows:
                 per_row = np.einsum("rk,nrk->nr", hit.astype(np.float32),
-                                    w_strip[:, c0:c1, k0:k1])
+                                    w_strip[:, c0:c1, :b])
                 pairs = np.einsum("nr,nr->n", w_row, per_row)
-                totals[s] += 2 * pairs   # (c, d) and (d, c) ...
-                if k0 == 0:              # ... and (c, c) once
-                    totals[s] -= w_row ** 2 @ hit[:, 0]
+                # (c, d) and (d, c), and the diagonal (c, c), offset 0, once
+                totals[s] += 2 * pairs - w_row ** 2 @ hit[:, 0]
         c0 = c1
     counts = totals.astype(np.int64).tolist()
-    return [counts[w - 1] if w in reduce else None for w in range(1, windows + 1)]
+    return [counts[w - 1] for w in windows]
 
 
-def _pair_counts(t, ns: Sequence[int], windows: int, epsilon,
-                 reduce: Collection[int] | None = None) -> list[list[int] | None]:
-    """N_w(n) for the windows w in ``reduce`` (every w <= windows by
-    default) and n in the increasing schedule ns; other windows read None."""
-    need = ns[-1] + windows - 1
+def _pair_counts(t, ns: Sequence[int], windows: Sequence[int], epsilon) -> list[list[int]]:
+    """N_w(n) for each w of ``windows``, in their order, and n in the
+    increasing schedule ns."""
+    need = ns[-1] + max(windows) - 1
     table = _table(t, need)
     return _class_counts(table.rank[:need], *_cuts(table, epsilon, False), ns, windows,
-                         table.lasso, reduce)
+                         table.lasso)
 
 
 def recurrent_pair_count(t, p: RQAParams) -> int:
     """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
-    return _pair_counts(t, [p.n], p.m, p.epsilon, {p.m})[-1][0]
+    return _pair_counts(t, [p.n], [p.m], p.epsilon)[0][0]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
@@ -437,11 +434,10 @@ def _ratio_series(t, ns: Sequence[int], m: int, epsilon, det: bool) -> list[Frac
     """rdet_m, or DET_m when ``det``, at every n of the increasing schedule
     ns, from one scan."""
     if det and m > 1:
-        counts = _pair_counts(t, ns, m + 1, epsilon, {1, m, m + 1})
         return [Fraction(m * n_m - (m - 1) * n_m1, n1)
-                for n1, n_m, n_m1 in zip(counts[0], counts[m - 1], counts[m])]
-    counts = _pair_counts(t, ns, m, epsilon, {1, m})   # DET_1 = rdet_1
-    return [Fraction(n_m, n1) for n1, n_m in zip(counts[0], counts[m - 1])]
+                for n1, n_m, n_m1 in zip(*_pair_counts(t, ns, [1, m, m + 1], epsilon))]
+    # DET_1 = rdet_1
+    return [Fraction(n_m, n1) for n1, n_m in zip(*_pair_counts(t, ns, [1, m], epsilon))]
 
 
 def recurrence_determinism(t, p: RQAParams) -> Fraction:
@@ -472,11 +468,7 @@ def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:
     """The n-by-n plot, one byte per pair; a plot of more than
     :func:`max_pairs_limit` pairs raises ResourceGuardError before any of
     it is allocated."""
-    limit = max_pairs_limit()
-    if p.n * p.n > limit:
-        raise ResourceGuardError(
-            f"a recurrence plot of {p.n}^2 pairs exceeds the guard ({limit}); "
-            "raise RQA_MAX_PAIRS to override")
+    _check_pairs("a recurrence plot", p.n)
     bits = np.empty((p.n, p.n), dtype=bool)
     _window_counts(*_ranks(t, p.n + p.m - 1, p.epsilon), p.n, p.m, bits)
     return RecurrenceMatrix(n=p.n, m=p.m, epsilon=p.epsilon, bits=bits)
@@ -508,7 +500,7 @@ def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
     if not schedule or any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     RQAParams(m, epsilon, schedule[0])   # validates m, epsilon and every n
-    counts = _pair_counts(t, schedule, m, epsilon, {m})[-1]
+    counts, = _pair_counts(t, schedule, [m], epsilon)
     values = tuple((n, Fraction(c, n * n)) for n, c in zip(schedule, counts))
     tail_len = max(1, int(len(values) * tail_fraction))
     tail = [c for _, c in values[-tail_len:]]

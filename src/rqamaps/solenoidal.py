@@ -73,7 +73,7 @@ import numpy as np
 from . import rqa
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import Number, as_fraction, fraction_str, scaled
-from .rqa import ResourceGuardError, max_pairs_limit
+from .rqa import ResourceGuardError   # re-exported: callers catch it from here
 
 
 @dataclass(frozen=True)
@@ -341,11 +341,8 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         raise ValueError("m_max must be >= 1")
     if t < 1:
         raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
-    p, limit = 2 ** t, max_pairs_limit()
-    if p * p > limit:
-        raise ResourceGuardError(
-            f"{p}^2 pairs exceed the guard ({limit}); "
-            "raise RQA_MAX_PAIRS to override")
+    p = 2 ** t
+    rqa._check_pairs("a word-pair scan", p)
     steps = min(m_max, p)
     strict, closed = _walk(_leaf_tests(*_level(s, t), eps), t, steps).tolist()
     # windows beyond p_t repeat the p_t values

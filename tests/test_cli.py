@@ -201,10 +201,13 @@ class TestSolenoid:
         assert (m, eps, schedule) == (2, F(1, 5), [2, 3])
         assert len(capsys.readouterr().out.splitlines()) == (0 if output else 2)
 
-    def test_resource_guard_exit_code(self, monkeypatch):
+    def test_resource_guard_exit_code(self, monkeypatch, capsys):
         monkeypatch.setenv("RQA_MAX_PAIRS", "4")
         assert run("solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",
                    "--t-schedule", "3") == 2
+        assert capsys.readouterr().err == (
+            "error: a word-pair scan of 8^2 pairs exceeds the guard (4); "
+            "raise RQA_MAX_PAIRS to override\n")
 
 
 class TestConstructionCommands:

@@ -318,7 +318,7 @@ def test_kernel_matches_oracle(backend, seed, m):
     # one block per call, and blocks of one or two rows
     for block_elems in (rqa._BLOCK_ELEMS, 1, 2 * n_max):
         with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
-            assert rqa._pair_counts(pts, schedule, m + 1, eps) == \
+            assert rqa._pair_counts(pts, schedule, range(1, m + 2), eps) == \
                 [[count(w, n) for n in schedule] for w in range(1, m + 2)]
             est = estimate_asymptotics(pts[:n_max + m - 1], m, eps, schedule)
             assert est.values == tuple((n, oracle(m, n)) for n in schedule)
@@ -435,15 +435,15 @@ def test_sorted_counts_on_periodic_orbits(backend, seed, m):
         dense = {w: brute_bits(pts, w, eps, n_max) for w in range(1, m + 2)}
         want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
                 for w in range(1, m + 2)]
-        # one block, blocks of one row with the band split into column
-        # chunks of one or three, and blocks of a few rows
+        # one block, blocks of one row whose band may be wider than
+        # _BLOCK_ELEMS (1 or 3), and blocks of a few rows
         for block_elems in (rqa._BLOCK_ELEMS, 1, 3, 4 * n_max):
             with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
                 for k in range(1, len(schedule) + 1):
-                    got = rqa._pair_counts(pts, schedule[:k], m + 1, eps)
+                    got = rqa._pair_counts(pts, schedule[:k], range(1, m + 2), eps)
                     assert got == [row[:k] for row in want]
         mat = recurrence_matrix(pts, RQAParams(m, eps, n_max))
-        assert mat.popcount == rqa._pair_counts(pts, [n_max], m, eps)[m - 1][0]
+        assert mat.popcount == rqa._pair_counts(pts, [n_max], [m], eps)[0][0]
     assert_one_trajectory_matches_oracle(rnd, pts, m, schedule)
 
 
@@ -488,10 +488,10 @@ def test_lasso_counts_match_the_class_scan(seed, k, p, exact, windows):
         dense = {w: brute_bits(pts, w, eps, top) for w in range(1, windows + 1)}
         want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
                 for w in range(1, windows + 1)]
-        assert rqa._pair_counts(t, schedule, windows, eps) == want
+        assert rqa._pair_counts(t, schedule, range(1, windows + 1), eps) == want
         # the lasso-free twin's index classes, each index its own
-        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule, windows,
-                                 (len(pts), 1)) == want
+        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule,
+                                 range(1, windows + 1), (len(pts), 1)) == want
     assert len(t._rank_cache) == 1 and twin._rank_cache[0].lasso == (len(twin), 1)
     assert_one_trajectory_matches_oracle(rnd, t.points[:top + m], m, schedule, t._lasso)
 
@@ -507,7 +507,7 @@ def test_all_distinct_points_are_a_lasso_without_cycle():
     repeated = [k / 64 for k in (5, 1, 9, 5, 17, 1, 5)]
     for pts in (distinct, repeated, [F(x) for x in repeated]):
         with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-            assert rqa._pair_counts(pts, [3, 6], 2, F(1, 16)) == \
+            assert rqa._pair_counts(pts, [3, 6], [1, 2], F(1, 16)) == \
                 [[sum(map(sum, brute_bits(pts, w, F(1, 16), n))) for n in (3, 6)]
                  for w in (1, 2)]
         assert unique.call_count == 1   # the rank table's own
@@ -527,26 +527,85 @@ def test_as_float_drops_the_lasso():
     assert detect_periodic(ft, 0) == residual_detect(ft, 0) == \
         PeriodicStructure(0, 1, (float(a),))
     for eps in (2.0 ** -90, 0.5):
-        assert rqa._pair_counts(ft, [3, 6], 2, eps) == rqa._pair_counts(hand, [3, 6], 2, eps) \
+        assert rqa._pair_counts(ft, [3, 6], [1, 2], eps) == \
+            rqa._pair_counts(hand, [3, 6], [1, 2], eps) \
             == [[9, 36], [9, 36]]
     # exactly, a and b are 2^-80 apart
-    assert rqa._pair_counts(t, [3, 6], 2, d) == [[5, 18], [5, 18]]
+    assert rqa._pair_counts(t, [3, 6], [1, 2], d) == [[5, 18], [5, 18]]
+
+
+@pytest.mark.parametrize("k, p", [(0, 1), (0, 3), (3, 4), (6, 2)])
+def test_as_float_keeps_a_lasso_of_distinct_floats(k, p):
+    # cycle_map's lasso points are distinct multiples of 1/(2(k + p)), and so
+    # are their floats: the float trajectory keeps (k, p) and counts through
+    # it, as its hand-built twin and the dense oracle count
+    f, y0 = cycle_map(random.Random(k + p), k, p)
+    t = iterate(f, y0, 50)
+    ft = t.as_float()
+    assert t._lasso == ft._lasso == (k, p)
+    assert_lasso_holds(ft)
+    hand = Trajectory(ft.base, ft.points)
+    assert ft == hand and hand._lasso is None
+    assert detect_periodic(ft, 0) == residual_detect(ft, 0) == detect_periodic(hand, 0)
+    schedule = [k + p, 45]
+    for eps in thresholds(random.Random(k), ft.points):
+        dense = {w: brute_bits(ft.points, w, eps, 45) for w in (1, 2, 3)}
+        want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
+                for w in (1, 2, 3)]
+        assert rqa._pair_counts(ft, schedule, [1, 2, 3], eps) == \
+            rqa._pair_counts(hand, schedule, [1, 2, 3], eps) == want
+    assert ft._rank_cache[0].lasso == (k, p)
+
+
+def test_as_float_drops_the_lasso_of_a_short_shift():
+    # past the preperiod a shift keeps the lasso (0, p); once fewer than p
+    # points are left, their floats cannot show the whole cycle distinct
+    k, p = 3, 4
+    f, y0 = cycle_map(random.Random(7), k, p)
+    t = iterate(f, y0, 10)
+    for h in (k + 1, 6, 7, 9):
+        s = t.shifted(h)
+        assert s._lasso == (0, p)
+        ft = s.as_float()
+        assert ft._lasso == ((0, p) if len(s) >= p else None)
+        assert detect_periodic(ft, 0) == residual_detect(ft, 0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 4))
 def test_reduced_windows_match_all_windows(backend, seed, windows):
-    # windows left out of the reduction read None; the others are unchanged
+    # a subset of the windows reads the matching rows of the full scan
     rnd = random.Random(seed)
     n_max = rnd.randint(1, 30)
     pts = eventually_periodic(rnd, _ORBIT_POOLS[backend], n_max + windows)
     schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, min(n_max, 4))))
-    reduce = set(rnd.sample(range(1, windows + 1), rnd.randint(1, windows)))
+    request = sorted(rnd.sample(range(1, windows + 1), rnd.randint(1, windows)))
     for eps in thresholds(rnd, pts):
-        full = rqa._pair_counts(pts, schedule, windows, eps)
+        full = rqa._pair_counts(pts, schedule, range(1, windows + 1), eps)
         with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
-            got = rqa._pair_counts(pts, schedule, windows, eps, reduce=reduce)
-        assert got == [row if w in reduce else None for w, row in enumerate(full, 1)]
+            got = rqa._pair_counts(pts, schedule, request, eps)
+        assert got == [full[w - 1] for w in request]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 4))
+def test_window_requests_in_any_order(backend, seed, m):
+    # a shuffled request with repeats, such as [m, 1, m], reads the full
+    # scan's rows in request order; [1, 1], as rqa_det asks at m = 1, reads
+    # window 1 twice, against the dense oracle
+    rnd = random.Random(seed)
+    n_max = rnd.randint(1, 30)
+    pts = eventually_periodic(rnd, _ORBIT_POOLS[backend], n_max + m)
+    schedule = sorted(rnd.sample(range(1, n_max + 1), rnd.randint(1, min(n_max, 4))))
+    request = [m, 1, m] + rnd.choices(range(1, m + 1), k=rnd.randint(0, 3))
+    rnd.shuffle(request)
+    for eps in thresholds(rnd, pts):
+        full = rqa._pair_counts(pts, schedule, range(1, m + 1), eps)
+        ones = [sum(sum(row[:n]) for row in brute_bits(pts, 1, eps, n)) for n in schedule]
+        with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
+            assert rqa._pair_counts(pts, schedule, request, eps) == \
+                [full[w - 1] for w in request]
+            assert rqa._pair_counts(pts[:n_max], schedule, [1, 1], eps) == [ones, ones]
 
 
 @pytest.mark.parametrize("scale", EDGE_SCALES)
@@ -604,15 +663,16 @@ def test_counts_at_the_rank_dtype_edges(distinct, exact):
         for m in (1, 2, 3):
             schedule = [10, 25, 43 - m]
             dense = {w: brute_bits(t.points, w, eps, schedule[-1]) for w in (1, m)}
-            assert rqa._pair_counts(t, schedule, m, eps, {1, m}) == [
+            assert rqa._pair_counts(t, schedule, [1, m], eps) == [
                 [sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
-                if w in (1, m) else None for w in range(1, m + 1)]
+                for w in (1, m)]
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_wide_band_split_into_offset_chunks(exact):
+def test_wide_band_in_a_one_row_block(exact):
     # one class whose band covers a cluster of values above it, the others
-    # narrow: blocks of one row split the wide band into chunks of offsets
+    # narrow: a band wider than _BLOCK_ELEMS takes a block of one row, as
+    # wide as that band
     rnd = random.Random(5)
     unit = F(1, 9) if exact else 0.125
     ks = list(range(7)) + [20 * (i + 1) for i in range(12)]
@@ -627,7 +687,7 @@ def test_wide_band_split_into_offset_chunks(exact):
                 for w in range(1, m + 1)]
         for block_elems in (1, b - 1, b, b + 1):
             with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
-                assert rqa._pair_counts(pts, [n // 2, n], m, eps) == want
+                assert rqa._pair_counts(pts, [n // 2, n], range(1, m + 1), eps) == want
 
 
 def test_class_scan_memory_stays_within_blocks():
@@ -640,7 +700,7 @@ def test_class_scan_memory_stays_within_blocks():
     args = rqa._ranks(iterate(f, 0.3, n + m), n + m, 0.02)
     tracemalloc.start()
     try:
-        rqa._class_counts(*args, [n // 4, n // 2, n], m + 1, (n + m, 1))
+        rqa._class_counts(*args, [n // 4, n // 2, n], range(1, m + 2), (n + m, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
