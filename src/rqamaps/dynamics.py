@@ -41,9 +41,9 @@ the minimal period; the preperiod k is the first i with x_i = x_{i+p}, at
 most c, found in k + 1 comparisons.  The k + p points x_0, ..., x_{k+p-1}
 are pairwise distinct, or the orbit would have closed earlier, and every
 later point repeats one of them: x_i = x_{k + (i - k) mod p} for i >= k.
-The trajectory keeps (k, p), so the pair counts of :mod:`rqamaps.rqa` rank
-only those k + p points and take them as the classes of equal delay
-vectors, and :func:`detect_periodic` reads the cycle without a scan.
+The trajectory keeps (k, p), so the rank table of :mod:`rqamaps.ranks`
+holds only those k + p points, the pair counts take them as the classes
+of equal delay vectors, and :func:`detect_periodic` reads the cycle without a scan.
 Float orbits keep it too: their repeat is the same equality test.  A
 trajectory built by hand has none; :meth:`Trajectory.as_float` keeps it
 only when the first k + p floats are pairwise distinct.
@@ -188,7 +188,7 @@ def evaluate(f: PiecewiseLinearMap, x: Number) -> Number:
 class Trajectory:
     """Finite orbit segment: points[i] is the i-th iterate of ``base``.
 
-    The pair counts of :mod:`rqamaps.rqa` keep the points' rank table in
+    The pair counts keep the points' rank table (:mod:`rqamaps.ranks`) in
     ``_rank_cache`` (at most one, built on the first count).  ``_lasso``
     is (k, p) when the first k + p points are known to be pairwise
     distinct and point i >= k to equal point k + (i - k) mod p (see

@@ -12,15 +12,15 @@ c_m / c_1 and equals exactly 1 whenever eps is below the smallest spatial
 gap of the orbit.
 
 A p-cycle is counted as what it is, the trajectory of y_0: the index-order
-pair scan of :mod:`rqamaps.rqa` over its first p indices gives every
+pair scan ``rqa.window_counts`` over its first p indices gives every
 window 1..m at once.  The orbit keeps that trajectory, the cycle repeated
-to 2p - 1 points, and the trajectory keeps its rank table, so every count
-on one orbit, at any m or eps, ranks the cycle once.  A threshold is
-excluded exactly when some pair sits at Bowen distance eps, that is when
-the count with ``<= eps`` differs from the count with ``< eps``; the
-warning needs no list of the p^2 distances.  Exact orbits are compared
-exactly; float orbits compare float distances against eps itself, as every
-float count does.
+to 2p - 1 points, and the trajectory keeps its rank table (``ranks.table``),
+so every count on one orbit, at any m or eps, ranks the cycle once.  A
+threshold is excluded exactly when some pair sits at Bowen distance eps,
+that is when the count with ``<= eps`` differs from the count with ``<
+eps``; the warning needs no list of the p^2 distances.  Exact orbits are
+compared exactly; float orbits compare float distances against eps
+itself, as every float count does.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .dynamics import PeriodicStructure, Trajectory
 from .rational import Number, as_fraction, fraction_str
-from .rqa import _ranks, _window_counts
+from .rqa import window_counts
 
 
 class ExcludedEpsilonWarning(UserWarning):
@@ -108,7 +108,7 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
         raise ValueError("epsilon must be positive")
     p = o.period
     steps = min(m, p)   # offsets repeat mod p
-    counts = _window_counts(*_ranks(o._unrolled, p + steps - 1, eps, strict), p, steps)
+    counts = window_counts(o._unrolled, p, steps, eps, strict)
     return counts + counts[-1:] * (m - steps)
 
 

@@ -1,0 +1,201 @@
+"""The threshold-free rank layer under every pair count.
+
+The trajectory counts of :mod:`rqamaps.rqa`, the finite cycles of
+:mod:`rqamaps.finite_omega` and the interval endpoints of the word counts
+of :mod:`rqamaps.solenoidal` all test points through ranks, in two parts.
+The rank table (:class:`RankTable`) does not depend on the threshold:
+each point's rank among the distinct values, and the distinct values in
+ascending order.  The cuts (:func:`cuts`) are computed per threshold: for
+every rank, the half-open rank range of the values within eps of it, so
+a pair passes iff the rank of one point lies in the range of the other.
+
+Exact values are held as integers over a common denominator S
+(:func:`int_table`), where ``|x_i - x_j| <= eps`` iff ``x_i - e <= x_j <=
+x_i + e`` with the integer cut ``e = floor(eps S)`` (``ceil(eps S) - 1``
+for ``< eps``).  Two ``searchsorted`` calls find the rank range of [v - e,
+v + e] for every distinct value v, so every pair is decided exactly,
+whatever the size of the denominator.  The values are int64 while they
+fit and Python ints otherwise, never a dtype numpy infers, which could
+wrap as uint64; the cut stays in int64 while ``max|v| + e < 2^63`` and
+runs over Python ints beyond.  Float values keep the test ``|fl(x_i -
+x_j)| <= eps`` against eps itself, float or exact: it runs at the float
+nearest eps, moved onto eps's side of the comparison, which decides every
+float distance as eps does.  Rounding is monotone, so the values that
+pass it also form a rank range, whose ends are found with the test
+itself.
+
+Every table carries a lasso (k, p): point i takes the rank of position i
+below k and of position k + (i - k) mod p beyond.  Only the k + p lasso
+points are ranked and kept, and :meth:`RankTable.ranks` reads the ranks
+of a prefix through the lasso, so a count holds no more ranks than it
+reads.  It is the lasso that :func:`~rqamaps.dynamics.iterate` leaves an
+orbit that repeats, and otherwise (their number, 1), a lasso with no
+cycle.  A :class:`~rqamaps.dynamics.Trajectory` ranks its points on its
+first count and keeps the table (:func:`table`), so later counts on it,
+at any threshold or n, reuse it; a plain sequence is ranked on every
+call.
+
+The scans test a rank against a range with one unsigned compare
+(:func:`in_ranges`) and take their temporaries in blocks of about
+:data:`BLOCK_ELEMS` entries, which they read at call time.  The one
+resource guard, :func:`check_pairs`, refuses a scan of more than
+``RQA_MAX_PAIRS`` pairs (default 2^26) with :class:`ResourceGuardError`
+before its work starts.
+"""
+from __future__ import annotations
+
+import math
+import os
+import sys
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from .dynamics import Trajectory
+from .rational import as_fraction, scaled
+
+# Block rows are chosen so that each block temporary has about this many
+# elements (1 MB of float64), which keeps the scan in cache at any n.
+BLOCK_ELEMS = 1 << 17
+
+
+class ResourceGuardError(RuntimeError):
+    """Raised when a pair scan would exceed the configured quadratic budget."""
+
+
+def check_pairs(what: str, side: int) -> None:
+    """Raise ResourceGuardError when ``what``, of side^2 pairs, exceeds the
+    budget ``RQA_MAX_PAIRS`` (default 2^26)."""
+    limit = int(os.environ.get("RQA_MAX_PAIRS", str(2 ** 26)))
+    if side * side > limit:
+        raise ResourceGuardError(f"{what} of {side}^2 pairs exceeds the guard ({limit}); "
+                                 "raise RQA_MAX_PAIRS to override")
+
+
+class RankTable(NamedTuple):
+    """The ranks of the points' lasso positions among the distinct values,
+    the distinct values in ascending order, their common denominator
+    ``scale`` (None for float points), and the lasso (k, p).  ``rank``
+    holds min(k + p, number of points) entries; the k + p lasso positions
+    are the index classes of the pair counts, and may share a value, as on
+    points that are all their own class, (their number, 1)."""
+
+    rank: np.ndarray
+    values: np.ndarray   # integers over scale (int64 or Python ints), or float64
+    scale: int | None
+    lasso: tuple[int, int]
+
+    def ranks(self, count: int) -> np.ndarray:
+        """The ranks of the first ``count`` points, read through the lasso;
+        ``count`` is at most the number of points."""
+        if count <= len(self.rank):
+            return self.rank[:count]
+        k, p = self.lasso
+        # the cycle's ranks, repeated as often as the count needs
+        return np.concatenate((self.rank[:k],) + (self.rank[k:],) * -(-(count - k) // p))[:count]
+
+
+def int_table(ints: Sequence[int], scale: int) -> RankTable:
+    """The rank table of the integers ``ints`` over ``scale``, a lasso with
+    no cycle."""
+    try:
+        array = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        array = np.array(ints, dtype=object)
+    # return_index makes np.unique sort stably, as the other rank tables do;
+    # its quicksort path alone adds about 0.6 MB of resident sort code
+    values, _, rank = np.unique(array, return_index=True, return_inverse=True)
+    return RankTable(rank, values, scale, (len(rank), 1))
+
+
+def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> RankTable:
+    """The rank table of the points' first k + p, in their own arithmetic,
+    for their lasso (k, p); points without a known lasso are their own,
+    (len(pts), 1).  Exact values are integers over the points' common
+    denominator, which sort faster than Fractions."""
+    k, p = (len(pts), 1) if lasso is None else lasso
+    if isinstance(pts[0], float):
+        values, rank = np.unique(np.asarray(pts[:k + p], float), return_inverse=True)
+        if not np.isfinite(values).all():
+            raise ValueError("float points must be finite")
+        return RankTable(rank, values, None, (k, p))
+    return int_table(*scaled([as_fraction(x) for x in pts[:k + p]]))._replace(lasso=(k, p))
+
+
+def table(t, need: int) -> RankTable:
+    """The rank table of at least the first ``need`` points of t.  A
+    Trajectory ranks its points on its first count, through its lasso when
+    it keeps one, and keeps the table; a plain sequence ranks its first
+    ``need`` points on every call."""
+    pts = t.points if isinstance(t, Trajectory) else t
+    if len(pts) < need:
+        raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
+    if not isinstance(t, Trajectory):
+        return _rank_table(pts[:need])
+    if not t._rank_cache:
+        t._rank_cache.append(_rank_table(pts, t._lasso))
+    return t._rank_cache[0]
+
+
+def _exact_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cuts` in exact integers: an integer distance d is <= eps S
+    iff d <= floor(eps S), and < eps S iff d <= ceil(eps S) - 1."""
+    eps = as_fraction(epsilon)
+    num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
+    e = -(-num // den) - 1 if strict else num // den
+    values = table.values
+    if values.dtype == np.int64 and max(-int(values[0]), int(values[-1])) + e >= 2 ** 63:
+        values = values.astype(object)
+    return (np.searchsorted(values, values - e, side="left"),
+            np.searchsorted(values, values + e, side="right"))
+
+
+def _float_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cuts` for ``|fl(x_i - x_j)| <= epsilon`` (``< epsilon`` when
+    ``strict``) at the float eps that decides every float distance as
+    epsilon does.  ``searchsorted`` on ``fl(x +- eps)`` lands within an
+    ulp of each range's ends, and a few steps of the test itself find them
+    exactly."""
+    values, last = table.values, len(table.values) - 1
+    # float() raises above the float range, where eps, like inf, exceeds
+    # every finite float
+    eps = math.inf if epsilon > sys.float_info.max else float(epsilon)
+    if strict and eps < epsilon:
+        eps = math.nextafter(eps, math.inf)
+    elif not strict and eps > epsilon:
+        eps = math.nextafter(eps, -math.inf)
+    compare = np.less if strict else np.less_equal
+    # a difference that overflows is inf, which the test then decides
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(values, values - eps, side="left")
+        while (step := ~compare(values - values[lo], eps)).any():
+            lo += step
+        while (step := (lo > 0) & compare(values - values[lo - 1], eps)).any():
+            lo -= step
+        hi = np.searchsorted(values, values + eps, side="right")
+        while (step := ~compare(values[hi - 1] - values, eps)).any():
+            hi -= step
+        while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
+            hi += step
+    return lo, hi
+
+
+def cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank, the half-open rank range of the values within epsilon of
+    it (closer than epsilon when ``strict``), exact or float as the table
+    is."""
+    return (_float_cuts if table.scale is None else _exact_cuts)(table, epsilon, strict)
+
+
+def unsigned(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``rank``, and the start and length of each entry's rank range, in
+    the smallest unsigned dtype that holds len(lo), for :func:`in_ranges`."""
+    dtype = np.min_scalar_type(len(lo))
+    start = lo[rank]
+    return rank.astype(dtype), start.astype(dtype), (hi[rank] - start).astype(dtype)
+
+
+def in_ranges(col: np.ndarray, start: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """start <= col < start + span, for unsigned ranks: a col below start
+    wraps past every span, so one compare tests both ends."""
+    return (col - start) < span

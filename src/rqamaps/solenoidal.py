@@ -42,12 +42,10 @@ The per-step tests need only order comparisons of endpoints,
                      and both diameters are <= eps,
 
 so the level's endpoints, over its own denominator, go into the rank table
-of the trajectory counts (``rqa._int_table``) and each threshold is a rank
-among them: ``rqa._exact_cuts`` with ``strict=True`` for the gap test and
-``strict=False`` for the hull test.  The table is int64 while the endpoints
-fit and the cut while ``max|v| + e < 2^63``, Python ints otherwise, and every
-pair is decided exactly by small-integer comparisons, whatever the
-denominator.
+of the trajectory counts (``ranks.int_table``) and each threshold is a rank
+among them: ``ranks.cuts`` with ``strict=True`` for the gap test and
+``strict=False`` for the hull test.  Every pair is then decided exactly by
+small-integer comparisons, whatever the denominator.
 
 Each node keeps the min and max of these ranks over its leaves, reduced
 bottom-up by halves.  The walk starts from the root pair and, per pair of
@@ -56,10 +54,10 @@ passes or none does.  A pair whose leading all-pass shifts end at an
 all-fail shift (or at m) adds 4^(t-d) to each of those windows at once;
 any other pair splits into its four child pairs.  At depth t each node is
 one leaf, so every pair left is decided there.  The walk's frontier runs
-in blocks of about ``rqa._BLOCK_ELEMS`` entries, so no temporary grows with
+in blocks of about ``ranks.BLOCK_ELEMS`` entries, so no temporary grows with
 p_t^2.  On the Delahaye systems a few dozen node pairs per test decide all
 p_t^2 leaf pairs.  A resource guard bounds the depth by p_t^2 pairs before
-any level is built (env RQA_MAX_PAIRS overrides).
+any level is built (``ranks.check_pairs``; env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
@@ -70,10 +68,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rqa
+from . import ranks
 from .intervals import CompactInterval, interval_dist, union_diam
+from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 from .rational import Number, as_fraction, fraction_str, scaled
-from .rqa import ResourceGuardError   # re-exported: callers catch it from here
 
 
 @dataclass(frozen=True)
@@ -259,16 +257,16 @@ def _leaf_tests(lo: Sequence[int], hi: Sequence[int], scale: int,
     order: rows (lo, x, y, hi) of 2 p_t entries, interval a of test k at
     k p_t + a (k = 0 strict, 1 closed), such that a and b pass iff
     lo_a <= x_b and y_b < hi_a."""
-    table = rqa._int_table(lo + hi, scale)
+    table = ranks.int_table(lo + hi, scale)
     p, n_values = len(lo), len(table.values)
     rank_lo, rank_hi = table.rank[:p], table.rank[p:]
     # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    near_lo, near_hi = rqa._exact_cuts(table, eps, strict=True)
+    near_lo, near_hi = ranks.cuts(table, eps, strict=True)
     strict = (near_lo[rank_lo], rank_hi, rank_lo, near_hi[rank_hi])
     # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
     # diameters are <= eps: a wider interval gets the out-of-range rank
     # len(values), which fails either comparison as a or as b
-    within_lo, within_hi = rqa._exact_cuts(table, eps, strict=False)
+    within_lo, within_hi = ranks.cuts(table, eps, strict=False)
     closed_hi = within_hi[rank_lo]
     wide = rank_hi >= closed_hi
     closed = (np.where(wide, n_values, within_lo[rank_hi]), rank_lo,
@@ -292,7 +290,7 @@ def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
         lower, upper = (x[0].reshape(4, 2, 2 * h) for x in (mins, maxs))
         mins.insert(0, np.minimum(lower[..., :h], lower[..., h:]).reshape(4, 2 * h))
         maxs.insert(0, np.maximum(upper[..., :h], upper[..., h:]).reshape(4, 2 * h))
-    walk_rows = max(1, rqa._BLOCK_ELEMS // (2 * steps))
+    walk_rows = max(1, ranks.BLOCK_ELEMS // (2 * steps))
     shifts = np.arange(steps)[:, None]
     halves = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])   # of the four child pairs
     by_lead = np.zeros(2 * (steps + 1), dtype=np.int64)
@@ -342,7 +340,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     if t < 1:
         raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
     p = 2 ** t
-    rqa._check_pairs("a word-pair scan", p)
+    ranks.check_pairs("a word-pair scan", p)
     steps = min(m_max, p)
     strict, closed = _walk(_leaf_tests(*_level(s, t), eps), t, steps).tolist()
     # windows beyond p_t repeat the p_t values

@@ -397,7 +397,7 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
 
 
 # SHA-256 of the rplot file, recorded before the index-order scan counted
-# the full square; at the default _BLOCK_ELEMS each plot spans two row
+# the full square; at the default BLOCK_ELEMS each plot spans two row
 # blocks
 _GOLDEN_PLOTS = {
     "prop42": "46eab325784d282f8309a00df42538ac8a8ea4013ee6a2552e121413651e610a",

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqamaps import rqa
+from rqamaps import ranks
 from rqamaps.dynamics import detect_periodic, iterate
 from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   aligned_orbit, asymptotic_rdet_finite,
@@ -172,7 +172,7 @@ _ORBIT_POOLS = {
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_ORBIT_POOLS)), st.integers(0, 10 ** 6), st.integers(1, 5),
-       st.sampled_from([rqa._BLOCK_ELEMS, 16, 1]))
+       st.sampled_from([ranks.BLOCK_ELEMS, 16, 1]))
 def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
     rnd = random.Random(seed)
     pool = _ORBIT_POOLS[kind]
@@ -183,7 +183,7 @@ def test_closed_forms_match_brute_counts(kind, seed, m, block_elems):
         eps = F(eps) + rnd.choice([0, F(1, 10 ** 30), -F(1, 10 ** 30)])
     # one block per cycle, blocks of one row, or, for p = 5-7 at 16 entries
     # per block, blocks of two or three rows with edges inside the cycle
-    with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+    with mock.patch.object(ranks, "BLOCK_ELEMS", block_elems):
         _check_closed_forms(o, m, eps)
 
 
@@ -225,7 +225,7 @@ def test_one_rank_table_per_orbit():
     # every count on one orbit, at any window, at tie and non-tie thresholds,
     # reads the rank table of the orbit's one trajectory
     o = PeriodicOrbitData.of(["1/5", "1/2", "4/5"])
-    with mock.patch.object(rqa, "_rank_table", wraps=rqa._rank_table) as table:
+    with mock.patch.object(ranks, "_rank_table", wraps=ranks._rank_table) as table:
         for m in (1, 2, 3):
             for eps in (F(3, 10), F(9, 20)):
                 closed_form_corr_sum(o, m, eps)
@@ -241,7 +241,8 @@ def test_unrolled_cycle_keeps_its_lasso():
         assert u._lasso == (0, o.period)
         assert_lasso_holds(u)
         assert detect_periodic(u, 0) is None and residual_detect(u, 0) is None
-        assert rqa._table(u, 1).rank.tolist() == rqa._rank_table(u.points).rank.tolist()
+        assert ranks.table(u, 1).ranks(len(u)).tolist() == \
+            ranks._rank_table(u.points).rank.tolist()
 
 
 def test_report_shape():

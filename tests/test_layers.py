@@ -1,0 +1,80 @@
+"""The rank layer has one home, :mod:`rqamaps.ranks`: no module reads its
+private names, the scans of :mod:`rqamaps.rqa` are read by their public
+names only, and nothing else defines a rank table, a cut or the guard."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
+
+# what rqamaps.ranks alone defines
+RANK_LAYER = {"RankTable", "int_table", "_rank_table", "table", "cuts", "_exact_cuts",
+              "_float_cuts", "unsigned", "in_ranges", "BLOCK_ELEMS", "check_pairs",
+              "ResourceGuardError"}
+# the names it had in rqamaps.rqa: an alias left under one would let a stale
+# mock.patch target pass without testing anything
+RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_ranges",
+           "_BLOCK_ELEMS", "_DEFAULT_MAX_PAIRS", "_check_pairs", "max_pairs_limit", "_ranks"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """(module, name) for every private name that ``source`` reads from a
+    module of the package, by import or as a module attribute."""
+    tree = ast.parse(source)
+    modules, reads = {}, set()   # local name -> module of the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "from . import m", "from .m import x" and their absolute forms
+            package = node.level == 1 or (node.module or "").partition(".")[0] == "rqamaps"
+            module = (node.module or "").removeprefix("rqamaps").lstrip(".")
+            if package and not module:
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif package:
+                reads.update((module, a.name) for a in node.names if _private(a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _private(node.attr):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def top_level_names(source):
+    """The names a module defines at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_private_reads_sees_every_form():
+    source = "\n".join([
+        "from . import rqa, ranks as r",
+        "from .rqa import _a, b",
+        "from rqamaps.ranks import _c",
+        "from rqamaps import solenoidal as sol",
+        "x = rqa._d(r._e, sol._f, rqa.g, t._h, rqa.__doc__)",
+    ])
+    assert private_reads(source) == {("rqa", "_a"), ("ranks", "_c"), ("rqa", "_d"),
+                                     ("ranks", "_e"), ("solenoidal", "_f")}
+
+
+def test_rank_layer_has_one_home():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reads = {stem: private_reads(source) for stem, source in sources.items()}
+    assert {(stem, name) for stem, r in reads.items() for module, name in r
+            if module == "ranks"} == set()
+    for stem in ("solenoidal", "finite_omega"):
+        assert {name for module, name in reads[stem] if module == "rqa"} == set()
+        assert "rqa._" not in sources[stem] and "from .rqa import _" not in sources[stem]
+    assert RANK_LAYER <= top_level_names(sources["ranks"])
+    for stem, source in sources.items():
+        defined = top_level_names(source)
+        assert defined & RETIRED == set(), stem
+        assert stem == "ranks" or defined & RANK_LAYER == set(), stem

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rqamaps import rqa
+from rqamaps import ranks, rqa
 from rqamaps.constructions import prop42_positions
 from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
                               detect_periodic, iterate)
@@ -120,16 +120,16 @@ class TestCorrelationSum:
         assert correlation_sum([-top, 0.0, top], RQAParams(1, huge, 3)) == F(7, 9)
         assert correlation_sum([-top, 0.0, top], RQAParams(1, math.inf, 3)) == 1
         for strict in (False, True):
-            _, lo, hi = rqa._ranks([-top, 0.0, top], 3, huge, strict)
+            lo, hi = ranks.cuts(ranks.table([-top, 0.0, top], 3), huge, strict)
             assert lo.tolist() == [0, 0, 1] and hi.tolist() == [2, 3, 3]
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_threshold_below_the_smallest_float(self, strict):
         # fl(eps) is 0.0, yet every point is still within eps of itself
         pts, tiny = [0.0, 5e-324, 0.1], F(1, 10 ** 400)
-        _, lo, hi = rqa._ranks(pts, 3, tiny, strict)
+        lo, hi = ranks.cuts(ranks.table(pts, 3), tiny, strict)
         assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 2, 3]
-        _, lo, hi = rqa._ranks(pts, 3, F(5e-324), strict)
+        lo, hi = ranks.cuts(ranks.table(pts, 3), F(5e-324), strict)
         assert (lo.tolist(), hi.tolist()) == (([0, 1, 2], [1, 2, 3]) if strict
                                               else ([0, 0, 2], [2, 2, 3]))
         assert correlation_sum(pts, RQAParams(1, tiny, 3)) == F(1, 3)
@@ -316,8 +316,8 @@ def test_kernel_matches_oracle(backend, seed, m):
         return F(count(w, n), n * n)
 
     # one block per call, and blocks of one or two rows
-    for block_elems in (rqa._BLOCK_ELEMS, 1, 2 * n_max):
-        with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+    for block_elems in (ranks.BLOCK_ELEMS, 1, 2 * n_max):
+        with mock.patch.object(ranks, "BLOCK_ELEMS", block_elems):
             assert rqa._pair_counts(pts, schedule, range(1, m + 2), eps) == \
                 [[count(w, n) for n in schedule] for w in range(1, m + 2)]
             est = estimate_asymptotics(pts[:n_max + m - 1], m, eps, schedule)
@@ -357,7 +357,7 @@ def test_float_ranks_match_the_test_itself(strict):
     passes = (lambda d, eps: d < eps) if strict else (lambda d, eps: d <= eps)
     for d in sorted({abs(a - b) for a in pool for b in pool if a != b}):
         for eps in (d, math.nextafter(d, 0), math.nextafter(d, 1)):
-            _, lo, hi = rqa._ranks(pool, len(pool), eps, strict)
+            lo, hi = ranks.cuts(ranks.table(pool, len(pool)), eps, strict)
             for r, x in enumerate(values):
                 close = [k for k, y in enumerate(values) if passes(abs(x - y), eps)]
                 assert close == list(range(lo[r], hi[r]))
@@ -436,9 +436,9 @@ def test_sorted_counts_on_periodic_orbits(backend, seed, m):
         want = [[sum(sum(row[:n]) for row in dense[w][:n]) for n in schedule]
                 for w in range(1, m + 2)]
         # one block, blocks of one row whose band may be wider than
-        # _BLOCK_ELEMS (1 or 3), and blocks of a few rows
-        for block_elems in (rqa._BLOCK_ELEMS, 1, 3, 4 * n_max):
-            with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+        # BLOCK_ELEMS (1 or 3), and blocks of a few rows
+        for block_elems in (ranks.BLOCK_ELEMS, 1, 3, 4 * n_max):
+            with mock.patch.object(ranks, "BLOCK_ELEMS", block_elems):
                 for k in range(1, len(schedule) + 1):
                     got = rqa._pair_counts(pts, schedule[:k], range(1, m + 2), eps)
                     assert got == [row[:k] for row in want]
@@ -490,19 +490,59 @@ def test_lasso_counts_match_the_class_scan(seed, k, p, exact, windows):
                 for w in range(1, windows + 1)]
         assert rqa._pair_counts(t, schedule, range(1, windows + 1), eps) == want
         # the lasso-free twin's index classes, each index its own
-        assert rqa._class_counts(*rqa._ranks(twin, len(pts), eps), schedule,
-                                 range(1, windows + 1), (len(pts), 1)) == want
+        table = ranks.table(twin, len(pts))
+        assert rqa._class_counts(table.ranks(len(pts)), *ranks.cuts(table, eps, False),
+                                 schedule, range(1, windows + 1), (len(pts), 1)) == want
     assert len(t._rank_cache) == 1 and twin._rank_cache[0].lasso == (len(twin), 1)
     assert_one_trajectory_matches_oracle(rnd, t.points[:top + m], m, schedule, t._lasso)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 12), st.integers(1, 6))
+def test_lasso_ranks_match_the_points(seed, k, p):
+    # a table keeps only the ranks of its lasso points and reads every
+    # prefix through the lasso as the ranks of the points themselves: on
+    # iterate's lasso, on shifts before and past k, one of them leaving
+    # fewer than k + p points when p > 1, and on their floats
+    rnd = random.Random(seed)
+    f, y0 = cycle_map(rnd, k, p)
+    t = iterate(f, y0, 2 * max(k, p) + p + rnd.randint(0, 10))
+    assert t._lasso == (k, p)
+    shifts = [t.shifted(h) for h in (rnd.randint(0, max(0, k - 1)),
+                                     rnd.randint(k, len(t) - 1), len(t) - max(1, p - 1))]
+    assert len(shifts[-1]) < p or p == 1
+    for u in [t] + shifts + [v.as_float() for v in [t] + shifts]:
+        table = ranks.table(u, len(u))
+        assert len(table.rank) == min(len(u), sum(table.lasso))
+        values = sorted(set(u.points))
+        for count in {1, rnd.randint(1, len(u)), len(u)}:
+            assert table.ranks(count).tolist() == [values.index(x) for x in u.points[:count]]
+
+
+def test_cold_lasso_count_holds_only_its_lasso():
+    # a cold count on a long lasso trajectory ranks and reads only its
+    # k + p lasso points and the W - 1 beyond, never an array as long as
+    # the trajectory, which at 10^6 points would take 8 MB a copy
+    f, y0 = cycle_map(random.Random(3), 5, 7)
+    n = 10 ** 6
+    t = iterate(f, y0, n + 1)
+    tracemalloc.start()
+    try:
+        estimate_asymptotics(t, 2, F(1, 10), [n // 4, n // 2, n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert t._rank_cache[0].lasso == (5, 7) and len(t._rank_cache[0].rank) == 12
 
 
 def test_all_distinct_points_are_a_lasso_without_cycle():
     # points without a known lasso are a lasso with no cycle, repeated values
     # or not: each index is its own class, with no np.unique pass
-    assert rqa._rank_table([F(1, 3), F(1, 2), F(0), F(1, 7)]).lasso == (4, 1)
-    assert rqa._rank_table([0.5, 0.25, 0.125]).lasso == (3, 1)
-    assert rqa._rank_table([F(1, 3), F(1, 2), F(1, 3)]).lasso == (3, 1)
-    assert rqa._rank_table([0.5, 0.25, 0.125, 0.25]).lasso == (4, 1)
+    assert ranks._rank_table([F(1, 3), F(1, 2), F(0), F(1, 7)]).lasso == (4, 1)
+    assert ranks._rank_table([0.5, 0.25, 0.125]).lasso == (3, 1)
+    assert ranks._rank_table([F(1, 3), F(1, 2), F(1, 3)]).lasso == (3, 1)
+    assert ranks._rank_table([0.5, 0.25, 0.125, 0.25]).lasso == (4, 1)
     distinct = [k / 64 for k in (5, 1, 9, 33, 17, 2, 40)]
     repeated = [k / 64 for k in (5, 1, 9, 5, 17, 1, 5)]
     for pts in (distinct, repeated, [F(x) for x in repeated]):
@@ -582,7 +622,7 @@ def test_reduced_windows_match_all_windows(backend, seed, windows):
     request = sorted(rnd.sample(range(1, windows + 1), rnd.randint(1, windows)))
     for eps in thresholds(rnd, pts):
         full = rqa._pair_counts(pts, schedule, range(1, windows + 1), eps)
-        with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
+        with mock.patch.object(ranks, "BLOCK_ELEMS", rnd.choice((1, 3, ranks.BLOCK_ELEMS))):
             got = rqa._pair_counts(pts, schedule, request, eps)
         assert got == [full[w - 1] for w in request]
 
@@ -602,7 +642,7 @@ def test_window_requests_in_any_order(backend, seed, m):
     for eps in thresholds(rnd, pts):
         full = rqa._pair_counts(pts, schedule, range(1, m + 1), eps)
         ones = [sum(sum(row[:n]) for row in brute_bits(pts, 1, eps, n)) for n in schedule]
-        with mock.patch.object(rqa, "_BLOCK_ELEMS", rnd.choice((1, 3, rqa._BLOCK_ELEMS))):
+        with mock.patch.object(ranks, "BLOCK_ELEMS", rnd.choice((1, 3, ranks.BLOCK_ELEMS))):
             assert rqa._pair_counts(pts, schedule, request, eps) == \
                 [full[w - 1] for w in request]
             assert rqa._pair_counts(pts[:n_max], schedule, [1, 1], eps) == [ones, ones]
@@ -659,7 +699,7 @@ def test_counts_at_the_rank_dtype_edges(distinct, exact):
     # for every value, though the counted prefix uses only a few ranks
     t = Trajectory(ks[0] * unit, tuple(k * unit for k in ks))
     for eps in (unit, 3 * unit, (distinct - 4) * unit, (distinct - 1) * unit):
-        assert len(rqa._ranks(t, 1, eps)[1]) == distinct
+        assert len(ranks.cuts(ranks.table(t, 1), eps, False)[1]) == distinct
         for m in (1, 2, 3):
             schedule = [10, 25, 43 - m]
             dense = {w: brute_bits(t.points, w, eps, schedule[-1]) for w in (1, m)}
@@ -671,7 +711,7 @@ def test_counts_at_the_rank_dtype_edges(distinct, exact):
 @pytest.mark.parametrize("exact", [False, True])
 def test_wide_band_in_a_one_row_block(exact):
     # one class whose band covers a cluster of values above it, the others
-    # narrow: a band wider than _BLOCK_ELEMS takes a block of one row, as
+    # narrow: a band wider than BLOCK_ELEMS takes a block of one row, as
     # wide as that band
     rnd = random.Random(5)
     unit = F(1, 9) if exact else 0.125
@@ -686,30 +726,31 @@ def test_wide_band_in_a_one_row_block(exact):
         want = [[sum(sum(row[:k]) for row in dense[w][:k]) for k in (n // 2, n)]
                 for w in range(1, m + 1)]
         for block_elems in (1, b - 1, b, b + 1):
-            with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+            with mock.patch.object(ranks, "BLOCK_ELEMS", block_elems):
                 assert rqa._pair_counts(pts, [n // 2, n], range(1, m + 1), eps) == want
 
 
 def test_class_scan_memory_stays_within_blocks():
     # an expanding tent's float orbit has every delay vector distinct and a
     # band of about a hundred classes; only the per-point arrays and
-    # temporaries of _BLOCK_ELEMS entries may be held, never the whole
+    # temporaries of BLOCK_ELEMS entries may be held, never the whole
     # strip of u rows by the widest band, nor a u-by-u block
     f = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(0), F(39, 40), F(0)))
     n, m = 4400, 3
-    args = rqa._ranks(iterate(f, 0.3, n + m), n + m, 0.02)
+    table = ranks.table(iterate(f, 0.3, n + m), n + m)
+    args = table.ranks(n + m), *ranks.cuts(table, 0.02, False)
     tracemalloc.start()
     try:
         rqa._class_counts(*args, [n // 4, n // 2, n], range(1, m + 2), (n + m, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * n + 6 * rqa._BLOCK_ELEMS
+    assert peak < 200 * n + 6 * ranks.BLOCK_ELEMS
 
 
 def test_recurrence_matrix_memory_is_one_bitmap():
     # the plot is written in place: beyond its n^2 bits only the per-point
-    # arrays and temporaries of _BLOCK_ELEMS entries may be held, never a
+    # arrays and temporaries of BLOCK_ELEMS entries may be held, never a
     # second n-by-n array
     f = PiecewiseLinearMap((F(0), F(1, 2), F(1)), (F(0), F(39, 40), F(0)))
     n, m = 2000, 2
@@ -720,4 +761,4 @@ def test_recurrence_matrix_memory_is_one_bitmap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * n + 200 * n + 6 * rqa._BLOCK_ELEMS
+    assert peak < n * n + 200 * n + 6 * ranks.BLOCK_ELEMS

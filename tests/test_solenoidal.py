@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqamaps import build_delahaye, rqa
+from rqamaps import build_delahaye, ranks, rqa
 from rqamaps.intervals import interval_dist, union_diam
 from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
@@ -449,8 +449,8 @@ def test_counts_by_window_matches_dense_oracle(seed, t, kind):
     m_max = rnd.randint(1, p + 2)
     want = dense_counts(ivs, eps, m_max)
     # one block per call, and blocks of a single row
-    for block_elems in (rqa._BLOCK_ELEMS, 1):
-        with mock.patch.object(rqa, "_BLOCK_ELEMS", block_elems):
+    for block_elems in (ranks.BLOCK_ELEMS, 1):
+        with mock.patch.object(ranks, "BLOCK_ELEMS", block_elems):
             got = counts_by_window(s, t, eps, m_max)
         assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
             [(m, ns, nc) for m, (ns, nc) in enumerate(want, start=1)]
@@ -499,7 +499,7 @@ def test_integer_oracle_matches_fraction_oracle(delahaye5):
 
 def test_count_memory_does_not_grow_with_pairs():
     # on a near-tiling rule many node pairs reach deep levels, and the
-    # walk's frontier runs in blocks of rqa._BLOCK_ELEMS
+    # walk's frontier runs in blocks of ranks.BLOCK_ELEMS
     s = random_system(random.Random(1), near=True)
     max_diam(s, 10)   # the level is built outside the measurement
     tracemalloc.start()
