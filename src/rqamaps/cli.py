@@ -24,14 +24,12 @@ import sys
 from . import constructions, rqa, solenoidal
 from .dynamics import PiecewiseLinearMap, Trajectory, iterate
 from .intervals import Configuration, epsilon_pairs, extremal_configuration, zero_configuration
-from .rational import as_fraction, fraction_str
+from .rational import as_fraction, fraction_str, positive
 from .rqa import ResourceGuardError
 
 
 def _parse_epsilon(text: str, as_float: bool):
-    eps = as_fraction(text)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = positive(as_fraction(text))
     return float(eps) if as_float else eps
 
 
@@ -94,15 +92,10 @@ def _cmd_table(args, kind: str) -> int:
     rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
     window = args.m + (1 if kind == "det" else 0)
     traj = _load_trajectory(args, max(schedule) + window - 1)
-    if kind == "corrsum":
-        header = "n,C_m_exact_num,C_m_exact_den,C_m_float"
-        values = [c for _, c in rqa.estimate_asymptotics(traj, args.m, eps, schedule).values]
-    else:
-        header = f"n,{kind}_num,{kind}_den,{kind}_float"
-        values = rqa._ratio_series(traj, schedule, args.m, eps, det=kind == "det")
-    lines = [header]
+    lines = ["n,C_m_exact_num,C_m_exact_den,C_m_float" if kind == "corrsum"
+             else f"n,{kind}_num,{kind}_den,{kind}_float"]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
-              for n, v in zip(schedule, values)]
+              for n, v in zip(schedule, rqa.series(traj, schedule, args.m, eps, kind))]
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 

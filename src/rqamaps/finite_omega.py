@@ -18,9 +18,11 @@ to 2p - 1 points, and the trajectory keeps its rank table (``ranks.table``),
 so every count on one orbit, at any m or eps, ranks the cycle once.  A
 threshold is excluded exactly when some pair sits at Bowen distance eps,
 that is when the count with ``<= eps`` differs from the count with ``<
-eps``; the warning needs no list of the p^2 distances.  Exact orbits are
-compared exactly; float orbits compare float distances against eps
-itself, as every float count does.
+eps``; the warning needs no list of the p^2 distances.  Both counts cut
+at ``ranks.threshold``, the largest distance that passes: exact orbits
+are compared exactly, and float orbits compare float distances against
+eps itself, as every float count does.  The warning points at the line
+that called the closed form.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dynamics import PeriodicStructure, Trajectory
-from .rational import Number, as_fraction, fraction_str
+from .rational import Number, as_fraction, fraction_str, positive
 from .rqa import window_counts
 
 
@@ -103,9 +105,7 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
     eps} (< eps when ``strict``), from one scan of the trajectory of y_0."""
     if m < 1:
         raise ValueError("window length must be >= 1")
-    eps = epsilon if isinstance(epsilon, float) else as_fraction(epsilon)
-    if not eps > 0:   # NaN fails this too
-        raise ValueError("epsilon must be positive")
+    eps = positive(epsilon if isinstance(epsilon, float) else as_fraction(epsilon))
     p = o.period
     steps = min(m, p)   # offsets repeat mod p
     counts = window_counts(o._unrolled, p, steps, eps, strict)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .rational import Number, as_fraction, fraction_str
+from .rational import Number, as_fraction, fraction_str, positive
 
 
 def euclidean(x: Number, y: Number) -> Number:
@@ -152,8 +152,7 @@ def epsilon_pairs(c: Configuration, epsilon: Number,
     Both comparisons are strict; ties (dist == epsilon or diam == epsilon)
     exclude the pair.  (a, a) is included exactly when diam(J_a) > epsilon.
     """
-    if not epsilon > 0:   # NaN fails this too
-        raise ValueError("epsilon must be positive")
+    positive(epsilon)
     ivs = c.intervals
     n = len(ivs)
     pairs = []
@@ -185,9 +184,7 @@ def extremal_configuration(n: int, epsilon: Number) -> Configuration:
     """
     if n < 2:
         raise ValueError("extremal configuration needs n >= 2")
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = positive(as_fraction(epsilon))
     delta = eps / 10
     first = CompactInterval(Fraction(0), eps + delta)
     last = CompactInterval(2 * eps, 3 * eps + delta)
@@ -211,8 +208,6 @@ def zero_configuration(n: int, epsilon: Number) -> Configuration:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = positive(as_fraction(epsilon))
     return Configuration(tuple(
         CompactInterval(2 * k * eps, 2 * k * eps + eps) for k in range(n)))

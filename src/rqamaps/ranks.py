@@ -8,20 +8,23 @@ each point's rank among the distinct values, and the distinct values in
 ascending order.  The cuts (:func:`cuts`) are computed per threshold: for
 every rank, the half-open rank range of the values within eps of it, so
 a pair passes iff the rank of one point lies in the range of the other.
+Each cut starts from :func:`threshold`, the largest distance that passes
+``<= eps`` (``< eps`` when strict) in the table's arithmetic, so that
+both comparisons are one ``<=`` test.
 
 Exact values are held as integers over a common denominator S
 (:func:`int_table`), where ``|x_i - x_j| <= eps`` iff ``x_i - e <= x_j <=
-x_i + e`` with the integer cut ``e = floor(eps S)`` (``ceil(eps S) - 1``
-for ``< eps``).  Two ``searchsorted`` calls find the rank range of [v - e,
-v + e] for every distinct value v, so every pair is decided exactly,
-whatever the size of the denominator.  The values are int64 while they
-fit and Python ints otherwise, never a dtype numpy infers, which could
-wrap as uint64; the cut stays in int64 while ``max|v| + e < 2^63`` and
-runs over Python ints beyond.  Float values keep the test ``|fl(x_i -
-x_j)| <= eps`` against eps itself, float or exact: it runs at the float
-nearest eps, moved onto eps's side of the comparison, which decides every
-float distance as eps does.  Rounding is monotone, so the values that
-pass it also form a rank range, whose ends are found with the test
+x_i + e`` with the integer threshold ``e = floor(eps S)`` (``ceil(eps S)
+- 1`` for ``< eps``).  Two ``searchsorted`` calls find the rank range of
+[v - e, v + e] for every distinct value v, so every pair is decided
+exactly, whatever the size of the denominator.  The values are int64
+while they fit and Python ints otherwise, never a dtype numpy infers,
+which could wrap as uint64; the cut stays in int64 while ``max|v| + e <
+2^63`` and runs over Python ints beyond.  Float values keep the test
+``|fl(x_i - x_j)| <= eps`` against eps itself, float or exact: it runs as
+``<= d`` at the largest float d, inf included, that passes, which decides
+every float distance as eps does.  Rounding is monotone, so the values
+that pass it also form a rank range, whose ends are found with the test
 itself.
 
 Every table carries a lasso (k, p): point i takes the rank of position i
@@ -137,12 +140,27 @@ def table(t, need: int) -> RankTable:
     return t._rank_cache[0]
 
 
+def threshold(table: RankTable, epsilon, strict: bool):
+    """The largest distance that passes ``<= epsilon`` (``< epsilon`` when
+    ``strict``) in the table's arithmetic, so that every cut is one ``<=``
+    test: over the integers of scale S, floor(eps S), or ceil(eps S) - 1
+    when strict; for floats, the largest float d, inf included, with d <=
+    eps (d < eps when strict), so the float max above the float range."""
+    if table.scale is not None:
+        eps = as_fraction(epsilon)
+        num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
+        return -(-num // den) - 1 if strict else num // den
+    # float() raises above the float range, where inf is the float nearest eps
+    d = math.inf if epsilon > sys.float_info.max else float(epsilon)
+    if d > epsilon or strict and d == epsilon:
+        d = math.nextafter(d, -math.inf)
+    return d
+
+
 def _exact_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cuts` in exact integers: an integer distance d is <= eps S
-    iff d <= floor(eps S), and < eps S iff d <= ceil(eps S) - 1."""
-    eps = as_fraction(epsilon)
-    num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
-    e = -(-num // den) - 1 if strict else num // den
+    """:func:`cuts` in exact integers: v - e <= w <= v + e for the integer
+    threshold e."""
+    e = threshold(table, epsilon, strict)
     values = table.values
     if values.dtype == np.int64 and max(-int(values[0]), int(values[-1])) + e >= 2 ** 63:
         values = values.astype(object)
@@ -151,31 +169,23 @@ def _exact_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np
 
 
 def _float_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cuts` for ``|fl(x_i - x_j)| <= epsilon`` (``< epsilon`` when
-    ``strict``) at the float eps that decides every float distance as
-    epsilon does.  ``searchsorted`` on ``fl(x +- eps)`` lands within an
-    ulp of each range's ends, and a few steps of the test itself find them
-    exactly."""
+    """:func:`cuts` for ``|fl(x_i - x_j)| <= d`` at the float threshold d,
+    which decides every float distance as epsilon does.  ``searchsorted``
+    on ``fl(x +- d)`` lands within an ulp of each range's ends, and a few
+    steps of the test itself find them exactly."""
     values, last = table.values, len(table.values) - 1
-    # float() raises above the float range, where eps, like inf, exceeds
-    # every finite float
-    eps = math.inf if epsilon > sys.float_info.max else float(epsilon)
-    if strict and eps < epsilon:
-        eps = math.nextafter(eps, math.inf)
-    elif not strict and eps > epsilon:
-        eps = math.nextafter(eps, -math.inf)
-    compare = np.less if strict else np.less_equal
+    d = threshold(table, epsilon, strict)
     # a difference that overflows is inf, which the test then decides
     with np.errstate(over="ignore"):
-        lo = np.searchsorted(values, values - eps, side="left")
-        while (step := ~compare(values - values[lo], eps)).any():
+        lo = np.searchsorted(values, values - d, side="left")
+        while (step := ~(values - values[lo] <= d)).any():
             lo += step
-        while (step := (lo > 0) & compare(values - values[lo - 1], eps)).any():
+        while (step := (lo > 0) & (values - values[lo - 1] <= d)).any():
             lo -= step
-        hi = np.searchsorted(values, values + eps, side="right")
-        while (step := ~compare(values[hi - 1] - values, eps)).any():
+        hi = np.searchsorted(values, values + d, side="right")
+        while (step := ~(values[hi - 1] - values <= d)).any():
             hi -= step
-        while (step := (hi <= last) & compare(values[np.minimum(hi, last)] - values, eps)).any():
+        while (step := (hi <= last) & (values[np.minimum(hi, last)] - values <= d)).any():
             hi += step
     return lo, hi
 

@@ -3,7 +3,8 @@
 Every quantity with rational inputs is kept as a :class:`fractions.Fraction`
 so that threshold comparisons (strict vs non-strict) are decided exactly,
 never by floating tolerance.  Floats are admitted as inputs -- a binary
-float is itself a rational number and converts exactly.
+float is itself a rational number and converts exactly.  Every entry point
+that takes a threshold admits it through :func:`positive`.
 """
 from __future__ import annotations
 
@@ -48,7 +49,11 @@ def scaled(values: Sequence[Rational], scale: int = 1) -> tuple[list[int], int]:
 
 def common_scale(values: list[Fraction]) -> int:
     """Least common multiple of all denominators (1 for an empty list)."""
-    result = 1
-    for v in values:
-        result = lcm(result, v.denominator)
-    return result
+    return scaled(values)[1]
+
+
+def positive(eps: Number) -> Number:
+    """eps, once checked to be a threshold: > 0, which NaN is not."""
+    if not eps > 0:
+        raise ValueError("epsilon must be positive")
+    return eps

@@ -19,17 +19,20 @@ Pair counting
 All of these are read off one pair count ``N_w(n)`` at the windows each
 names (C_m at m, rdet_m at 1 and m, DET_m at 1, m and m + 1), and one pass
 to the widest yields them at every n of an increasing schedule: the
-window-w test is the AND of the pointwise tests at offsets s < w.  Both
-arithmetic modes test points through the threshold-free rank table of
-:mod:`rqamaps.ranks` (``ranks.table``) and, per threshold, its rank ranges
-(``ranks.cuts``): exact points in integers over a common denominator,
-float points by the float test against eps itself.  The table carries the
-lasso (k, p) of the points, point i taking the rank of position i below
-k and of position k + (i - k) mod p beyond, and each scan reads only the
-ranks it tests through it (``RankTable.ranks``).
+window-w test is the AND of the pointwise tests at offsets s < w.
+:func:`series` is their one producer, by the CLI subcommand name
+(``"corrsum"``, ``"rdet"``, ``"det"``).  Both arithmetic modes test points
+through the threshold-free rank table of :mod:`rqamaps.ranks`
+(``ranks.table``) and, per threshold, its rank ranges (``ranks.cuts``):
+exact points in integers over a common denominator, float points by the
+float test against eps itself.  The table carries the lasso (k, p) of the
+points, point i taking the rank of position i below k and of position
+k + (i - k) mod p beyond, and each scan reads only the ranks it tests
+through it (``RankTable.ranks``).
 
-Trajectory counts (:func:`correlation_sum`, :func:`recurrence_determinism`,
-:func:`rqa_det`, :func:`estimate_asymptotics`) run over classes of indices
+Trajectory counts (:func:`series`, and :func:`correlation_sum`,
+:func:`recurrence_determinism`, :func:`rqa_det` and
+:func:`estimate_asymptotics`, which read it) run over classes of indices
 with equal delay vectors ``(x_i, ..., x_{i+W-1})``: the lasso positions c
 reached below n, since every index has the vector of its position.  An
 eventually periodic orbit has at most k + p of them; other points are each
@@ -82,7 +85,7 @@ import numpy as np
 
 from . import ranks
 from .dynamics import Trajectory
-from .rational import Number
+from .rational import Number, positive
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 
 
@@ -97,8 +100,7 @@ class RQAParams:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-        if not self.epsilon > 0:   # NaN fails this too
-            raise ValueError("epsilon must be positive")
+        positive(self.epsilon)
 
 
 def bowen_distance(t, i: int, j: int, m: int) -> Number:
@@ -230,36 +232,40 @@ def _pair_counts(t, ns: Sequence[int], windows: Sequence[int], epsilon) -> list[
                          windows, table.lasso)
 
 
-def recurrent_pair_count(t, p: RQAParams) -> int:
-    """#{(i, j) in [0, n)^2 : Bowen_m(i, j) <= epsilon}, exact."""
-    return _pair_counts(t, [p.n], [p.m], p.epsilon)[0][0]
+def series(t, ns: Sequence[int], m: int, epsilon, kind: str) -> list[Fraction]:
+    """C_m (``kind`` "corrsum"), rdet_m ("rdet") or DET_m ("det") at
+    every n of the increasing schedule ns, from one scan, once ns, m and
+    epsilon are checked."""
+    if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("schedule must be nonempty and strictly increasing")
+    RQAParams(m, epsilon, ns[0])   # validates m, epsilon and every n
+    if kind == "corrsum":
+        counts, = _pair_counts(t, ns, [m], epsilon)
+        return [Fraction(c, n * n) for n, c in zip(ns, counts)]
+    if kind == "det" and m > 1:
+        return [Fraction(m * n_m - (m - 1) * n_m1, n1)
+                for n1, n_m, n_m1 in zip(*_pair_counts(t, ns, [1, m, m + 1], epsilon))]
+    if kind not in ("rdet", "det"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    # rdet_m, and DET_1 = rdet_1
+    return [Fraction(n_m, n1) for n1, n_m in zip(*_pair_counts(t, ns, [1, m], epsilon))]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:
     """C_m(n, epsilon) = recurrent pair count / n^2, as an exact rational.
 
     ``threads`` has no effect: pair counts are serial."""
-    return Fraction(recurrent_pair_count(t, p), p.n * p.n)
-
-
-def _ratio_series(t, ns: Sequence[int], m: int, epsilon, det: bool) -> list[Fraction]:
-    """rdet_m, or DET_m when ``det``, at every n of the increasing schedule
-    ns, from one scan."""
-    if det and m > 1:
-        return [Fraction(m * n_m - (m - 1) * n_m1, n1)
-                for n1, n_m, n_m1 in zip(*_pair_counts(t, ns, [1, m, m + 1], epsilon))]
-    # DET_1 = rdet_1
-    return [Fraction(n_m, n1) for n1, n_m in zip(*_pair_counts(t, ns, [1, m], epsilon))]
+    return series(t, [p.n], p.m, p.epsilon, "corrsum")[0]
 
 
 def recurrence_determinism(t, p: RQAParams) -> Fraction:
     """rdet_m = C_m / C_1 (well defined: diagonal pairs keep C_1 > 0)."""
-    return _ratio_series(t, [p.n], p.m, p.epsilon, det=False)[0]
+    return series(t, [p.n], p.m, p.epsilon, "rdet")[0]
 
 
 def rqa_det(t, p: RQAParams) -> Fraction:
     """DET_m = m*rdet_m - (m-1)*rdet_{m+1}; needs window m+1 available."""
-    return _ratio_series(t, [p.n], p.m, p.epsilon, det=True)[0]
+    return series(t, [p.n], p.m, p.epsilon, "det")[0]
 
 
 @dataclass(frozen=True)
@@ -301,21 +307,16 @@ class SeriesEstimate:
     limsup_est: Fraction
 
 
-def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int],
-                         tail_fraction: float = 0.5) -> SeriesEstimate:
-    """Correlation sums over an increasing n-schedule, tail min/max extremes.
+def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int]) -> SeriesEstimate:
+    """Correlation sums over an increasing n-schedule, and the min and max
+    of their tail, the last half of the schedule.
 
     The trajectory (or plain point sequence) must be long enough for the
     largest scheduled n plus the window: max(schedule) + m - 1 points.
     """
     schedule = list(schedule)
-    if not schedule or any(a >= b for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
-    RQAParams(m, epsilon, schedule[0])   # validates m, epsilon and every n
-    counts, = _pair_counts(t, schedule, [m], epsilon)
-    values = tuple((n, Fraction(c, n * n)) for n, c in zip(schedule, counts))
-    tail_len = max(1, int(len(values) * tail_fraction))
-    tail = [c for _, c in values[-tail_len:]]
+    values = tuple(zip(schedule, series(t, schedule, m, epsilon, "corrsum")))
+    tail = [c for _, c in values[-max(1, len(values) // 2):]]
     return SeriesEstimate(m=m, epsilon=epsilon, values=values,
                           liminf_est=min(tail), limsup_est=max(tail))
 

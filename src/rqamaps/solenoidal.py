@@ -71,7 +71,7 @@ import numpy as np
 from . import ranks
 from .intervals import CompactInterval, interval_dist, union_diam
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
-from .rational import Number, as_fraction, fraction_str, scaled
+from .rational import Number, as_fraction, fraction_str, positive, scaled
 
 
 @dataclass(frozen=True)
@@ -332,9 +332,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     """Counts for every window length 1..m_max in one dual-tree walk.
 
     ``threads`` has no effect: pair counts are serial."""
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = positive(as_fraction(epsilon))
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if t < 1:

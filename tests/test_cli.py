@@ -335,7 +335,7 @@ class TestErrors:
         def broken(*args, **kwargs):
             raise error("internal bug")
 
-        monkeypatch.setattr(cli.rqa, "estimate_asymptotics", broken)
+        monkeypatch.setattr(cli.rqa, "series", broken)
         with pytest.raises(error, match="internal bug"):
             run("corrsum", "--map", plateau_map_file, "--x0", "1/5",
                 "--m", "1", "--epsilon", "1/2", "--n", "5")

@@ -102,6 +102,13 @@ class TestExcluded:
         with pytest.warns(ExcludedEpsilonWarning):
             closed_form_corr_sum(TWO, 1, F(1, 2))
 
+    @pytest.mark.parametrize("closed_form", [closed_form_corr_sum, asymptotic_rdet_finite])
+    def test_warning_points_at_the_caller(self, closed_form):
+        with pytest.warns(ExcludedEpsilonWarning) as caught:
+            line = sys._getframe().f_lineno + 1
+            closed_form(TWO, 1, F(1, 2))
+        assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
+
     def test_no_warning_off_threshold(self, recwarn):
         closed_form_corr_sum(TWO, 1, F(2, 5))
         assert not [w for w in recwarn if issubclass(w.category, ExcludedEpsilonWarning)]

@@ -1,13 +1,14 @@
 """The rank layer has one home, :mod:`rqamaps.ranks`: no module reads its
 private names, the scans of :mod:`rqamaps.rqa` are read by their public
-names only, and nothing else defines a rank table, a cut or the guard."""
+names only, and nothing else defines a rank table, a cut or the guard.
+Across the package, one private name is read by another module."""
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
 
 # what rqamaps.ranks alone defines
-RANK_LAYER = {"RankTable", "int_table", "_rank_table", "table", "cuts", "_exact_cuts",
+RANK_LAYER = {"RankTable", "int_table", "_rank_table", "table", "threshold", "cuts", "_exact_cuts",
               "_float_cuts", "unsigned", "in_ranges", "BLOCK_ELEMS", "check_pairs",
               "ResourceGuardError"}
 # the names it had in rqamaps.rqa: an alias left under one would let a stale
@@ -78,3 +79,10 @@ def test_rank_layer_has_one_home():
         defined = top_level_names(source)
         assert defined & RETIRED == set(), stem
         assert stem == "ranks" or defined & RANK_LAYER == set(), stem
+
+
+def test_one_private_name_crosses_modules():
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        reads |= {(path.stem, module, name) for module, name in private_reads(path.read_text())}
+    assert reads == {("constructions", "solenoidal", "_level")}

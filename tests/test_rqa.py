@@ -170,6 +170,19 @@ class TestDeterminism:
         t = Trajectory(F(1, 2), (F(1, 2),) * 12)  # rdet_m = rdet_{m+1} = 1
         assert rqa_det(t, RQAParams(3, F(1, 4), 8)) == 1
 
+    def test_series_by_kind(self):
+        t = iterate(random_pl_map(random.Random(7)), F(1, 8), 20)
+        ns, eps = [5, 9, 16], F(1, 4)
+        for kind, count in [("corrsum", correlation_sum), ("rdet", recurrence_determinism),
+                            ("det", rqa_det)]:
+            assert rqa.series(t, ns, 2, eps, kind) == [count(t, RQAParams(2, eps, n))
+                                                       for n in ns]
+        with pytest.raises(ValueError, match="unknown series kind 'DET'"):
+            rqa.series(t, ns, 2, eps, "DET")
+        # a schedule out of order would count its largest n over too few classes
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rqa.series(t, [9, 5], 2, eps, "corrsum")
+
 
 class TestRecurrenceMatrix:
     def test_fixed_point_all_true(self):
