@@ -28,9 +28,18 @@ from .rational import as_fraction, fraction_str, positive
 from .rqa import ResourceGuardError
 
 
+def _float(value, option: str) -> float:
+    """``value`` as a float for ``--float``; beyond the float range it is a
+    precondition failure, not a traceback."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{option} is beyond the float range") from None
+
+
 def _parse_epsilon(text: str, as_float: bool):
     eps = positive(as_fraction(text))
-    return float(eps) if as_float else eps
+    return _float(eps, "--epsilon") if as_float else eps
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -55,7 +64,7 @@ def _load_trajectory(args, length: int) -> Trajectory:
         with open(args.map) as fh:
             f = PiecewiseLinearMap.from_json(fh.read())
         x0 = as_fraction(args.x0)
-        seed = float(x0) if args.float else x0
+        seed = _float(x0, "--x0") if args.float else x0
         return iterate(f, seed, length)
     if args.construction == "prop42":
         inst = constructions.build_prop42(args.depth)

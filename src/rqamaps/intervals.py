@@ -6,11 +6,14 @@ closer than a threshold while their hull is wider than it.  The cardinality
 of that pair set is sharply bounded by ``4*(n-1)``; both the extremal and
 the empty configurations are constructible.
 
-In an ordered configuration J_1 < ... < J_n, for b > a the gap is
-metric(hi_a, lo_b) and the hull metric(lo_a, hi_b).  Under any
-order-preserving metric both grow with b and shrink with a, so each row of
-the pair set is a contiguous range of b whose two ends only move right as
-a grows.  Two pointers find every row in O(n + #pairs) metric calls.
+The two tests between intervals, gap < eps and hull <= eps, have one home,
+:func:`interval_tests`, which decides them through the rank table of the
+endpoints (:mod:`rqamaps.ranks`), exactly for any denominator.  The word
+counts of :mod:`rqamaps.solenoidal` read its rows, and so does
+:func:`epsilon_pairs`: in an ordered configuration J_1 < ... < J_n, for
+b > a the gap lo_b - hi_a and the hull hi_b - lo_a both grow with b, so
+row a of the pair set is the range of b between two ``searchsorted``
+calls over the ranks of the endpoints.
 
 All operations are pure; all values are immutable after construction, so
 everything here is safe to share between threads.
@@ -20,20 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
+import numpy as np
+
+from . import ranks
 from .rational import Number, as_fraction, fraction_str, positive
-
-
-def euclidean(x: Number, y: Number) -> Number:
-    """Default metric |x - y|.  Order-preserving on the real line."""
-    return abs(x - y)
-
-
-# Seam for alternative order-preserving metrics (strictly monotone growth of
-# outer-pair distances).  Only the Euclidean metric is shipped; the endpoint
-# formulas below are valid for any order-preserving metric.
-Metric = Callable[[Number, Number], Number]
 
 
 @dataclass(frozen=True)
@@ -59,20 +54,18 @@ class CompactInterval:
         return CompactInterval(as_fraction(lo), as_fraction(hi))
 
 
-def interval_dist(j: CompactInterval, k: CompactInterval,
-                  metric: Metric = euclidean) -> Number:
+def interval_dist(j: CompactInterval, k: CompactInterval) -> Number:
     """Gap distance min over point pairs; 0 when the intervals overlap."""
     if j.lo > k.hi:
-        return metric(k.hi, j.lo)
+        return j.lo - k.hi
     if k.lo > j.hi:
-        return metric(j.hi, k.lo)
+        return k.lo - j.hi
     return 0 * j.lo  # preserves Fraction/float type
 
 
-def union_diam(j: CompactInterval, k: CompactInterval,
-               metric: Metric = euclidean) -> Number:
+def union_diam(j: CompactInterval, k: CompactInterval) -> Number:
     """Diameter of the hull: max over point pairs of the two intervals."""
-    return metric(min(j.lo, k.lo), max(j.hi, k.hi))
+    return max(j.hi, k.hi) - min(j.lo, k.lo)
 
 
 @dataclass(frozen=True)
@@ -145,30 +138,50 @@ class EpsilonPairSet:
         return 4 * (self.n - 1) if self.n >= 2 else 1
 
 
-def epsilon_pairs(c: Configuration, epsilon: Number,
-                  metric: Metric = euclidean) -> EpsilonPairSet:
+def interval_tests(table: ranks.RankTable, epsilon: Number) -> np.ndarray:
+    """Rank tests for gap < epsilon (strict) and hull <= epsilon (closed)
+    between intervals, for any interval order: ``table`` ranks their p lows
+    and then their p highs, exact or float.  Rows (lo, x, y, hi) of 2p
+    entries, interval a of test k at k p + a (k = 0 strict, 1 closed), such
+    that a and b pass iff lo_a <= x_b and y_b < hi_a."""
+    p, n_values = len(table.rank) // 2, len(table.values)
+    rank_lo, rank_hi = table.rank[:p], table.rank[p:]
+    # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
+    near_lo, near_hi = ranks.cuts(table, epsilon, strict=True)
+    strict = (near_lo[rank_lo], rank_hi, rank_lo, near_hi[rank_hi])
+    # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
+    # diameters are <= eps: a wider interval gets the out-of-range rank
+    # len(values), which fails either comparison as a or as b
+    within_lo, within_hi = ranks.cuts(table, epsilon, strict=False)
+    closed_hi = within_hi[rank_lo]
+    wide = rank_hi >= closed_hi
+    closed = (np.where(wide, n_values, within_lo[rank_hi]), rank_lo,
+              np.where(wide, n_values, rank_hi), closed_hi)
+    dtype = np.min_scalar_type(n_values)   # the narrowest type is the fastest
+    return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
+
+
+def epsilon_pairs(c: Configuration, epsilon: Number) -> EpsilonPairSet:
     """All (a, b), 1-based, with dist < epsilon < union diameter.
 
     Both comparisons are strict; ties (dist == epsilon or diam == epsilon)
     exclude the pair.  (a, a) is included exactly when diam(J_a) > epsilon.
+    A configuration with a float endpoint is decided in float arithmetic
+    on float(x) of every endpoint, exact ones included; a non-finite float
+    endpoint raises ValueError.
     """
     positive(epsilon)
-    ivs = c.intervals
-    n = len(ivs)
-    pairs = []
-    near = wide = 0   # row a's first b with gap >= eps, and with hull > eps
-    for a, ja in enumerate(ivs):
-        if metric(ja.lo, ja.hi) > epsilon:
-            pairs.append((a + 1, a + 1))
-        # row a is the range [wide, near); both ends only move right as a
-        # grows (see the module docstring)
-        near = max(near, a + 1)
-        while near < n and metric(ja.hi, ivs[near].lo) < epsilon:
-            near += 1
-        wide = max(wide, a + 1)
-        while wide < near and not metric(ja.lo, ivs[wide].hi) > epsilon:
-            wide += 1
-        for b in range(wide, near):
+    n = len(c.intervals)
+    ends = [iv.lo for iv in c.intervals] + [iv.hi for iv in c.intervals]
+    if any(isinstance(x, float) for x in ends):
+        ends = [float(x) for x in ends]
+    _, x, y, hi = interval_tests(ranks.table(ends, 2 * n), epsilon)
+    # in order, for b > a: gap < eps iff b < near[a], hull > eps iff b >= wide[a]
+    near = np.searchsorted(y[:n], hi[:n]).tolist()
+    wide = np.searchsorted(x[:n], hi[n:]).tolist()
+    pairs = [(a + 1, a + 1) for a in range(n) if wide[a] <= a]
+    for a in range(n):
+        for b in range(max(wide[a], a + 1), near[a]):
             pairs += [(a + 1, b + 1), (b + 1, a + 1)]
     return EpsilonPairSet(n=n, epsilon=epsilon, pairs=frozenset(pairs))
 

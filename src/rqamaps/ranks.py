@@ -145,8 +145,11 @@ def threshold(table: RankTable, epsilon, strict: bool):
     ``strict``) in the table's arithmetic, so that every cut is one ``<=``
     test: over the integers of scale S, floor(eps S), or ceil(eps S) - 1
     when strict; for floats, the largest float d, inf included, with d <=
-    eps (d < eps when strict), so the float max above the float range."""
+    eps (d < eps when strict), so the float max above the float range.  An
+    infinite epsilon passes every distance: over the integers, the span."""
     if table.scale is not None:
+        if epsilon == math.inf:
+            return int(table.values[-1]) - int(table.values[0])
         eps = as_fraction(epsilon)
         num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
         return -(-num // den) - 1 if strict else num // den

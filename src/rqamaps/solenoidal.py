@@ -42,10 +42,12 @@ The per-step tests need only order comparisons of endpoints,
                      and both diameters are <= eps,
 
 so the level's endpoints, over its own denominator, go into the rank table
-of the trajectory counts (``ranks.int_table``) and each threshold is a rank
-among them: ``ranks.cuts`` with ``strict=True`` for the gap test and
-``strict=False`` for the hull test.  Every pair is then decided exactly by
-small-integer comparisons, whatever the denominator.
+of the trajectory counts (``ranks.int_table``), and
+:func:`~rqamaps.intervals.interval_tests`, the one home of both tests,
+turns them into rank rows: each threshold is a rank among the endpoints,
+``ranks.cuts`` with ``strict=True`` for the gap test and ``strict=False``
+for the hull test.  Every pair is then decided exactly by small-integer
+comparisons, whatever the denominator.
 
 Each node keeps the min and max of these ranks over its leaves, reduced
 bottom-up by halves.  The walk starts from the root pair and, per pair of
@@ -69,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ranks
-from .intervals import CompactInterval, interval_dist, union_diam
+from .intervals import CompactInterval, interval_dist, interval_tests, union_diam
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 from .rational import Number, as_fraction, fraction_str, positive, scaled
 
@@ -250,34 +252,10 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _leaf_tests(lo: Sequence[int], hi: Sequence[int], scale: int,
-                eps: Fraction) -> np.ndarray:
-    """Rank tests for gap < eps (strict) and hull <= eps (closed) between
-    the intervals [lo, hi] / scale, exact for any denominator and interval
-    order: rows (lo, x, y, hi) of 2 p_t entries, interval a of test k at
-    k p_t + a (k = 0 strict, 1 closed), such that a and b pass iff
-    lo_a <= x_b and y_b < hi_a."""
-    table = ranks.int_table(lo + hi, scale)
-    p, n_values = len(lo), len(table.values)
-    rank_lo, rank_hi = table.rank[:p], table.rank[p:]
-    # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    near_lo, near_hi = ranks.cuts(table, eps, strict=True)
-    strict = (near_lo[rank_lo], rank_hi, rank_lo, near_hi[rank_hi])
-    # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
-    # diameters are <= eps: a wider interval gets the out-of-range rank
-    # len(values), which fails either comparison as a or as b
-    within_lo, within_hi = ranks.cuts(table, eps, strict=False)
-    closed_hi = within_hi[rank_lo]
-    wide = rank_hi >= closed_hi
-    closed = (np.where(wide, n_values, within_lo[rank_hi]), rank_lo,
-              np.where(wide, n_values, rank_hi), closed_hi)
-    dtype = np.min_scalar_type(n_values)   # the narrowest type is the fastest
-    return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
-
-
 def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
     """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : test k of ``leaf`` (see
-    :func:`_leaf_tests`) passes for (a + s, b + s) at every shift s < w}.
+    :func:`~rqamaps.intervals.interval_tests`) passes for (a + s, b + s) at
+    every shift s < w}.
 
     A dual-tree walk from the root pair decides whole pairs of subtrees on
     their bounds; at depth t, where each row's min equals its max, every
@@ -340,7 +318,8 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     p = 2 ** t
     ranks.check_pairs("a word-pair scan", p)
     steps = min(m_max, p)
-    strict, closed = _walk(_leaf_tests(*_level(s, t), eps), t, steps).tolist()
+    lo, hi, scale = _level(s, t)
+    strict, closed = _walk(interval_tests(ranks.int_table(lo + hi, scale), eps), t, steps).tolist()
     # windows beyond p_t repeat the p_t values
     pad = m_max - steps
     return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps, n_strict=ns, n_closed=nc)

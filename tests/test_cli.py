@@ -323,6 +323,13 @@ class TestErrors:
         assert run("corrsum", "--map", plateau_map_file, "--x0", args["--x0"],
                    "--m", "1", "--epsilon", args["--epsilon"], "--n", "3") == 1
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--x0"])
+    def test_float_overflow_exits_one(self, capsys, plateau_map_file, flag):
+        args = {"--epsilon": "1/2", "--x0": "1/5", flag: "1e400"}
+        assert run("corrsum", "--map", plateau_map_file, "--x0", args["--x0"], "--m", "1",
+                   "--epsilon", args["--epsilon"], "--n", "3", "--float") == 1
+        assert capsys.readouterr().err == f"error: {flag} is beyond the float range\n"
+
     @pytest.mark.parametrize("argv", [
         ["config", "--extremal", "--n", "3", "--epsilon", "1/0"],
         ["solenoid", "--r", "5", "--m", "1", "--epsilon", "1/0", "--t-schedule", "2"]])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs,
-                               euclidean, extremal_configuration, interval_dist,
-                               union_diam, zero_configuration)
+                               extremal_configuration, interval_dist, union_diam,
+                               zero_configuration)
 
 IV = CompactInterval.exact
 
@@ -20,25 +21,6 @@ def brute_pairs(config, eps):
         for b, jb in enumerate(ivs, start=1):
             gap = max(0 * eps, jb.lo - ja.hi, ja.lo - jb.hi)
             hull = max(ja.hi, jb.hi) - min(ja.lo, jb.lo)
-            if gap < eps < hull:
-                found.add((a, b))
-    return found
-
-
-def cube_metric(x, y):
-    """|x^3 - y^3|: a non-Euclidean metric that preserves the order."""
-    return abs(x ** 3 - y ** 3)
-
-
-def brute_pairs_metric(config, eps, metric):
-    """Oracle for any metric: gap and hull from all endpoint pairs."""
-    found = set()
-    for a, ja in enumerate(config.intervals, start=1):
-        for b, jb in enumerate(config.intervals, start=1):
-            ends = [ja.lo, ja.hi, jb.lo, jb.hi]
-            overlap = ja.lo <= jb.hi and jb.lo <= ja.hi
-            gap = 0 if overlap else min(metric(x, y) for x in ends[:2] for y in ends[2:])
-            hull = max(metric(x, y) for x in ends for y in ends)
             if gap < eps < hull:
                 found.add((a, b))
     return found
@@ -142,6 +124,17 @@ class TestEpsilonPairs:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             epsilon_pairs(c, float("nan"))
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)])
+    def test_rejects_non_finite_endpoint(self, lo, hi):
+        c = Configuration((CompactInterval(lo, hi),))
+        with pytest.raises(ValueError, match="float points must be finite"):
+            epsilon_pairs(c, F(1, 2))
+
+    def test_infinite_epsilon_passes_every_gap_and_no_hull(self):
+        c = _random_config(random.Random(3), 6)
+        assert not brute_pairs(c, math.inf)
+        assert epsilon_pairs(c, math.inf).pairs == frozenset()
+
 
 def _random_config(rnd, n, exact=True):
     ivs, x = [], F(rnd.randint(0, 8), 8)
@@ -217,33 +210,53 @@ def test_pair_set_properties(seed):
     assert _check_exclusion(pairs)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from([euclidean, cube_metric]))
-def test_epsilon_pairs_matches_brute_oracle_at_ties(seed, metric):
-    rnd = random.Random(seed)
-    c = _random_config(rnd, rnd.randint(1, 16))
-    ends = [x for iv in c.intervals for x in (iv.lo, iv.hi)]
-    # eps equal to the metric between two endpoints hits gaps and hulls exactly
-    eps = metric(rnd.choice(ends), rnd.choice(ends)) or F(rnd.randint(1, 60), 24)
-    got = epsilon_pairs(c, eps, metric).pairs
-    assert got == frozenset(brute_pairs_metric(c, eps, metric))
-    if metric is euclidean:
-        assert got == frozenset(brute_pairs(c, eps))
+def _tie_case(rnd, kind):
+    """A configuration of 1 to 16 intervals, degenerate ones included, on a
+    grid of 1/10 (of 1/10 + 1/(2^64 + 13), a scale beyond 2^63, when
+    ``kind`` is "big"), its intervals floats, Fractions or a mix of both,
+    and an eps at a gap, hull or width of the configuration or one float
+    ulp beside it.  Returns the configuration, eps and the configuration in the
+    arithmetic that decides it, every endpoint a float when one is."""
+    unit = F(1, 10) + (F(1, 2 ** 64 + 13) if kind == "big" else 0)
+    ends, x = [], unit * rnd.randint(-40, 8)
+    for _ in range(rnd.randint(1, 16)):
+        width = unit * rnd.randint(0, 16)
+        ends += [x, x + width]
+        x += width + unit * rnd.randint(1, 16)
+    if kind in ("float", "fraction eps"):
+        ends = [float(v) for v in ends]
+    elif kind == "mixed":
+        # per interval, so that each one stays an interval
+        ends = [v for i in range(0, len(ends), 2) for v in
+                (map(float, ends[i:i + 2]) if rnd.random() < 0.5 else ends[i:i + 2])]
+    # a low and a high: a gap, a hull or a width
+    a, b = rnd.choice(ends[::2]), rnd.choice(ends[1::2])
+    eps = abs(a - b) or unit
+    if kind == "float":
+        eps = rnd.choice([eps, math.nextafter(eps, 0), math.nextafter(eps, math.inf)])
+    elif kind == "fraction eps":
+        eps = rnd.choice([F(eps), abs(F(a) - F(b)) or unit, F(eps) + F(1, 10 ** 30)])
+
+    def config(values):
+        return Configuration(tuple(CompactInterval(*values[i:i + 2])
+                                   for i in range(0, len(values), 2)))
+    floats = any(isinstance(v, float) for v in ends)
+    return config(ends), eps, config([float(v) for v in ends] if floats else ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["exact", "big", "float", "fraction eps",
+                                                   "mixed"]))
+def test_epsilon_pairs_matches_brute_oracle_at_ties(seed, kind):
+    c, eps, decided = _tie_case(random.Random(seed), kind)
+    assert epsilon_pairs(c, eps).pairs == frozenset(brute_pairs(decided, eps))
 
 
 @pytest.mark.parametrize("n", [2, 50, 400])
 def test_epsilon_pairs_metric_calls_linear(n):
     # the extremal layout makes every row of a quadratic scan run to the end
-    calls = []
-
-    def counting(x, y):
-        calls.append(None)
-        return euclidean(x, y)
-
     eps = F(1, 3)
-    pairs = epsilon_pairs(extremal_configuration(n, eps), eps, counting)
-    assert len(pairs) == 4 * (n - 1)
-    assert len(calls) <= 5 * n
+    assert len(epsilon_pairs(extremal_configuration(n, eps), eps)) == 4 * (n - 1)
 
 
 @given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))

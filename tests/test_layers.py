@@ -1,7 +1,9 @@
 """The rank layer has one home, :mod:`rqamaps.ranks`: no module reads its
 private names, the scans of :mod:`rqamaps.rqa` are read by their public
 names only, and nothing else defines a rank table, a cut or the guard.
-Across the package, one private name is read by another module."""
+The interval tests have one home, :func:`rqamaps.intervals.interval_tests`.
+Across the package, one private name is read by another module, and every
+module imports only from the modules before it in one order."""
 import ast
 from pathlib import Path
 
@@ -11,6 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
 RANK_LAYER = {"RankTable", "int_table", "_rank_table", "table", "threshold", "cuts", "_exact_cuts",
               "_float_cuts", "unsigned", "in_ranges", "BLOCK_ELEMS", "check_pairs",
               "ResourceGuardError"}
+# the package's modules in import order: each imports only from earlier ones
+IMPORT_ORDER = ["rational", "dynamics", "ranks", "intervals", "rqa", "solenoidal",
+                "finite_omega", "constructions", "cli"]
 # the names it had in rqamaps.rqa: an alias left under one would let a stale
 # mock.patch target pass without testing anything
 RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_ranges",
@@ -40,6 +45,23 @@ def private_reads(source):
                 and node.value.id in modules and _private(node.attr):
             reads.add((modules[node.value.id], node.attr))
     return reads
+
+
+def package_imports(source):
+    """The modules of the package that ``source`` imports, at any depth."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level == 1 or (node.module or "").partition(".")[0] == "rqamaps"
+            module = (node.module or "").removeprefix("rqamaps").lstrip(".")
+            if package and not module:
+                modules.update(a.name for a in node.names)
+            elif package:
+                modules.add(module)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.removeprefix("rqamaps.") for a in node.names
+                           if a.name.startswith("rqamaps."))
+    return modules
 
 
 def top_level_names(source):
@@ -86,3 +108,35 @@ def test_one_private_name_crosses_modules():
     for path in sorted(SRC.glob("*.py")):
         reads |= {(path.stem, module, name) for module, name in private_reads(path.read_text())}
     assert reads == {("constructions", "solenoidal", "_level")}
+
+
+def test_package_imports_sees_every_form():
+    source = "\n".join([
+        "import json, rqamaps.rqa",
+        "from . import rational, ranks as r",
+        "from .intervals import x",
+        "from rqamaps.dynamics import y",
+        "from rqamaps import solenoidal as sol",
+        "def f():",
+        "    from .cli import main",
+    ])
+    assert package_imports(source) == {"rqa", "rational", "ranks", "intervals", "dynamics",
+                                       "solenoidal", "cli"}
+
+
+def test_imports_follow_one_order():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert set(sources) == set(IMPORT_ORDER) | {"__init__"}
+    for i, stem in enumerate(IMPORT_ORDER):
+        assert package_imports(sources[stem]) <= set(IMPORT_ORDER[:i]), stem
+
+
+def test_interval_tests_have_one_home():
+    # one producer of the gap/hull rank rows, and no metric seam beside it
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        defined, tree = top_level_names(source), ast.parse(source)
+        assert ("interval_tests" in defined) == (path.stem == "intervals"), path.stem
+        assert defined & {"_leaf_tests", "Metric", "euclidean"} == set(), path.stem
+        assert not [a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                    for a in node.args + node.kwonlyargs if a.arg == "metric"], path.stem

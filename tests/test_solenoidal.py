@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqamaps import build_delahaye, ranks, rqa
-from rqamaps.intervals import interval_dist, union_diam
+from rqamaps.intervals import Configuration, epsilon_pairs, interval_dist, union_diam
 from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
@@ -486,6 +486,24 @@ def test_counts_by_window_matches_integer_oracle(seed, t, kind):
     got = counts_by_window(s, t, eps, m_max)
     assert [(c.m, c.n_strict, c.n_closed) for c in got] == \
         [(m, ns, nc) for m, (ns, nc) in enumerate(integer_dense_counts(ivs, eps, m_max), start=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.sampled_from(["delahaye"] + RANDOM_KINDS))
+def test_enclosure_width_is_the_epsilon_pair_count(seed, t, kind):
+    # the paper's configuration identity: the level-t intervals in order form
+    # a configuration, and a pair counted strictly but not closed at window m
+    # has an eps-pair at one of its m shifts
+    rnd = random.Random(seed)
+    s = draw_system(rnd, kind)
+    ivs = level_intervals(s, t)
+    a, b = rnd.choice(ivs), rnd.choice(ivs)
+    eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
+    pairs = len(epsilon_pairs(Configuration(tuple(sorted(ivs, key=lambda iv: iv.lo))), eps))
+    rows = counts_by_window(s, t, eps, rnd.randint(1, 2 ** t + 2))
+    assert rows[0].n_strict - rows[0].n_closed == pairs
+    for c in rows:
+        assert c.n_strict - c.n_closed <= c.m * pairs <= 4 * c.m * (c.p_t - 1)
 
 
 def test_integer_oracle_matches_fraction_oracle(delahaye5):

@@ -12,7 +12,7 @@ from rqamaps import cli, ranks
 from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs,
                                extremal_configuration, zero_configuration)
-from rqamaps.rqa import RQAParams
+from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import counts_by_window
 
 TINY, HUGE = 5e-324, F(10 ** 400)
@@ -44,6 +44,14 @@ def test_threshold_is_the_largest_passing_distance(eps, scale, exact, strict):
         d = ranks.threshold(ranks.table([0.0], 1), eps, strict)
         assert isinstance(d, float) and passes(d, eps)
         assert d == math.inf or not passes(math.nextafter(d, math.inf), eps)
+
+
+def test_infinite_threshold_passes_every_exact_distance():
+    # no integer is the largest distance below inf; the table's span is the
+    # largest distance the table holds, so every pair passes
+    table = ranks.int_table([-4, 0, 9], 7)
+    assert ranks.threshold(table, math.inf, True) == ranks.threshold(table, math.inf, False) == 13
+    assert correlation_sum([F(0), F(1, 2), F(7)], RQAParams(1, math.inf, 3)) == 1
 
 
 ORBIT = PeriodicOrbitData((0.0, 0.5))
