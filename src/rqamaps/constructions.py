@@ -12,6 +12,15 @@ Two fully parameterized objects:
   schedule, whose k_max is checked before any value is computed or any
   file is opened.
 
+  Every value of the scheme comes from integers (``_lows``, ``_cells``).
+  With R = ``SCALE_RATIO`` and delta_n = 1/(4 R^(n+1)), the level-n
+  intervals I_n and J_n are one delta_n wide, with endpoints that are
+  integers over 4 R^(n+1).  A level-L position is lo + delta_L (2r + 1) /
+  2^(L+1), the midpoint of cell r of 2^L: an integer over
+  4 R^(L+1) 2^(L+1), which is 2^(5L+7) at R = 16.  Each position is built
+  once, as ``Fraction(numerator, denominator)``, and ``build_prop42``
+  checks its contract on integers over 4 R^(depth+1).
+
 * ``delahaye`` (prop52): the admissible nested-interval system with
   diameters r^-t / 2*r^-t (by leading digit), whose word-pair counts at
   eps_k = r^-k give asymptotic determinism exactly 2/3 for every window
@@ -42,23 +51,35 @@ SCALE_RATIO = 16
 # prop42: oscillating correlation sums at the critical threshold
 # ---------------------------------------------------------------------------
 
-def _delta(n: int) -> Fraction:
-    # ratio-16 decay, scaled so every interval stays inside (0, 1/4)
-    return Fraction(1, 4 * SCALE_RATIO ** (n + 1))
+def _units(n: int) -> int:
+    """1/delta_n = 4 R^(n+1): the ratio-R decay, scaled so every interval
+    stays inside (0, 1/4) and (1/4, 3/4)."""
+    return 4 * SCALE_RATIO ** (n + 1)
 
 
-def _i_interval(n: int) -> CompactInterval:
-    d = _delta(n)
+def _lows(n: int) -> tuple[int, int]:
+    """lo(I_n) and lo(J_n) as integers over ``_units(n)``; both intervals
+    are one unit delta_n wide.  Y0 is R^(n+1) units and Y1 three times it."""
+    y0 = SCALE_RATIO ** (n + 1)
     if n % 2 == 0:
-        return CompactInterval(Y0 - 8 * d, Y0 - 7 * d)
-    return CompactInterval(Y0 - 2 * d, Y0 - d)
+        return y0 - 8, 3 * y0 - 2
+    return y0 - 2, 3 * y0 - 8
 
 
-def _j_interval(n: int) -> CompactInterval:
-    d = _delta(n)
-    if n % 2 == 0:
-        return CompactInterval(Y1 - 2 * d, Y1 - d)
-    return CompactInterval(Y1 - 8 * d, Y1 - 7 * d)
+def _cells(level: int) -> tuple[int, int, int]:
+    """(base_i, base_j, den): the level positions on the I and J sides are
+    (base + 2 rank + 1) / den for rank < 2^level, den = 4 R^(level+1)
+    2^(level+1), the midpoints of 2^level equal cells of the interval."""
+    lo_i, lo_j = _lows(level)
+    return lo_i << (level + 1), lo_j << (level + 1), _units(level) << (level + 1)
+
+
+def _cell(index: int) -> tuple[int, int]:
+    """Position ``index`` as (numerator, denominator), unreduced."""
+    level = index_level(index)
+    base_i, base_j, den = _cells(level)
+    rank = index // 2 - (2 ** level - 1)
+    return (base_j if index % 2 else base_i) + 2 * rank + 1, den
 
 
 def index_level(index: int) -> int:
@@ -98,16 +119,6 @@ class Prop42Instance:
         return prop42_positions(self, self.n_points)
 
 
-def _position(index: int) -> Fraction:
-    level = index_level(index)
-    iv = _i_interval(level) if index % 2 == 0 else _j_interval(level)
-    i = index // 2 if index % 2 == 0 else (index - 1) // 2
-    rank = i - (2 ** level - 1)
-    # 2^level points at the midpoints of equal cells: strictly interior,
-    # equally spaced, left to right
-    return iv.lo + iv.diam * Fraction(2 * rank + 1, 2 ** (level + 1))
-
-
 def build_prop42(depth: int) -> Prop42Instance:
     """Construct and machine-verify the scheme down to ``depth`` levels.
 
@@ -115,22 +126,28 @@ def build_prop42(depth: int) -> Prop42Instance:
     right intervals inside (1/4, 3/4); even-level gap > 1/2 and odd-level
     hull < 1/2; strict ordering of both families; the cross-level
     consequences gap(I_s, J_t) > 1/2 for s < t and hull(I_s, J_t) < 1/2
-    for s > t.
+    for s > t.  The interval checks run on integers over the one scale
+    4 R^(depth+1), and the branch checks on x_1, x_2 over their common
+    denominator.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    eps = EPSILON_STAR
-    ivs_i = tuple(_i_interval(n) for n in range(depth + 1))
-    ivs_j = tuple(_j_interval(n) for n in range(depth + 1))
+    scale = _units(depth)
+    y0, y1, eps = scale // 4, 3 * scale // 4, scale // 2
+    ivs_i, ivs_j = [], []
+    for n in range(depth + 1):
+        up = SCALE_RATIO ** (depth - n)
+        for ivs, lo in zip((ivs_i, ivs_j), _lows(n)):
+            ivs.append(CompactInterval(lo * up, (lo + 1) * up))
 
     def fail(msg):
         raise AssertionError(f"prop42 scheme violates its contract: {msg}")
 
     for n in range(depth + 1):
         a, b = ivs_i[n], ivs_j[n]
-        if not (0 < a.lo and a.hi < Y0):
+        if not (0 < a.lo and a.hi < y0):
             fail(f"I_{n} not inside (0, 1/4)")
-        if not (Y0 < b.lo and b.hi < Y1):
+        if not (y0 < b.lo and b.hi < y1):
             fail(f"J_{n} not inside (1/4, 3/4)")
         if n % 2 == 0 and not interval_dist(a, b) > eps:
             fail(f"dist(I_{n}, J_{n}) <= 1/2")
@@ -146,23 +163,37 @@ def build_prop42(depth: int) -> Prop42Instance:
             if s > t and not union_diam(ivs_i[s], ivs_j[t]) < eps:
                 fail(f"diam(I_{s} u J_{t}) >= 1/2")
 
-    x1, x2 = _position(1), _position(2)
-    slope = (x2 - Y1) / (x1 - Y0)
-    if not slope < -1:
+    (n1, d1), (n2, d2) = _cell(1), _cell(2)
+    # slope a/b = (x_2 - Y1) / (x_1 - Y0), both sides times 4 d1 d2; b > 0,
+    # since x_1 lies in J_0
+    a, b = (4 * n2 - 3 * d2) * d1, (4 * n1 - d1) * d2
+    if not a < -b:
         fail("middle branch not expanding")
-    fixed_point = (Y1 - slope * Y0) / (1 - slope)
-    if not Y0 < fixed_point < x1:
+    # the fixed point (Y1 - slope Y0) / (1 - slope) is (3b - a) / (4 (b - a)),
+    # with b - a > 0: above Y0 iff b - a < 3b - a, below x_1 = n1/d1 iff
+    # (3b - a) d1 < 4 (b - a) n1
+    if not (b - a < 3 * b - a and (3 * b - a) * d1 < 4 * (b - a) * n1):
         fail("fixed point outside (1/4, x_1)")
+    intervals_i, intervals_j = (
+        tuple(CompactInterval(Fraction(iv.lo, scale), Fraction(iv.hi, scale)) for iv in ivs)
+        for ivs in (ivs_i, ivs_j))
     return Prop42Instance(
-        depth=depth, y0=Y0, y1=Y1, epsilon_star=eps, scale_ratio=SCALE_RATIO,
-        intervals_i=ivs_i, intervals_j=ivs_j, slope=slope, fixed_point=fixed_point)
+        depth=depth, y0=Y0, y1=Y1, epsilon_star=EPSILON_STAR, scale_ratio=SCALE_RATIO,
+        intervals_i=intervals_i, intervals_j=intervals_j, slope=Fraction(a, b),
+        fixed_point=Fraction(3 * b - a, 4 * (b - a)))
 
 
 def prop42_positions(inst: Prop42Instance, n: int) -> tuple[Fraction, ...]:
-    """The first n point positions x_0 ... x_{n-1} (exact rationals)."""
+    """The first n point positions x_0 ... x_{n-1} (exact rationals), each
+    built once from its integer form (``_cells``)."""
     if not 1 <= n <= inst.n_points:
         raise ValueError(f"n={n} outside generated depth (max {inst.n_points})")
-    return tuple(_position(i) for i in range(n))
+    cells = []
+    for level in range(index_level(n - 1) + 1):
+        base_i, base_j, den = _cells(level)
+        for odd in range(1, 2 << level, 2):
+            cells += (base_i + odd, den), (base_j + odd, den)
+    return tuple(Fraction(num, den) for num, den in cells[:n])
 
 
 def prop42_recurrence_rule(inst: Prop42Instance, i: int, j: int) -> bool:

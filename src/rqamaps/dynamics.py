@@ -31,7 +31,8 @@ periodically to the end instead of evaluating further.  An orbit with
 preperiod k and period p stops within 2 max(k, p) + p steps, so an orbit
 that lands exactly on a cycle, as on plateau maps, costs a few dozen steps
 whatever its length.  An orbit that never repeats pays one comparison per
-step.  The points are equal, in value, type and float bits (signed zero
+step, which on exact points compares the numerator and denominator as
+ints.  The points are equal, in value, type and float bits (signed zero
 included), to evaluating every step in full: equal floats differ in bits
 only as 0.0 and -0.0, which every piece maps to the same float.
 
@@ -240,22 +241,40 @@ def iterate(f: PiecewiseLinearMap, x: Number, n: int) -> Trajectory:
     if not isinstance(x, float):
         x = as_fraction(x)
     pts, lasso = [x], None
-    if n > 1:
-        step = _stepper(f, x)
-        c, mark, move = 0, x, 1
+    if n > 1 and isinstance(x, float):
+        step, c, mark, move = _stepper(f, x), 0, x, 1
         for j in range(1, n):
             x = step(x)
             pts.append(x)
             if x == mark:
-                p = j - c
-                k = next(i for i in range(c + 1) if pts[i] == pts[i + p])
-                lasso = (k, p)
-                cycle, rest = pts[c + 1:], n - 1 - j
-                pts += (cycle * (rest // p + 1))[:rest]
+                lasso = _close(pts, c, j, n)
                 break
             if j == move:
                 c, mark, move = j, x, 2 * j
+    elif n > 1:
+        # a rational point equals the checkpoint when its numerator and
+        # denominator do, compared as ints, which skips Fraction.__eq__
+        step, c, num, den, move = _stepper(f, x), 0, x.numerator, x.denominator, 1
+        for j in range(1, n):
+            x = step(x)
+            pts.append(x)
+            if x.numerator == num and x.denominator == den:
+                lasso = _close(pts, c, j, n)
+                break
+            if j == move:
+                c, num, den, move = j, x.numerator, x.denominator, 2 * j
     return Trajectory(pts[0], tuple(pts), _lasso=lasso)
+
+
+def _close(pts: list, c: int, j: int, n: int) -> tuple[int, int]:
+    """Copy x_{c+1}, ..., x_j periodically onto ``pts`` up to n points, and
+    return the lasso (k, p) of the orbit, whose point j repeats the
+    checkpoint x_c."""
+    p = j - c
+    k = next(i for i in range(c + 1) if pts[i] == pts[i + p])
+    cycle, rest = pts[c + 1:], n - 1 - j
+    pts += (cycle * (rest // p + 1))[:rest]
+    return k, p
 
 
 @dataclass(frozen=True)
@@ -290,15 +309,19 @@ def detect_periodic(t: Trajectory, tol: Number = 0) -> PeriodicStructure | None:
         if k + 2 * p > n:
             return None
         return PeriodicStructure(preperiod=k, period=p, orbit=tuple(pts[k:k + p]))
-    # with tol == 0 equality is the test: repeated orbit points are often the
-    # same object, and == skips a Fraction subtraction
+    # with tol == 0 equality is the test: rational points are equal when their
+    # numerators and denominators are, compared as ints, which skips
+    # Fraction.__eq__; other points are often the same object, and == skips a
+    # subtraction
     exact = tol == 0
+    ratios = exact and all(isinstance(x, Fraction) for x in pts)
     for p in range(1, n // 2 + 1):
         # minimal k such that every residual at offset p from index k on fits
         k = n - p
         for i in range(n - p - 1, -1, -1):
             a, b = pts[i + p], pts[i]
-            if (a is b or a == b) if exact else abs(a - b) <= tol:
+            if ((a.numerator == b.numerator and a.denominator == b.denominator) if ratios
+                    else (a is b or a == b) if exact else abs(a - b) <= tol):
                 k = i
             else:
                 break

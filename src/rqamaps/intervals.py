@@ -21,6 +21,7 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -33,12 +34,16 @@ from .rational import Number, as_fraction, fraction_str, positive
 
 @dataclass(frozen=True)
 class CompactInterval:
-    """Closed interval [lo, hi]; degenerate (lo == hi) allowed."""
+    """Closed interval [lo, hi]; degenerate (lo == hi) allowed.  A float
+    endpoint must be finite."""
 
     lo: Number
     hi: Number
 
     def __post_init__(self):
+        for x in (self.lo, self.hi):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError("float points must be finite")
         if self.lo > self.hi:
             raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
 
@@ -167,8 +172,7 @@ def epsilon_pairs(c: Configuration, epsilon: Number) -> EpsilonPairSet:
     Both comparisons are strict; ties (dist == epsilon or diam == epsilon)
     exclude the pair.  (a, a) is included exactly when diam(J_a) > epsilon.
     A configuration with a float endpoint is decided in float arithmetic
-    on float(x) of every endpoint, exact ones included; a non-finite float
-    endpoint raises ValueError.
+    on float(x) of every endpoint, exact ones included.
     """
     positive(epsilon)
     n = len(c.intervals)
@@ -191,24 +195,26 @@ def extremal_configuration(n: int, epsilon: Number) -> Configuration:
 
     Layout (delta = epsilon/10): J_1 = [0, eps+delta] and
     J_n = [2*eps, 3*eps+delta], so the outer gap is eps-delta < eps while
-    both outer diameters exceed eps; the n-2 interior intervals are short
-    equally spaced slabs strictly inside the gap.  Deterministic, suitable
-    for golden tests.
+    both outer diameters exceed eps; the m = n-2 interior intervals are
+    short equally spaced slabs strictly inside the gap: the gap is cut into
+    2m+1 equal units and J_(i+1) is unit 2i-1, i = 1..m.  Deterministic,
+    suitable for golden tests.
+
+    Every endpoint is an integer times a over one denominator, for
+    eps = a/b: J_1 and J_n over 10 b, and interior interval i over
+    10 b (2m+1), from a (11 (2m+1) + 9 (2i-1)) to a (11 (2m+1) + 18 i).
     """
     if n < 2:
         raise ValueError("extremal configuration needs n >= 2")
     eps = positive(as_fraction(epsilon))
-    delta = eps / 10
-    first = CompactInterval(Fraction(0), eps + delta)
-    last = CompactInterval(2 * eps, 3 * eps + delta)
-    interior = []
-    m = n - 2
-    if m:
-        gap = eps - delta  # width of the open gap between first and last
-        unit = gap / (2 * m + 1)
-        for i in range(1, m + 1):
-            lo = first.hi + (2 * i - 1) * unit
-            interior.append(CompactInterval(lo, lo + unit))
+    a, b = eps.numerator, eps.denominator
+    first = CompactInterval(Fraction(0), Fraction(11 * a, 10 * b))
+    last = CompactInterval(Fraction(2 * a, b), Fraction(31 * a, 10 * b))
+    units = 2 * (n - 2) + 1
+    den, start = 10 * b * units, 11 * units
+    interior = [CompactInterval(Fraction(a * (start + 18 * i - 9), den),
+                                Fraction(a * (start + 18 * i), den))
+                for i in range(1, n - 1)]
     return Configuration((first, *interior, last))
 
 

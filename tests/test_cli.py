@@ -372,6 +372,14 @@ _GOLDEN = {
         ("b7a3255dd65d33b30a0c90d3827b2a0b156d5fa243f18c6189fe0f3ea2f26f7b",) * 2,
     "det2-prop42-float":
         ("31153a38ac8bf7b25f81a139920d449d79d6e83f9fbd252b96835213b3ba54a8",) * 2,
+    # recorded while the prop42 positions and the extremal layout were built
+    # in Fraction arithmetic; config prints its report with --output too, and
+    # writes the configuration to the file
+    "positions-depth10":
+        ("4ed75d8d589feabec8e600dc749d5f0d574323e193b12d0699ed03ebb89ac6c8",) * 2,
+    "map-depth6": ("81acca33552eb02d1570a6ef9b4c1a7eaf03724676c705ec8e51fc0b0a4c37e6",) * 2,
+    "config-extremal": ("430eceb3ab39252a3b4d8cee4f6043ea83d030d1ce68411edad2a598d85b0e16",
+                        "5e0e0b0d7d338c23f2c95cb20ffd360c13bcbcc3f9561fae05e459a670a4428a"),
 }
 
 
@@ -388,6 +396,9 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
                          "--t-schedule", "2,3,4,5,6"],
             "report": ["prop42", "--depth", "8", "--emit", "report"],
             "positions": ["prop42", "--depth", "4", "--emit", "positions"],
+            "positions-depth10": ["prop42", "--depth", "10", "--emit", "positions"],
+            "map-depth6": ["prop42", "--depth", "6", "--emit", "map"],
+            "config-extremal": ["config", "--extremal", "--n", "120", "--epsilon", "3/10"],
             "corrsum-prop42-float": ["corrsum", *prop42_float, "--m", "1",
                                      "--schedule", "1024,2048,4093"],
             "det-prop42-float": ["det", *prop42_float, "--m", "1",
@@ -398,7 +409,7 @@ def test_golden_digests(tmp_path, capsys, plateau_map_file, name):
     assert run(*argv) == 0
     printed = capsys.readouterr().out.encode()
     assert run(*argv, "--output", str(out)) == 0
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out == ("" if argv[0] != "config" else printed.decode())
     digests = tuple(hashlib.sha256(data).hexdigest() for data in (printed, out.read_bytes()))
     assert digests == _GOLDEN[name]
 

@@ -2,8 +2,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rqamaps.constructions import (DelahayeInstance, _check_delahaye_gaps,
+from rqamaps import constructions
+from rqamaps.constructions import (DelahayeInstance, _cell, _check_delahaye_gaps,
                                    build_delahaye, build_prop42,
                                    delahaye_counts, delahaye_counts_formula,
                                    delahaye_det, delahaye_rdet, index_level,
@@ -13,7 +15,7 @@ from rqamaps.constructions import (DelahayeInstance, _check_delahaye_gaps,
                                    prop42_report, prop42_schedule_n,
                                    system_from_json, write_c1_csv)
 from rqamaps.dynamics import evaluate, iterate
-from rqamaps.intervals import interval_dist, union_diam
+from rqamaps.intervals import CompactInterval, interval_dist, union_diam
 from rqamaps.solenoidal import _level, interval_of_word, Word
 
 
@@ -77,6 +79,88 @@ class TestProp42Scheme:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             build_prop42(0)
+
+
+# Oracles: the scheme in Fraction arithmetic, one operation at a time
+def fraction_delta(n):
+    return F(1, 4 * 16 ** (n + 1))
+
+
+def fraction_i_interval(n):
+    d = fraction_delta(n)
+    if n % 2 == 0:
+        return CompactInterval(F(1, 4) - 8 * d, F(1, 4) - 7 * d)
+    return CompactInterval(F(1, 4) - 2 * d, F(1, 4) - d)
+
+
+def fraction_j_interval(n):
+    d = fraction_delta(n)
+    if n % 2 == 0:
+        return CompactInterval(F(3, 4) - 2 * d, F(3, 4) - d)
+    return CompactInterval(F(3, 4) - 8 * d, F(3, 4) - 7 * d)
+
+
+def fraction_position(index):
+    level = index_level(index)
+    iv = fraction_i_interval(level) if index % 2 == 0 else fraction_j_interval(level)
+    rank = index // 2 - (2 ** level - 1)
+    return iv.lo + iv.diam * F(2 * rank + 1, 2 ** (level + 1))
+
+
+class TestProp42Integers:
+    def test_positions_match_fraction_oracle(self):
+        inst = build_prop42(12)
+        pts = prop42_positions(inst, inst.n_points)
+        assert pts == tuple(fraction_position(i) for i in range(inst.n_points))
+        assert all(type(x) is F for x in pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 * (2 ** 41 - 1) - 1))
+    @example(2 * (2 ** 41 - 1) - 1)
+    def test_cell_matches_fraction_oracle(self, index):
+        # every index up to the last one at depth 40
+        assert F(*_cell(index)) == fraction_position(index)
+
+    def test_intervals_match_fraction_oracle(self):
+        for depth in range(1, 21):
+            inst = build_prop42(depth)
+            assert inst.intervals_i == tuple(map(fraction_i_interval, range(depth + 1)))
+            assert inst.intervals_j == tuple(map(fraction_j_interval, range(depth + 1)))
+        x1, x2 = fraction_position(1), fraction_position(2)
+        slope = (x2 - F(3, 4)) / (x1 - F(1, 4))
+        assert (inst.slope, inst.fixed_point) == \
+            (slope, (F(3, 4) - slope * F(1, 4)) / (1 - slope))
+
+    def test_checks_read_the_scale_ratio(self, monkeypatch):
+        # at ratio 8, I_0 = [0, 1/32] touches 0
+        monkeypatch.setattr(constructions, "SCALE_RATIO", 8)
+        with pytest.raises(AssertionError, match=r"I_0 not inside \(0, 1/4\)"):
+            build_prop42(7)
+
+    def test_positions_build_each_fraction_once(self, prop42_small, monkeypatch):
+        made, arithmetic = [], []
+
+        class Counted(F):
+            def __new__(cls, *args):
+                made.append(args)
+                return super().__new__(cls, *args)
+
+        def counted(name):
+            def op(self, *args):
+                arithmetic.append(name)
+                return getattr(F, name)(self, *args)
+            return op
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+                     "__neg__", "__abs__"):
+            setattr(Counted, name, counted(name))
+        monkeypatch.setattr(constructions, "Fraction", Counted)
+        for n in (1, 2, 7, 100, prop42_small.n_points):
+            made.clear()
+            pts = prop42_positions(prop42_small, n)
+            assert len(made) == n and not arithmetic
+            assert pts == tuple(fraction_position(i) for i in range(n))
 
 
 class TestProp42Rule:

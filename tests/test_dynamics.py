@@ -306,6 +306,64 @@ def test_detect_periodic_matches_residual_loop(seed, exact):
     assert detect_periodic(t, 0) == residual_detect(t, 0)
 
 
+def eq_iterate(f, x, n):
+    """Reference: the Brent loop of ``iterate`` with == as its test, as
+    (points, lasso)."""
+    pts, lasso = [x if isinstance(x, float) else F(x)], None
+    c, move = 0, 1
+    for j in range(1, n):
+        pts.append(evaluate(f, pts[-1]))
+        if pts[j] == pts[c]:
+            p = j - c
+            k = next(i for i in range(c + 1) if pts[i] == pts[i + p])
+            lasso = (k, p)
+            pts += [pts[c + 1 + (i % p)] for i in range(n - 1 - j)]
+            break
+        if j == move:
+            c, move = j, 2 * j
+    return [bits(v) for v in pts], lasso
+
+
+def eq_detect(t):
+    """Reference: the tol-0 scan of ``detect_periodic`` with == as its test."""
+    pts, n = t.points, len(t.points)
+    for p in range(1, n // 2 + 1):
+        k = n - p
+        while k > 0 and pts[k - 1 + p] == pts[k - 1]:
+            k -= 1
+        if k + 2 * p <= n:
+            return PeriodicStructure(k, p, tuple(pts[k:k + p]))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 12), st.integers(1, 6),
+       st.sampled_from(BRENT_LENGTHS))
+def test_integer_equality_matches_eq_reference(seed, k, p, n):
+    # exact orbits compare numerators and denominators as ints; float orbits
+    # and as_float() keep ==, and the lasso-free copies take the scan
+    rnd = random.Random(seed)
+    cycle, y0 = cycle_map(rnd, k, p)
+    for f, x in ((cycle, y0), (random_pl_map(rnd), F(rnd.randint(0, 32), 32))):
+        for seed_point in (x, float(x)):
+            t = iterate(f, seed_point, n)
+            assert ([bits(v) for v in t.points], t._lasso) == eq_iterate(f, seed_point, n)
+            for s in (t, t.as_float()):
+                bare = Trajectory(s.base, s.points)
+                assert detect_periodic(s) == detect_periodic(bare) == eq_detect(s)
+
+
+@pytest.mark.parametrize("pts, found", [
+    ((0, F(1, 2), 0, F(1, 2)), (0, 2)),
+    ((F(1, 3), 0.5, F(1, 2), 0.5), (1, 1)),
+    ((F(1, 3), F(1, 2), F(2, 3)), None)])
+def test_detect_periodic_on_mixed_points(pts, found):
+    # ints and floats among the points: the scan compares with ==
+    ps = detect_periodic(Trajectory(pts[0], pts))
+    assert (ps and (ps.preperiod, ps.period)) == found
+    assert ps == eq_detect(Trajectory(pts[0], pts))
+
+
 class TestSerialization:
     def test_map_json_round_trip(self):
         f = SWAP

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs,
                                extremal_configuration, interval_dist, union_diam,
@@ -126,9 +126,8 @@ class TestEpsilonPairs:
 
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)])
     def test_rejects_non_finite_endpoint(self, lo, hi):
-        c = Configuration((CompactInterval(lo, hi),))
         with pytest.raises(ValueError, match="float points must be finite"):
-            epsilon_pairs(c, F(1, 2))
+            CompactInterval(lo, hi)
 
     def test_infinite_epsilon_passes_every_gap_and_no_hull(self):
         c = _random_config(random.Random(3), 6)
@@ -158,6 +157,46 @@ class TestExtremal:
 
     def test_deterministic(self):
         assert extremal_configuration(5, F(1, 3)) == extremal_configuration(5, F(1, 3))
+
+    def test_matches_fraction_layout(self):
+        for n in range(2, 301):
+            eps = F(3, 10) if n % 2 else F(7)
+            assert_extremal_layout(n, eps)
+
+
+def fraction_extremal(n, eps):
+    """Oracle: the extremal layout in Fraction arithmetic, one operation at a
+    time."""
+    delta = eps / 10
+    first = CompactInterval(F(0), eps + delta)
+    last = CompactInterval(2 * eps, 3 * eps + delta)
+    m, interior = n - 2, []
+    if m:
+        unit = (eps - delta) / (2 * m + 1)
+        for i in range(1, m + 1):
+            lo = first.hi + (2 * i - 1) * unit
+            interior.append(CompactInterval(lo, lo + unit))
+    return Configuration((first, *interior, last))
+
+
+def assert_extremal_layout(n, eps):
+    c = extremal_configuration(n, eps)
+    assert c == fraction_extremal(n, eps)
+    assert all(type(x) is F for iv in c.intervals for x in (iv.lo, iv.hi))
+    assert len(epsilon_pairs(c, eps)) == 4 * (n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40),
+       st.one_of(st.integers(1, 10 ** 6).map(F),
+                 st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6).filter(lambda e: e > 0),
+                 st.tuples(st.integers(1, 2 ** 70), st.integers(2 ** 64 + 1, 2 ** 80)).map(
+                     lambda ab: F(*ab))))
+@example(300, F(5))
+@example(300, F(3 ** 41, 2 ** 64 + 13))
+def test_extremal_matches_fraction_layout(n, eps):
+    # integer eps, and eps with denominators past 2^64 among them
+    assert_extremal_layout(n, eps)
 
 
 class TestZero:
