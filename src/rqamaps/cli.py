@@ -7,6 +7,13 @@ counts with certified enclosures, each width checked against its bound by
 ``solenoidal.asymptotic_corr_sum``), ``prop42`` and ``prop52`` (the two
 shipped counterexample constructions).
 
+The parser is built once per process, on the first :func:`main` call
+(:func:`build_parser`), and each subparser carries its handler, which
+:func:`main` calls from the parsed arguments.  A table reads as many
+points as its series does: max(schedule) + max(windows) - 1 for the
+windows that ``rqa.series_windows`` names, the rule :func:`rqa.series`
+counts by, so the CLI keeps no copy of it.
+
 All table/plot output is deterministic: identical invocations produce
 byte-identical files.  Thresholds are parsed as exact rationals ("1/2",
 "1/625"); computations run in exact arithmetic unless ``--float`` asks
@@ -17,6 +24,7 @@ a failed internal check is a bug and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -95,12 +103,11 @@ def _write_or_print(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_table(args, kind: str) -> int:
-    eps = _parse_epsilon(args.epsilon, args.float)
+def _cmd_table(args) -> int:
+    kind, eps = args.command, _parse_epsilon(args.epsilon, args.float)
     schedule = _schedule_arg(args)
     rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
-    window = args.m + (1 if kind == "det" else 0)
-    traj = _load_trajectory(args, max(schedule) + window - 1)
+    traj = _load_trajectory(args, max(schedule) + max(rqa.series_windows(args.m, kind)) - 1)
     lines = ["n,C_m_exact_num,C_m_exact_den,C_m_float" if kind == "corrsum"
              else f"n,{kind}_num,{kind}_den,{kind}_float"]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
@@ -140,8 +147,7 @@ def _cmd_config(args) -> int:
         "pairs": sorted(pairs.pairs),
     }
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(conf.to_json() + "\n")
+        _write_or_print(conf.to_json() + "\n", args.output)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -199,7 +205,10 @@ def _cmd_prop52(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rqamaps`` parser, built on the first call and shared after it:
+    each subparser carries its handler as the default ``handler``."""
     parser = argparse.ArgumentParser(
         prog="rqamaps",
         description="Recurrence quantification analysis for interval maps")
@@ -216,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=name == "rplot")
         if name != "rplot":
             p.add_argument("--schedule", help="comma-separated increasing n values")
+        p.set_defaults(handler=_cmd_rplot if name == "rplot" else _cmd_table)
 
     p = sub.add_parser("config", help="ordered-interval configuration analysis")
     p.add_argument("--extremal", action="store_true")
@@ -224,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--output")
+    p.set_defaults(handler=_cmd_config)
 
     p = sub.add_parser("solenoid", help="word-pair counts and enclosures")
     p.add_argument("--r", type=int, required=True)
@@ -232,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-schedule", dest="t_schedule", type=_parse_schedule,
                    required=True)
     p.add_argument("--output")
+    p.set_defaults(handler=_cmd_solenoid)
 
     p = sub.add_parser("prop42", help="oscillating correlation sum construction")
     p.add_argument("--depth", type=int, required=True)
@@ -240,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--output")
+    p.set_defaults(handler=_cmd_prop42)
 
     p = sub.add_parser("prop52", help="determinism limit 2/3 construction")
     p.add_argument("--r", type=int, required=True)
@@ -247,20 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--output")
+    p.set_defaults(handler=_cmd_prop52)
 
     return parser
-
-
-_HANDLERS = {
-    "corrsum": lambda a: _cmd_table(a, "corrsum"),
-    "rdet": lambda a: _cmd_table(a, "rdet"),
-    "det": lambda a: _cmd_table(a, "det"),
-    "rplot": _cmd_rplot,
-    "config": _cmd_config,
-    "solenoid": _cmd_solenoid,
-    "prop42": _cmd_prop42,
-    "prop52": _cmd_prop52,
-}
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
@@ -278,13 +280,12 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse help/usage exits
         return 0 if exc.code in (0, None) else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

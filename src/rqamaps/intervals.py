@@ -172,13 +172,12 @@ def epsilon_pairs(c: Configuration, epsilon: Number) -> EpsilonPairSet:
     Both comparisons are strict; ties (dist == epsilon or diam == epsilon)
     exclude the pair.  (a, a) is included exactly when diam(J_a) > epsilon.
     A configuration with a float endpoint is decided in float arithmetic
-    on float(x) of every endpoint, exact ones included.
+    on float(x) of every endpoint, exact ones included, as every rank
+    table (``ranks.table``) decides its points.
     """
     positive(epsilon)
     n = len(c.intervals)
     ends = [iv.lo for iv in c.intervals] + [iv.hi for iv in c.intervals]
-    if any(isinstance(x, float) for x in ends):
-        ends = [float(x) for x in ends]
     _, x, y, hi = interval_tests(ranks.table(ends, 2 * n), epsilon)
     # in order, for b > a: gap < eps iff b < near[a], hull > eps iff b >= wide[a]
     near = np.searchsorted(y[:n], hi[:n]).tolist()

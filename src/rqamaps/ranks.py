@@ -25,7 +25,9 @@ which could wrap as uint64; the cut stays in int64 while ``max|v| + e <
 ``<= d`` at the largest float d, inf included, that passes, which decides
 every float distance as eps does.  Rounding is monotone, so the values
 that pass it also form a rank range, whose ends are found with the test
-itself.
+itself.  A point set of which any point is a float is ranked as floats,
+each point taken as float(x), so that the arithmetic does not depend on
+the order of the points.
 
 Every table carries a lasso (k, p): point i takes the rank of position i
 below k and of position k + (i - k) mod p beyond.  Only the k + p lasso
@@ -114,15 +116,17 @@ def int_table(ints: Sequence[int], scale: int) -> RankTable:
 def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> RankTable:
     """The rank table of the points' first k + p, in their own arithmetic,
     for their lasso (k, p); points without a known lasso are their own,
-    (len(pts), 1).  Exact values are integers over the points' common
-    denominator, which sort faster than Fractions."""
+    (len(pts), 1).  Points of which any is a float are ranked as floats,
+    each taken as float(x); exact values are integers over the points'
+    common denominator, which sort faster than Fractions."""
     k, p = (len(pts), 1) if lasso is None else lasso
-    if isinstance(pts[0], float):
-        values, rank = np.unique(np.asarray(pts[:k + p], float), return_inverse=True)
+    head = pts[:k + p]
+    if any(isinstance(x, float) for x in head):
+        values, rank = np.unique(np.asarray(head, float), return_inverse=True)
         if not np.isfinite(values).all():
             raise ValueError("float points must be finite")
         return RankTable(rank, values, None, (k, p))
-    return int_table(*scaled([as_fraction(x) for x in pts[:k + p]]))._replace(lasso=(k, p))
+    return int_table(*scaled([as_fraction(x) for x in head]))._replace(lasso=(k, p))
 
 
 def table(t, need: int) -> RankTable:

@@ -11,8 +11,8 @@ is ``rdet_m = C_m / C_1``; RQA-determinism is the affine combination
 
 Counts are exact integers, so correlation sums and determinisms are exact
 rationals in both arithmetic modes; only the underlying distance
-comparisons differ (exact rational vs binary float, decided by the
-trajectory's element type).
+comparisons differ (exact rational vs binary float, which decides every
+point when any point of the trajectory is a float).
 
 Pair counting
 -------------
@@ -21,7 +21,9 @@ names (C_m at m, rdet_m at 1 and m, DET_m at 1, m and m + 1), and one pass
 to the widest yields them at every n of an increasing schedule: the
 window-w test is the AND of the pointwise tests at offsets s < w.
 :func:`series` is their one producer, by the CLI subcommand name
-(``"corrsum"``, ``"rdet"``, ``"det"``).  Both arithmetic modes test points
+(``"corrsum"``, ``"rdet"``, ``"det"``), and :func:`series_windows` names
+the windows each reads, which fixes how many points a series at n needs:
+n + max(windows) - 1.  Both arithmetic modes test points
 through the threshold-free rank table of :mod:`rqamaps.ranks`
 (``ranks.table``) and, per threshold, its rank ranges (``ranks.cuts``):
 exact points in integers over a common denominator, float points by the
@@ -232,23 +234,34 @@ def _pair_counts(t, ns: Sequence[int], windows: Sequence[int], epsilon) -> list[
                          windows, table.lasso)
 
 
+def series_windows(m: int, kind: str) -> list[int]:
+    """The windows w whose counts N_w the ``kind`` series of :func:`series`
+    reads at window m: C_m reads m, rdet_m and DET_1 = rdet_1 read 1 and m,
+    and DET_m for m > 1 reads 1, m and m + 1.  At n it reads the first
+    n + max(windows) - 1 points."""
+    if kind == "corrsum":
+        return [m]
+    if kind == "det" and m > 1:
+        return [1, m, m + 1]
+    if kind not in ("rdet", "det"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    return [1, m]
+
+
 def series(t, ns: Sequence[int], m: int, epsilon, kind: str) -> list[Fraction]:
     """C_m (``kind`` "corrsum"), rdet_m ("rdet") or DET_m ("det") at
-    every n of the increasing schedule ns, from one scan, once ns, m and
-    epsilon are checked."""
+    every n of the increasing schedule ns, from one scan over the windows
+    of :func:`series_windows`, once ns, m and epsilon are checked."""
     if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     RQAParams(m, epsilon, ns[0])   # validates m, epsilon and every n
+    rows = _pair_counts(t, ns, series_windows(m, kind), epsilon)
     if kind == "corrsum":
-        counts, = _pair_counts(t, ns, [m], epsilon)
-        return [Fraction(c, n * n) for n, c in zip(ns, counts)]
-    if kind == "det" and m > 1:
-        return [Fraction(m * n_m - (m - 1) * n_m1, n1)
-                for n1, n_m, n_m1 in zip(*_pair_counts(t, ns, [1, m, m + 1], epsilon))]
-    if kind not in ("rdet", "det"):
-        raise ValueError(f"unknown series kind {kind!r}")
+        return [Fraction(c, n * n) for n, c in zip(ns, rows[0])]
+    if len(rows) == 3:   # DET_m, m > 1
+        return [Fraction(m * n_m - (m - 1) * n_m1, n1) for n1, n_m, n_m1 in zip(*rows)]
     # rdet_m, and DET_1 = rdet_1
-    return [Fraction(n_m, n1) for n1, n_m in zip(*_pair_counts(t, ns, [1, m], epsilon))]
+    return [Fraction(n_m, n1) for n1, n_m in zip(*rows)]
 
 
 def correlation_sum(t, p: RQAParams, threads: int | None = None) -> Fraction:

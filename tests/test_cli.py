@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from rqamaps import cli, solenoidal
+from rqamaps import cli, rqa, solenoidal
 from rqamaps.constructions import build_prop42, delahaye_counts, prop42_C1
 from rqamaps.dynamics import iterate
 from rqamaps.rqa import RQAParams, correlation_sum
@@ -93,6 +95,37 @@ class TestRatioTables:
     def test_nonpositive_n_exits_one(self, plateau_map_file):
         assert run("rdet", "--map", plateau_map_file, "--x0", "1/5",
                    "--m", "2", "--epsilon", "1/2", "--schedule", "0,5") == 1
+
+    def test_det_window_one_reads_only_n_points(self, capsys):
+        # prop42 at depth 3 has 30 points: DET_1 = rdet_1 at n = 30 reads all of them
+        argv = ["--construction", "prop42", "--depth", "3", "--m", "1",
+                "--epsilon", "1/2", "--n", "30"]
+        assert run("rdet", *argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["30,1,1,1.0"]
+        assert run("det", *argv) == 0
+        assert capsys.readouterr() == ("n,det_num,det_den,det_float\n30,1,1,1.0\n", "")
+
+    @pytest.mark.parametrize("kind", ["corrsum", "rdet", "det"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_loads_the_points_its_series_reads(self, monkeypatch, capsys,
+                                                     plateau_map_file, kind, m):
+        lengths, windows = [], []
+        load, count = cli._load_trajectory, rqa._pair_counts
+
+        def loading(args, length):
+            lengths.append(length)
+            return load(args, length)
+
+        def counting(t, ns, w, epsilon):
+            windows.append(list(w))
+            return count(t, ns, w, epsilon)
+
+        monkeypatch.setattr(cli, "_load_trajectory", loading)
+        monkeypatch.setattr(rqa, "_pair_counts", counting)
+        assert run(kind, "--map", plateau_map_file, "--x0", "21/100", "--m", str(m),
+                   "--epsilon", "9/20", "--schedule", "7,20") == 0
+        assert len(windows) == 1
+        assert lengths == [20 + max(windows[0]) - 1]
 
 
 class TestRplot:
@@ -275,6 +308,55 @@ class TestParsing:
     def test_schedule_must_increase(self, plateau_map_file):
         assert run("corrsum", "--map", plateau_map_file, "--x0", "0",
                    "--m", "1", "--epsilon", "1/2", "--schedule", "5,5") == 1
+
+    def test_repeated_calls_in_one_process(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "artifact"
+        plot = ["rplot", "--construction", "prop42", "--depth", "4", "--m", "1",
+                "--epsilon", "1/2", "--n", "6", "--output", str(out)]
+        calls = [({}, ["--help"]), ({}, ["frobnicate"]),
+                 ({}, ["corrsum", "--m", "two", "--epsilon", "1/2", "--n", "5"]),
+                 ({"RQA_MAX_PAIRS": "35"}, plot),
+                 ({}, ["corrsum", "--construction", "prop42", "--depth", "6", "--m", "2",
+                       "--epsilon", "1/2", "--schedule", "20,40", "--output", str(out)]),
+                 ({}, plot)]
+
+        def run_all():
+            results = []
+            for env, argv in calls:
+                out.unlink(missing_ok=True)
+                with monkeypatch.context() as patch:
+                    for key, value in env.items():
+                        patch.setenv(key, value)
+                    code = run(*argv)
+                printed = capsys.readouterr()
+                results.append((code, printed.out, printed.err,
+                                out.read_bytes() if out.exists() else None))
+            return results
+
+        first = run_all()
+        assert [r[0] for r in first] == [0, 1, 1, 2, 0, 0]
+        assert first[3][3] is None and first[4][3] and first[5][3]
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_all() == first
+        assert constructed == []
+
+
+def test_readme_cli_block_covers_every_subcommand():
+    # the sh block under "## CLI", as CI runs it: one command a line once
+    # continuations are joined
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", "").splitlines()
+    assert all(line.startswith("rqamaps ") for line in lines)
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {line.split()[1] for line in lines}
 
 
 class TestErrors:

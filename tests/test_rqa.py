@@ -14,7 +14,8 @@ from rqamaps import ranks, rqa
 from rqamaps.constructions import prop42_positions
 from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
                               detect_periodic, iterate)
-from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
+from rqamaps.finite_omega import (PeriodicOrbitData, closed_form_corr_sum,
+                                  recurrent_orbit_pairs)
 from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
@@ -669,6 +670,37 @@ def test_counts_at_the_int64_edge(scale, eps):
     n = len(pts) - 2
     for m in (1, 2, 3):
         assert correlation_sum(pts, RQAParams(m, eps, n)) == brute_corr_sum(pts, m, eps, n)
+
+
+# 0.1 and 1/10 differ by about 5.6e-18 exactly and not at all in floats,
+# and so do 0.3 and 3/10; the threshold lies between
+MIXED_EPS = F(1, 10 ** 18)
+
+
+@pytest.mark.parametrize("pts", [[0.1, F(1, 10)],
+                                 [F(1, 10), 0.1, F(1, 2), F(3, 10), 0.3, 0.5, F(1, 10)]])
+def test_mixed_points_count_in_floats_in_any_order(pts):
+    for order in (pts, pts[::-1]):
+        floats = [float(x) for x in order]
+        for m in range(1, len(pts) + 1):
+            n = len(pts) - m + 1
+            c = correlation_sum(order, RQAParams(m, MIXED_EPS, n))
+            assert c == brute_corr_sum(floats, m, MIXED_EPS, n)
+            assert c == F(sum(bowen_distance(floats, i, j, m) <= MIXED_EPS
+                              for i in range(n) for j in range(n)), n * n)
+    assert correlation_sum(pts[:2], RQAParams(1, MIXED_EPS, 2)) == 1
+
+
+def test_mixed_cycle_counts_in_floats_at_every_rotation():
+    cycle = (F(1, 10), 0.1, F(1, 2), F(3, 10), 0.3)
+    p = len(cycle)
+    for r in range(p):
+        o = PeriodicOrbitData(cycle[r:] + cycle[:r])
+        floats = [float(y) for y in o.points] * 2
+        for m in (1, 2, 3):
+            want = sum(max(abs(floats[i + s] - floats[j + s]) for s in range(m)) <= MIXED_EPS
+                       for i in range(p) for j in range(p))
+            assert recurrent_orbit_pairs(o, m, MIXED_EPS) == want
 
 
 def test_det_window_one_needs_only_n_points():
