@@ -65,7 +65,10 @@ def _schedule_arg(args) -> list[int]:
     return [args.n]
 
 
-def _load_trajectory(args, length: int) -> Trajectory:
+def _load_trajectory(args, n: int, windows: int) -> Trajectory:
+    """The first n + W - 1 points of the source, which a count at n reads
+    for windows up to W = ``windows``."""
+    length = n + windows - 1
     if args.map:
         if args.x0 is None:
             raise ValueError("--map needs a seed point --x0")
@@ -76,6 +79,10 @@ def _load_trajectory(args, length: int) -> Trajectory:
         return iterate(f, seed, length)
     if args.construction == "prop42":
         inst = constructions.build_prop42(args.depth)
+        if length > inst.n_points:
+            raise ValueError(f"n = {n} needs n + W - 1 = {length} points (widest window "
+                             f"W = {windows}), but prop42 depth {args.depth} generates "
+                             f"{inst.n_points}")
         pts = constructions.prop42_positions(inst, length)
         if args.float:
             pts = tuple(float(p) for p in pts)
@@ -107,7 +114,7 @@ def _cmd_table(args) -> int:
     kind, eps = args.command, _parse_epsilon(args.epsilon, args.float)
     schedule = _schedule_arg(args)
     rqa.RQAParams(args.m, eps, schedule[0])   # validates m, epsilon and every n
-    traj = _load_trajectory(args, max(schedule) + max(rqa.series_windows(args.m, kind)) - 1)
+    traj = _load_trajectory(args, max(schedule), max(rqa.series_windows(args.m, kind)))
     lines = ["n,C_m_exact_num,C_m_exact_den,C_m_float" if kind == "corrsum"
              else f"n,{kind}_num,{kind}_den,{kind}_float"]
     lines += [f"{n},{v.numerator},{v.denominator},{float(v)!r}"
@@ -120,7 +127,7 @@ def _cmd_rplot(args) -> int:
     if not args.output:
         raise ValueError("rplot requires --output")
     params = rqa.RQAParams(args.m, _parse_epsilon(args.epsilon, args.float), args.n)
-    traj = _load_trajectory(args, args.n + args.m - 1)
+    traj = _load_trajectory(args, args.n, args.m)
     matrix = rqa.recurrence_matrix(traj, params)
     rqa.write_pgm(matrix, args.output)
     return 0
@@ -148,8 +155,19 @@ def _cmd_config(args) -> int:
     }
     if args.output:
         _write_or_print(conf.to_json() + "\n", args.output)
-    print(json.dumps(report, indent=2))
+    print(_indented_json(report))
     return 0
+
+
+def _indented_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` for a flat report whose one list,
+    "pairs", holds integer pairs.  ``indent`` sends ``json`` to its
+    pure-Python encoder, so the pair rows are written here."""
+    rows = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in report["pairs"])
+    fields = [f"  {json.dumps(key)}: {json.dumps(value)}"
+              for key, value in report.items() if key != "pairs"]
+    fields.append(f'  "pairs": [\n{rows}\n  ]' if rows else '  "pairs": []')
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _cmd_solenoid(args) -> int:

@@ -25,7 +25,10 @@ Two fully parameterized objects:
   diameters r^-t / 2*r^-t (by leading digit), whose word-pair counts at
   eps_k = r^-k give asymptotic determinism exactly 2/3 for every window
   length m >= 2 -- recurrence determinism can stay away from 1 even for a
-  map that is not chaotic in any standard sense.
+  map that is not chaotic in any standard sense.  Its rule nests at every
+  depth, which the system records (``_nests``), so a word count on it
+  reads the node bounds its walk touches and builds no level beyond the
+  five its build checks.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .dynamics import PiecewiseLinearMap
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import fraction_str
 from .rqa import ResourceGuardError
-from .solenoidal import AdmissibleSystem, Word, _level, counts_by_window
+from .solenoidal import AdmissibleSystem, Word, counts_by_window, max_diam, node_bounds
 
 Y0 = Fraction(1, 4)
 Y1 = Fraction(3, 4)
@@ -378,6 +381,10 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
     unions and the threshold scale).  Checked at build: the top-level gap
     is 1 - 3/r and every sibling gap is (r-2) r^-(t+1), doubled under a
     leading 1.
+
+    The rule nests at every depth: below a word of depth d the sibling gap
+    is c (r - 2) r^-(d+1) > 0, c = 1 or 2 by its leading digit, so the
+    system is built with ``_nests`` and its counts build no level.
     """
     if r < 5:
         raise ValueError("need r >= 5")
@@ -391,28 +398,36 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
         return widths[d][w.digits[0]]
 
     system = AdmissibleSystem(diam_rule=diam_rule, depth_cap=depth_cap,
-                              descriptor={"kind": "delahaye", "r": r})
+                              descriptor={"kind": "delahaye", "r": r}, _nests=True)
     _check_delahaye_gaps(system, r)
     return DelahayeInstance(r=r, system=system)
 
 
 def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
-    """The build-time contract of ``build_delahaye``, read off the level
-    table: the top-level gap is 1 - 3/r, and below every word a of depth
-    t <= 4 the sibling gap min K_{a1} - max K_{a0} is (r-2) r^-(t+1), doubled
-    under a leading 1.  Word j's children at level t + 1 are words j and
+    """The build-time contract of ``build_delahaye``, read off the node
+    bounds down to depth 5: the top-level gap is 1 - 3/r, below every word
+    a of depth t <= 4 the sibling gap min K_{a1} - max K_{a0} is
+    (r-2) r^-(t+1), doubled under a leading 1, and the widest interval at
+    depth 5 is 2 r^-5.  Word j's children at depth t + 1 are words j and
     j + 2^t."""
-    lo, hi, scale = _level(system, 1)
-    if (lo[1] - hi[0]) * r != (r - 3) * scale:
+    depth = min(system.depth_cap, 5)
+    # max_diam reads every width down to the depth, level by level, and the
+    # node bounds then read those levels
+    widest = max_diam(system, depth)
+    top = node_bounds(system, 1, 1, [0, 1])
+    if (top.lo[1] - top.hi[0]) * r != (r - 3) * top.scale:
         raise AssertionError("top-level gap violates the diameter rule")
-    for t in range(1, min(system.depth_cap, 5)):
-        lo, hi, scale = _level(system, t + 1)
+    for t in range(1, depth):
         p = 2 ** t
+        b = node_bounds(system, t + 1, t + 1, range(2 * p))
+        lo, hi = b.lo.tolist(), b.hi.tolist()
         for j in range(p):
             # a leading digit 1 (odd j) doubles the gap
-            if (lo[j + p] - hi[j]) * r ** (t + 1) != (r - 2) * scale * (1 + j % 2):
+            if (lo[j + p] - hi[j]) * r ** (t + 1) != (r - 2) * b.scale * (1 + j % 2):
                 raise AssertionError(
                     f"sibling gap below {Word.from_int(j, t)} violates the rule")
+    if widest != Fraction(2, r ** depth):
+        raise AssertionError(f"widest interval at depth {depth} violates the rule")
 
 
 def delahaye_counts_formula(k: int, m: int, t: int) -> tuple[int, int]:

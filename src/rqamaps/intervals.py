@@ -6,14 +6,17 @@ closer than a threshold while their hull is wider than it.  The cardinality
 of that pair set is sharply bounded by ``4*(n-1)``; both the extremal and
 the empty configurations are constructible.
 
-The two tests between intervals, gap < eps and hull <= eps, have one home,
-:func:`interval_tests`, which decides them through the rank table of the
-endpoints (:mod:`rqamaps.ranks`), exactly for any denominator.  The word
-counts of :mod:`rqamaps.solenoidal` read its rows, and so does
-:func:`epsilon_pairs`: in an ordered configuration J_1 < ... < J_n, for
-b > a the gap lo_b - hi_a and the hull hi_b - lo_a both grow with b, so
-row a of the pair set is the range of b between two ``searchsorted``
-calls over the ranks of the endpoints.
+The two tests between intervals, gap < eps and hull <= eps, have one home
+here, in two forms, both exact for any denominator.  :func:`interval_tests`
+decides them through the rank table of the endpoints (:mod:`rqamaps.ranks`)
+and :func:`epsilon_pairs` reads its rows: in an ordered configuration
+J_1 < ... < J_n, for b > a the gap lo_b - hi_a and the hull hi_b - lo_a
+both grow with b, so row a of the pair set is the range of b between two
+``searchsorted`` calls over the ranks of the endpoints.
+:func:`int_interval_test` decides them on integer endpoints over one
+scale, against the integer threshold of ``ranks.int_threshold``; the word
+counts of :mod:`rqamaps.solenoidal` read it on the bounds of pairs of
+subtrees.
 
 All operations are pure; all values are immutable after construction, so
 everything here is safe to share between threads.
@@ -164,6 +167,18 @@ def interval_tests(table: ranks.RankTable, epsilon: Number) -> np.ndarray:
               np.where(wide, n_values, rank_hi), closed_hi)
     dtype = np.min_scalar_type(n_values)   # the narrowest type is the fastest
     return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
+
+
+def int_interval_test(lo_a, hi_a, lo_b, hi_b, e: int, strict: bool) -> np.ndarray:
+    """gap < eps (``strict``) or hull <= eps between [lo_a, hi_a] and
+    [lo_b, hi_b], elementwise over integer endpoint arrays of one scale S,
+    with e = ``ranks.int_threshold(eps, S, strict)``: max(lo_b - hi_a,
+    lo_a - hi_b) <= e, or max(hi_a, hi_b) - min(lo_a, lo_b) <= e.  The
+    endpoints need not be in order, and the tests keep these formulas when
+    they are not."""
+    if strict:
+        return (lo_b - hi_a <= e) & (lo_a - hi_b <= e)
+    return np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b) <= e
 
 
 def epsilon_pairs(c: Configuration, epsilon: Number) -> EpsilonPairSet:

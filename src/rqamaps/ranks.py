@@ -1,8 +1,8 @@
 """The threshold-free rank layer under every pair count.
 
 The trajectory counts of :mod:`rqamaps.rqa`, the finite cycles of
-:mod:`rqamaps.finite_omega` and the interval endpoints of the word counts
-of :mod:`rqamaps.solenoidal` all test points through ranks, in two parts.
+:mod:`rqamaps.finite_omega` and the interval configurations of
+:mod:`rqamaps.intervals` all test points through ranks, in two parts.
 The rank table (:class:`RankTable`) does not depend on the threshold:
 each point's rank among the distinct values, and the distinct values in
 ascending order.  The cuts (:func:`cuts`) are computed per threshold: for
@@ -13,9 +13,10 @@ Each cut starts from :func:`threshold`, the largest distance that passes
 both comparisons are one ``<=`` test.
 
 Exact values are held as integers over a common denominator S
-(:func:`int_table`), where ``|x_i - x_j| <= eps`` iff ``x_i - e <= x_j <=
-x_i + e`` with the integer threshold ``e = floor(eps S)`` (``ceil(eps S)
-- 1`` for ``< eps``).  Two ``searchsorted`` calls find the rank range of
+(:func:`int_table`, over :func:`int_array`), where ``|x_i - x_j| <= eps``
+iff ``x_i - e <= x_j <= x_i + e`` with the integer threshold ``e =
+floor(eps S)`` (``ceil(eps S) - 1`` for ``< eps``, :func:`int_threshold`,
+which the word counts of :mod:`rqamaps.solenoidal` also read).  Two ``searchsorted`` calls find the rank range of
 [v - e, v + e] for every distinct value v, so every pair is decided
 exactly, whatever the size of the denominator.  The values are int64
 while they fit and Python ints otherwise, never a dtype numpy infers,
@@ -100,13 +101,19 @@ class RankTable(NamedTuple):
         return np.concatenate((self.rank[:k],) + (self.rank[k:],) * -(-(count - k) // p))[:count]
 
 
+def int_array(ints: Sequence[int]) -> np.ndarray:
+    """The integers ``ints`` as int64 while they fit and as Python ints
+    otherwise, never in a dtype numpy infers, which could wrap as uint64."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
 def int_table(ints: Sequence[int], scale: int) -> RankTable:
     """The rank table of the integers ``ints`` over ``scale``, a lasso with
     no cycle."""
-    try:
-        array = np.array(ints, dtype=np.int64)
-    except OverflowError:
-        array = np.array(ints, dtype=object)
+    array = int_array(ints)
     # return_index makes np.unique sort stably, as the other rank tables do;
     # its quicksort path alone adds about 0.6 MB of resident sort code
     values, _, rank = np.unique(array, return_index=True, return_inverse=True)
@@ -129,14 +136,17 @@ def _rank_table(pts: Sequence, lasso: tuple[int, int] | None = None) -> RankTabl
     return int_table(*scaled([as_fraction(x) for x in head]))._replace(lasso=(k, p))
 
 
-def table(t, need: int) -> RankTable:
-    """The rank table of at least the first ``need`` points of t.  A
-    Trajectory ranks its points on its first count, through its lasso when
-    it keeps one, and keeps the table; a plain sequence ranks its first
-    ``need`` points on every call."""
+def table(t, n: int, windows: int = 1) -> RankTable:
+    """The rank table of at least the first n + W - 1 points of t, which a
+    count at n reads for windows up to W = ``windows``.  A Trajectory ranks
+    its points on its first count, through its lasso when it keeps one,
+    and keeps the table; a plain sequence ranks its first n + W - 1 points
+    on every call."""
     pts = t.points if isinstance(t, Trajectory) else t
+    need = n + windows - 1
     if len(pts) < need:
-        raise ValueError(f"trajectory length {len(pts)} < n+m-1 = {need}")
+        raise ValueError(f"trajectory length {len(pts)} < n + W - 1 = {need} "
+                         f"(n = {n}, widest window W = {windows})")
     if not isinstance(t, Trajectory):
         return _rank_table(pts[:need])
     if not t._rank_cache:
@@ -154,14 +164,21 @@ def threshold(table: RankTable, epsilon, strict: bool):
     if table.scale is not None:
         if epsilon == math.inf:
             return int(table.values[-1]) - int(table.values[0])
-        eps = as_fraction(epsilon)
-        num, den = eps.numerator * table.scale, eps.denominator   # eps S = num / den
-        return -(-num // den) - 1 if strict else num // den
+        return int_threshold(epsilon, table.scale, strict)
     # float() raises above the float range, where inf is the float nearest eps
     d = math.inf if epsilon > sys.float_info.max else float(epsilon)
     if d > epsilon or strict and d == epsilon:
         d = math.nextafter(d, -math.inf)
     return d
+
+
+def int_threshold(epsilon, scale: int, strict: bool) -> int:
+    """The largest integer distance over ``scale`` that passes ``<=
+    epsilon`` (``< epsilon`` when ``strict``), for a finite epsilon:
+    floor(eps S), or ceil(eps S) - 1."""
+    eps = as_fraction(epsilon)
+    num, den = eps.numerator * scale, eps.denominator   # eps S = num / den
+    return -(-num // den) - 1 if strict else num // den
 
 
 def _exact_cuts(table: RankTable, epsilon, strict: bool) -> tuple[np.ndarray, np.ndarray]:

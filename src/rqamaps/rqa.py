@@ -138,7 +138,7 @@ def window_counts(t, n: int, windows: int, epsilon, strict: bool = False,
     window-``windows`` hits.
     """
     need = n + windows - 1
-    table = ranks.table(t, need)
+    table = ranks.table(t, n, windows)
     rank, row_lo, span = ranks.unsigned(table.ranks(need), *ranks.cuts(table, epsilon, strict))
     rows = max(1, min(n, ranks.BLOCK_ELEMS // n))
     counts = [0] * windows
@@ -227,7 +227,7 @@ def _class_counts(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray, ns: Sequence
 def _pair_counts(t, ns: Sequence[int], windows: Sequence[int], epsilon) -> list[list[int]]:
     """N_w(n) for each w of ``windows``, in their order, and n in the
     increasing schedule ns."""
-    table = ranks.table(t, ns[-1] + max(windows) - 1)
+    table = ranks.table(t, ns[-1], max(windows))
     # the classes are the lasso positions below ns[-1]; they read W - 1 ranks beyond
     count = min(ns[-1], sum(table.lasso)) + max(windows) - 1
     return _class_counts(table.ranks(count), *ranks.cuts(table, epsilon, False), ns,

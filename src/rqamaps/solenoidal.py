@@ -19,59 +19,74 @@ and this enclosure; :func:`asymptotic_corr_sum` returns the rows of a depth
 schedule after checking each width against its bound.
 
 Each system keeps one table of levels: level d is K_j = [lo[j], hi[j]] /
-scale for every odometer value j, in Python ints over one denominator,
-built from level d - 1 on first use.  A level costs one ``diam_rule`` call
-per node: its words come in ascending odometer value from
-``itertools.product`` with each digit tuple reversed, skip ``Word``'s digit
-validation (every digit is 0 or 1 by construction), and each width's sign
-is checked on its integer numerator over the level's denominator.  The
-level then checks admissibility, one integer comparison per parent: the
-children of K_a lie inside it and in order iff max K_{a0} < min K_{a1}.  A rule
-that breaks either check raises ValueError naming the first depth that
-shows it.  A cold ``interval_of_word`` thus builds and checks its word's
-whole level, at most 2^depth_cap nodes.
+scale for every odometer value j, an integer array over one denominator
+(int64 while it fits, Python ints otherwise), built from level d - 1 on
+first use.  A level costs one ``diam_rule`` call per node: its words come
+in ascending odometer value from ``itertools.product`` with each digit
+tuple reversed, skip ``Word``'s digit validation (every digit is 0 or 1
+by construction), and each width's sign is checked on its integer
+numerator over the level's denominator.  The level then checks
+admissibility, one integer comparison per parent: the children of K_a lie
+inside it and in order iff max K_{a0} < min K_{a1}.  A rule that breaks
+either check raises ValueError naming the first depth that shows it.
 
-Counts come from a dual-tree walk over level t (Gray & Moore, "N-body
-problems in statistical learning", 2001).  Node u at depth d covers the
-leaves a = u mod 2^d; as the odometer carries from the least significant
-digit, the leaves a + s below u are exactly those below (u + s) mod 2^d.
-The per-step tests need only order comparisons of endpoints,
+Node intervals are read through one accessor, :func:`node_bounds`.  Node
+u at depth d of a depth-t count covers the leaves a = u mod 2^d, which
+lie inside K_u in order: the leftmost, u then zeros (value u), keeps
+lo K_u, and the rightmost, u then ones (value u + 2^t - 2^d), keeps
+hi K_u.  The accessor returns K_u and these two leaves.  A system whose
+rule nests at every depth records it in the private keyword field
+``_nests`` (``constructions.build_delahaye`` sets it from its gap
+formula).  Below its built levels such a system reads K_u down one path
+of nodes, one rule call per node, and each extreme leaf with one more,
+since the zeros (ones) below u keep its lo (hi); it keeps what it reads
+in ``_nodes``.  Any other system builds and checks level t, and the
+accessor reads the leaves from it.  :func:`interval_of_word` is the
+accessor at d = t: a cold one walks one path on a system that nests and
+builds its word's whole level (at most 2^depth_cap nodes) on any other.
+:func:`max_diam` needs every width, and always builds its level.
 
-    gap < eps   iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    hull <= eps iff  hi_b <= lo_a + eps and  lo_b >= hi_a - eps
-                     and both diameters are <= eps,
+Counts come from a dual-tree walk (Gray & Moore, "N-body problems in
+statistical learning", 2001).  As the odometer carries from the least
+significant digit, the leaves a + s below u are exactly those below
+(u + s) mod 2^d.  The walk starts from the root pair and, per pair of
+nodes and shift s < m, asks whether every leaf pair under the shifted
+nodes passes or none does, on their node bounds alone.  Leaves of distinct
+nodes A, B are disjoint and in order, so with lo+ the lo of a node's
+rightmost leaf and hi- the hi of its leftmost,
 
-so the level's endpoints, over its own denominator, go into the rank table
-of the trajectory counts (``ranks.int_table``), and
-:func:`~rqamaps.intervals.interval_tests`, the one home of both tests,
-turns them into rank rows: each threshold is a rank among the endpoints,
-``ranks.cuts`` with ``strict=True`` for the gap test and ``strict=False``
-for the hull test.  Every pair is then decided exactly by small-integer
-comparisons, whatever the denominator.
+    every leaf pair has gap < eps    iff  max(lo+_B - hi-_A, lo+_A - hi-_B) < eps
+    some leaf pair has gap < eps     iff  gap(K_A, K_B) < eps
+    every leaf pair has hull <= eps  iff  hull(K_A, K_B) <= eps
+    some leaf pair has hull <= eps   iff  hi- of the right node - lo+ of the left <= eps.
 
-Each node keeps the min and max of these ranks over its leaves, reduced
-bottom-up by halves.  The walk starts from the root pair and, per pair of
-nodes and shift s < m, asks whether every leaf pair under the shifted nodes
-passes or none does.  A pair whose leading all-pass shifts end at an
+Each is one :func:`~rqamaps.intervals.int_interval_test`, the integer
+form of the gap and hull tests, on the bounds over their scale against
+``ranks.int_threshold``, so every pair is decided exactly, whatever the
+denominator.  A node paired with itself is never taken to fail every leaf
+pair above depth t.  A pair whose leading all-pass shifts end at an
 all-fail shift (or at m) adds 4^(t-d) to each of those windows at once;
 any other pair splits into its four child pairs.  At depth t each node is
 one leaf, so every pair left is decided there.  The walk's frontier runs
-in blocks of about ``ranks.BLOCK_ELEMS`` entries, so no temporary grows with
-p_t^2.  On the Delahaye systems a few dozen node pairs per test decide all
-p_t^2 leaf pairs.  A resource guard bounds the depth by p_t^2 pairs before
-any level is built (``ranks.check_pairs``; env RQA_MAX_PAIRS overrides).
+in blocks of about ``ranks.BLOCK_ELEMS`` / 8 entries, so no temporary
+grows with p_t^2.  On the Delahaye systems a few dozen node pairs per test
+decide all p_t^2 leaf pairs, so a cold count there reads a few dozen
+nodes and builds no level.  A resource guard bounds the depth by p_t^2
+pairs before any node is read (``ranks.check_pairs``; env RQA_MAX_PAIRS
+overrides).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from math import lcm
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import ranks
-from .intervals import CompactInterval, interval_dist, interval_tests, union_diam
+from .intervals import CompactInterval, int_interval_test, interval_dist, union_diam
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 from .rational import Number, as_fraction, fraction_str, positive, scaled
 
@@ -141,14 +156,23 @@ class AdmissibleSystem:
     is positive and the two children of every word lie inside it in order
     (their widths sum to less than the parent's); each level checks this
     as it is built and raises ValueError at the first depth that breaks it.
+    A rule proved to nest at every depth is marked by the private keyword
+    field ``_nests``, and its counts then read only the nodes they touch
+    (:func:`node_bounds`), with no level to build or check.
     """
 
     diam_rule: Callable[[Word], Fraction]
     depth_cap: int = 13
     descriptor: dict | None = None
     # level d: (lo, hi, scale), K_j = [lo[j], hi[j]] / scale for odometer value j
-    _levels: list = field(default_factory=lambda: [([0], [1], 1)], init=False,
-                          repr=False, compare=False)
+    _levels: list = field(default_factory=lambda: [(ranks.int_array([0]), ranks.int_array([1]), 1)],
+                          init=False, repr=False, compare=False)
+    # (d, u) -> (lo, hi, den, digits), K_u = [lo, hi] / den for the word of
+    # value u at depth d, for the nodes read below the built levels of a
+    # system that nests
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the rule nests at every depth, so no count needs its level built
+    _nests: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth_cap < 1:
@@ -160,7 +184,7 @@ def _check_depth(s: AdmissibleSystem, t: int) -> None:
         raise ValueError(f"depth {t} outside 0..{s.depth_cap} (the depth cap)")
 
 
-def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
+def _level(s: AdmissibleSystem, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Level t, each new level built from its parent with one rule call per
     node in odometer order, over the lcm of the parent's scale and its
     width denominators, and checked for positive widths and nesting.
@@ -175,7 +199,7 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
         widths = [as_fraction(s.diam_rule(Word._unchecked(digits[::-1])))
                   for digits in product((0, 1), repeat=d)]
         w, new = scaled(widths, scale)
-        lo, hi = ([v * (new // scale) for v in ends] for ends in (lo, hi))
+        lo, hi = ([v * (new // scale) for v in ends.tolist()] for ends in (lo, hi))
         if min(w) <= 0:
             raise ValueError(f"diameter rule must be positive, got {min(widths)}")
         # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
@@ -184,15 +208,92 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[list[int], list[int], int]:
         if any(a >= b for a, b in zip(hi_0, lo_1)):
             raise ValueError(f"diameter rule is not admissible at depth {d}: "
                              "children must lie inside their parent, in order")
-        levels.append((lo + lo_1, hi_0 + hi, new))
+        levels.append((ranks.int_array(lo + lo_1), ranks.int_array(hi_0 + hi), new))
     return levels[t]
 
 
+def _descend(s: AdmissibleSystem, above: tuple, digits: tuple[int, ...]) -> tuple:
+    """K of the word ``digits`` as (lo, hi, den, digits), K = [lo, hi] / den,
+    from ``above``, an ancestor's, when every digit below it is the last
+    one: a 1 keeps the ancestor's hi, a 0 its lo.  One rule call."""
+    lo, hi, den, _ = above
+    w = as_fraction(s.diam_rule(Word._unchecked(digits)))
+    scale = lcm(den, w.denominator)
+    up, width = scale // den, w.numerator * (scale // w.denominator)
+    if digits[-1]:
+        return hi * up - width, hi * up, scale, digits
+    return lo * up, lo * up + width, scale, digits
+
+
+def _node(s: AdmissibleSystem, d: int, u: int) -> tuple:
+    """K_u as (lo, hi, den, digits) for node u at depth d: from level d when
+    it is built, otherwise from its parent's and one rule call, kept in
+    ``_nodes``."""
+    if d < len(s._levels):
+        lo, hi, scale = s._levels[d]
+        return int(lo[u]), int(hi[u]), scale, tuple((u >> i) & 1 for i in range(d))
+    if (d, u) not in s._nodes:
+        parent = _node(s, d - 1, u % (1 << (d - 1)))
+        s._nodes[d, u] = _descend(s, parent, parent[3] + (u >> (d - 1),))
+    return s._nodes[d, u]
+
+
+def _leaf(s: AdmissibleSystem, t: int, d: int, one: bool, u: int) -> tuple:
+    """K of the rightmost (``one``) or the leftmost leaf at depth t of node
+    u at depth d, as (lo, hi, den, digits), kept in ``_nodes``."""
+    x = u + ((1 << t) - (1 << d) if one else 0)
+    if d == t or (t, x) in s._nodes:
+        return _node(s, t, x)
+    node = _node(s, d, u)
+    s._nodes[t, x] = _descend(s, node, node[3] + (int(one),) * (t - d))
+    return s._nodes[t, x]
+
+
+class NodeBounds(NamedTuple):
+    """Bounds of nodes u at depth d of a depth-t count, integers over
+    ``scale``: K_u = [lo, hi], its leftmost leaf (u, then zeros) is
+    [lo, hi_left] and its rightmost leaf (u, then ones) is [lo_right, hi]."""
+
+    lo: np.ndarray
+    hi_left: np.ndarray
+    lo_right: np.ndarray
+    hi: np.ndarray
+    scale: int
+
+
+def node_bounds(s: AdmissibleSystem, t: int, d: int, nodes) -> NodeBounds:
+    """K_u and its two extreme leaves, the words of value u and
+    u + 2^t - 2^d at depth t, for every node u of ``nodes`` (an integer
+    array of values in [0, 2^d)) at depth d <= t, in the shape of ``nodes``.
+
+    A system that nests (``_nests``) and has not built level t reads each
+    K_u down one path of nodes and each leaf with one rule call, and keeps
+    what it reads; any other system builds and checks level t, and reads
+    them from it."""
+    _check_depth(s, t)
+    if not 0 <= d <= t:
+        raise ValueError(f"node depth {d} outside 0..{t}")
+    nodes = np.asarray(nodes, dtype=np.int64)
+    # a negative node sets every high bit
+    if np.bitwise_or.reduce(nodes, axis=None) >> d:
+        raise ValueError(f"a node at depth {d} is outside 0..{(1 << d) - 1}")
+    if len(s._levels) > t or not s._nests:
+        lo, hi, scale = _level(s, t)
+        right = nodes + ((1 << t) - (1 << d))
+        return NodeBounds(lo[nodes], hi[nodes], lo[right], hi[right], scale)
+    distinct = sorted(set(nodes.ravel().tolist()))
+    leaves = [leaf for u in distinct for leaf in (_leaf(s, t, d, False, u), _leaf(s, t, d, True, u))]
+    scale = lcm(*{den for _, _, den, _ in leaves})
+    # lo, hi_left, lo_right, hi of each distinct node, over scale
+    ends = ranks.int_array([end * (scale // den) for lo, hi, den, _ in leaves for end in (lo, hi)])
+    index = np.searchsorted(np.array(distinct), nodes)
+    return NodeBounds(*ends.reshape(-1, 4).T.take(index, axis=1), scale)
+
+
 def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a, read from the level table; exact rational endpoints."""
-    lo, hi, scale = _level(s, len(a))
-    j = a.to_int()
-    return CompactInterval(Fraction(lo[j], scale), Fraction(hi[j], scale))
+    """K_a, exact rational endpoints (:func:`node_bounds` at depth len(a))."""
+    b = node_bounds(s, len(a), len(a), [a.to_int()])
+    return CompactInterval(Fraction(int(b.lo[0]), b.scale), Fraction(int(b.hi[0]), b.scale))
 
 
 def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
@@ -203,7 +304,7 @@ def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
     """nu_t: the largest depth-t interval diameter."""
     lo, hi, scale = _level(s, t)
-    return Fraction(max(h - v for v, h in zip(lo, hi)), scale)
+    return Fraction(int((hi - lo).max()), scale)
 
 
 def _shifted_pair(s: AdmissibleSystem, a: Word, b: Word, i: int):
@@ -252,54 +353,60 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _walk(leaf: np.ndarray, t: int, steps: int) -> np.ndarray:
-    """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : test k of ``leaf`` (see
-    :func:`~rqamaps.intervals.interval_tests`) passes for (a + s, b + s) at
-    every shift s < w}.
+def _test(ends: tuple[np.ndarray, np.ndarray], e: int, strict: bool) -> np.ndarray:
+    """The test of :func:`~rqamaps.intervals.int_interval_test` between the
+    intervals [lo[0], hi[0]] and [lo[1], hi[1]], for ends = (lo, hi)."""
+    (lo_a, lo_b), (hi_a, hi_b) = ends
+    return int_interval_test(lo_a, hi_a, lo_b, hi_b, e, strict)
+
+
+def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
+    """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : the test passes for
+    (K_{a+s}, K_{b+s}) at every shift s < w}, where test 0 is gap < eps and
+    test 1 hull <= eps.
 
     A dual-tree walk from the root pair decides whole pairs of subtrees on
-    their bounds; at depth t, where each row's min equals its max, every
-    shift passes or fails, so no pair is left."""
-    # node u at depth d covers the leaves a = u mod 2^d and has the children
-    # u and u + 2^d; its bounds are each row's min and max over those leaves
-    mins, maxs = [leaf], [leaf]
-    for d in range(t - 1, -1, -1):
-        h = 1 << d
-        lower, upper = (x[0].reshape(4, 2, 2 * h) for x in (mins, maxs))
-        mins.insert(0, np.minimum(lower[..., :h], lower[..., h:]).reshape(4, 2 * h))
-        maxs.insert(0, np.maximum(upper[..., :h], upper[..., h:]).reshape(4, 2 * h))
-    walk_rows = max(1, ranks.BLOCK_ELEMS // (2 * steps))
+    their node bounds (:func:`node_bounds`); at depth t every leaf is its
+    own node, whose bounds decide each shift, so no pair is left."""
+    # about BLOCK_ELEMS / 8 entries in each of the block's integer arrays
+    walk_rows = max(1, ranks.BLOCK_ELEMS // (16 * steps))
     shifts = np.arange(steps)[:, None]
-    halves = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])   # of the four child pairs
+    # weight steps - s at shift s, so that steps less the largest weight
+    # among some shifts is the first of them (steps when there is none)
+    weight = np.arange(steps, 0, -1, dtype=np.min_scalar_type(steps))[:, None]
+    # k, u and v of the four child pairs of (k, u, v), over 2^d
+    halves = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
     by_lead = np.zeros(2 * (steps + 1), dtype=np.int64)
-    root = np.zeros(2, dtype=np.int64)
-    stack = [(0, np.arange(2), root, root)]
+    stack = [(0, np.array([[0, 1], [0, 0], [0, 0]]))]
     while stack:
-        # node pairs (u, v) at depth d under test k; the leaves a + s below u
-        # are those below (u + s) mod 2^d, as the odometer carries from the
-        # least significant digit
-        d, k, u, v = stack.pop()
-        nodes = 1 << d
-        iu = k * nodes + ((u + shifts) & (nodes - 1))
-        iv = k * nodes + ((v + shifts) & (nodes - 1))
-        lo_min, hi_min = np.take(mins[d][::3], iu, axis=1)
-        lo_max, hi_max = np.take(maxs[d][::3], iu, axis=1)
-        x_min, y_min = np.take(mins[d][1:3], iv, axis=1)
-        x_max, y_max = np.take(maxs[d][1:3], iv, axis=1)
-        # the leading shifts where every leaf pair passes, and the shifts
-        # from the first one where none does
-        lead = np.logical_and.accumulate((lo_max <= x_min) & (y_max < hi_min)).sum(0)
-        tail = np.logical_or.accumulate((lo_min > x_max) | (y_min >= hi_max)).sum(0)
-        done = lead + tail == steps
-        by_lead += np.bincount(k[done] * (steps + 1) + lead[done],
+        # node pairs (u, v) = pairs[1:, i] at depth d under test k =
+        # pairs[0, i]; the leaves a + s below u are those below
+        # (u + s) mod 2^d, as the odometer carries from the least
+        # significant digit
+        d, pairs = stack.pop()
+        k = pairs[0].astype(bool)
+        b = node_bounds(s, t, d, (pairs[1:, None, :] + shifts) & ((1 << d) - 1))
+        # every endpoint lies in [0, scale], so a wider threshold tells no
+        # pair apart, and these keep int64 differences in range
+        e_gap, e_hull = (min(ranks.int_threshold(eps, b.scale, strict), b.scale)
+                         for strict in (True, False))
+        # every leaf pair passes, or some does, as in the module docstring:
+        # a node paired with itself has a negative inner hull, so above
+        # depth t some leaf pair is taken to pass
+        outer, inner = (b.lo, b.hi), (b.lo_right, b.hi_left)
+        every = np.where(k, _test(outer, e_hull, False), _test(inner, e_gap, True))
+        some = np.where(k, _test(inner, e_hull, False), _test(outer, e_gap, True))
+        # the first shift where not every leaf pair passes, and the first
+        # where none does: a pair is decided when they are the same shift
+        lead = steps - (~every * weight).max(0)
+        done = lead == steps - (~some * weight).max(0)
+        by_lead += np.bincount(pairs[0, done] * (steps + 1) + lead[done],
                                minlength=2 * (steps + 1)) << 2 * (t - d)
-        # the four child pairs of each pair left in turn, so k stays sorted
-        k, u, v = k[~done], u[~done], v[~done]
-        k = np.repeat(k, 4)
-        u = (u[:, None] + halves[0] * nodes).ravel()
-        v = (v[:, None] + halves[1] * nodes).ravel()
-        stack.extend((d + 1, k[i:i + walk_rows], u[i:i + walk_rows], v[i:i + walk_rows])
-                     for i in range(0, len(k), walk_rows))
+        if not done.all():
+            # the four child pairs of each pair left in turn
+            pairs = (pairs[:, ~done, None] + (halves << d)).reshape(3, -1)
+            stack.extend((d + 1, pairs[:, i:i + walk_rows])
+                         for i in range(0, pairs.shape[1], walk_rows))
     # a pair decided after P leading passes counts in every window w <= P
     by_lead = by_lead.reshape(2, steps + 1)
     return np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
@@ -318,8 +425,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     p = 2 ** t
     ranks.check_pairs("a word-pair scan", p)
     steps = min(m_max, p)
-    lo, hi, scale = _level(s, t)
-    strict, closed = _walk(interval_tests(ranks.int_table(lo + hi, scale), eps), t, steps).tolist()
+    strict, closed = _walk(s, t, steps, eps).tolist()
     # windows beyond p_t repeat the p_t values
     pad = m_max - steps
     return [SolenoidalCounts(t=t, p_t=p, m=m, epsilon=eps, n_strict=ns, n_closed=nc)

@@ -105,6 +105,16 @@ class TestRatioTables:
         assert run("det", *argv) == 0
         assert capsys.readouterr() == ("n,det_num,det_den,det_float\n30,1,1,1.0\n", "")
 
+    @pytest.mark.parametrize("command,m,w", [("det", 2, 3), ("rdet", 3, 3), ("rplot", 2, 2)])
+    def test_short_construction_names_n_and_the_points_it_reads(self, capsys, tmp_path,
+                                                                 command, m, w):
+        # prop42 at depth 3 has 30 points; a count at n = 30 reads 30 + W - 1
+        assert run(command, "--construction", "prop42", "--depth", "3", "--m", str(m),
+                   "--epsilon", "1/2", "--n", "30", "--output", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: n = 30 needs n + W - 1 = {29 + w} points (widest window W = {w}), "
+            "but prop42 depth 3 generates 30\n")
+
     @pytest.mark.parametrize("kind", ["corrsum", "rdet", "det"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_table_loads_the_points_its_series_reads(self, monkeypatch, capsys,
@@ -112,9 +122,9 @@ class TestRatioTables:
         lengths, windows = [], []
         load, count = cli._load_trajectory, rqa._pair_counts
 
-        def loading(args, length):
-            lengths.append(length)
-            return load(args, length)
+        def loading(args, n, w):
+            lengths.append(n + w - 1)
+            return load(args, n, w)
 
         def counting(t, ns, w, epsilon):
             windows.append(list(w))
@@ -188,6 +198,15 @@ class TestConfig:
 
     def test_requires_mode(self):
         assert run("config", "--epsilon", "1/2") == 1
+
+    @pytest.mark.parametrize("argv", [["--extremal", "--n", "7", "--epsilon", "3/10"],
+                                      ["--extremal", "--n", "2", "--epsilon", "1"],
+                                      ["--zero", "--n", "4", "--epsilon", "1/10"]])
+    def test_report_prints_the_bytes_of_indented_json(self, capsys, argv):
+        # the pair rows are written by hand, in json.dumps(indent=2)'s layout
+        assert run("config", *argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestSolenoid:

@@ -315,6 +315,15 @@ class TestDelahaye:
                                  "violates"):
             _check_delahaye_gaps(system, 5)
 
+    def test_gap_check_rejects_a_wider_interval_at_depth_five(self):
+        # K of word value 31 at depth 5 ends one unit of the level's scale
+        # late; no gap the check reads changes
+        system = build_delahaye(5).system
+        _, hi, _ = _level(system, 5)
+        hi[31] += 1
+        with pytest.raises(AssertionError, match="widest interval at depth 5 violates"):
+            _check_delahaye_gaps(system, 5)
+
     def test_epsilon_k(self, delahaye5):
         assert delahaye5.epsilon_k(3) == F(1, 125)
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """The rank layer has one home, :mod:`rqamaps.ranks`: no module reads its
 private names, the scans of :mod:`rqamaps.rqa` are read by their public
 names only, and nothing else defines a rank table, a cut or the guard.
-The interval tests have one home, :func:`rqamaps.intervals.interval_tests`.
-Across the package, one private name is read by another module, and every
+The interval tests have one home, :mod:`rqamaps.intervals`, as rank rows
+(``interval_tests``) and on integers (``int_interval_test``).
+No module of the package reads a private name of another, and every
 module imports only from the modules before it in one order."""
 import ast
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
 
 # what rqamaps.ranks alone defines
-RANK_LAYER = {"RankTable", "int_table", "_rank_table", "table", "threshold", "cuts", "_exact_cuts",
+RANK_LAYER = {"RankTable", "int_array", "int_table", "_rank_table", "table", "threshold",
+              "int_threshold", "cuts", "_exact_cuts",
               "_float_cuts", "unsigned", "in_ranges", "BLOCK_ELEMS", "check_pairs",
               "ResourceGuardError"}
 # the package's modules in import order: each imports only from earlier ones
@@ -104,10 +106,12 @@ def test_rank_layer_has_one_home():
 
 
 def test_one_private_name_crosses_modules():
+    # none does: constructions reads the node intervals of a system through
+    # the public solenoidal.node_bounds
     reads = set()
     for path in sorted(SRC.glob("*.py")):
         reads |= {(path.stem, module, name) for module, name in private_reads(path.read_text())}
-    assert reads == {("constructions", "solenoidal", "_level")}
+    assert reads == set()
 
 
 def test_package_imports_sees_every_form():
@@ -136,7 +140,8 @@ def test_interval_tests_have_one_home():
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         defined, tree = top_level_names(source), ast.parse(source)
-        assert ("interval_tests" in defined) == (path.stem == "intervals"), path.stem
+        for name in ("interval_tests", "int_interval_test"):
+            assert (name in defined) == (path.stem == "intervals"), (path.stem, name)
         assert defined & {"_leaf_tests", "Metric", "euclidean"} == set(), path.stem
         assert not [a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
                     for a in node.args + node.kwonlyargs if a.arg == "metric"], path.stem

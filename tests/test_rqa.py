@@ -100,6 +100,12 @@ class TestCorrelationSum:
         with pytest.raises(ValueError):
             correlation_sum(ALTERNATING, RQAParams(3, F(1, 2), 11))
 
+    def test_insufficient_trajectory_names_n_and_the_widest_window(self):
+        # DET_2 reads windows 1, 2 and 3, so n = 4 needs n + 3 - 1 points
+        with pytest.raises(ValueError, match=r"^trajectory length 4 < n \+ W - 1 = 6 "
+                                             r"\(n = 4, widest window W = 3\)$"):
+            rqa_det([F(1, 4)] * 4, RQAParams(2, F(1, 4), 4))
+
     def test_nonstrict_threshold(self):
         # pairs at distance exactly epsilon count
         t = Trajectory(F(0), (F(0), F(1, 2), F(0), F(1, 2)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqamaps import build_delahaye, ranks, rqa
-from rqamaps.intervals import Configuration, epsilon_pairs, interval_dist, union_diam
+from rqamaps.constructions import delahaye_counts_formula
+from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs, interval_dist,
+                               union_diam)
 from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
-from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
+from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
                                 asymptotic_corr_sum, count_pairs,
                                 counts_by_window, diam_m_words, dist_m_words,
                                 interval_of_word, max_diam,
-                                midpoint_trajectory, symbolic_trajectory,
+                                midpoint_trajectory, node_bounds, symbolic_trajectory,
                                 word_add, word_midpoint, write_counts_csv)
 
 from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT
@@ -58,8 +61,11 @@ def oracle_counts(r, t, m, eps):
 
 
 def level_intervals(s, t):
-    """The depth-t intervals of ``s``, indexed by odometer value."""
-    return [interval_of_word(s, Word.from_int(j, t)) for j in range(2 ** t)]
+    """The depth-t intervals of ``s``, indexed by odometer value, read by
+    one node_bounds call."""
+    b = node_bounds(s, t, t, range(2 ** t))
+    return [CompactInterval(F(lo, b.scale), F(hi, b.scale))
+            for lo, hi in zip(b.lo.tolist(), b.hi.tolist())]
 
 
 def dense_counts(ivs, eps, m_max):
@@ -466,9 +472,12 @@ def test_counts_by_window_at_the_int64_edge(scale):
         ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs]
         assert common_scale(ends) == scale
         assert (min(ends), max(ends)) == (0, 1)
+        nested = AdmissibleSystem(diam_rule=s.diam_rule, _nests=True)
         for eps in EDGE_EPS:
-            got = counts_by_window(s, t, eps, 2 ** t + 1)
-            assert [(c.n_strict, c.n_closed) for c in got] == dense_counts(ivs, eps, 2 ** t + 1)
+            want = dense_counts(ivs, eps, 2 ** t + 1)
+            for system in (s, nested):
+                got = counts_by_window(system, t, eps, 2 ** t + 1)
+                assert [(c.n_strict, c.n_closed) for c in got] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,6 +536,110 @@ def test_count_memory_does_not_grow_with_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def word_counts(s, t, eps, m_max):
+    """Oracle: [(N_m, N_m°) for m = 1..m_max] from dist_m_words and
+    diam_m_words at window 1 over every word pair: the window-w test of
+    (a, b) is the window-1 test at every (a + i, b + i), i < w, and both
+    tests are symmetric in a and b."""
+    p = 2 ** t
+    words = [Word.from_int(j, t) for j in range(p)]
+    near, within = np.zeros((2, p, p), dtype=bool)
+    for a in range(p):
+        for b in range(a, p):
+            near[a, b] = near[b, a] = dist_m_words(s, words[a], words[b], 1) < eps
+            within[a, b] = within[b, a] = diam_m_words(s, words[a], words[b], 1) <= eps
+    out, shift = [], np.arange(p)
+    for test in (near, within):
+        hit = test.copy()
+        out.append([int(hit.sum())])
+        for i in range(1, m_max):
+            step = (shift + i) % p
+            hit &= test[np.ix_(step, step)]
+            out[-1].append(int(hit.sum()))
+    return list(zip(*out))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(5, 9), st.integers(1, 11), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([F(1, 2), F(7, 10), F(1), F(3, 2), F(2), None]))
+def test_delahaye_counts_without_level_t_match_level_t(r, t, m, k, x):
+    # eps = x r^-k, or (x None) half the narrowest depth-t width r^-t, so
+    # that every leaf is wider than eps and the walk reaches depth t
+    eps = F(1, 2 * r ** t) if x is None else x / r ** k
+    s = build_delahaye(r).system
+    cold = counts_by_window(s, t, eps, m)
+    # build_delahaye builds levels 0-5 and the count none: below depth 5
+    # it reads node paths and extreme leaves; without any built level, so
+    # does a bare system with the same rule
+    assert len(s._levels) == 6
+    bare = AdmissibleSystem(diam_rule=s.diam_rule, _nests=True)
+    assert counts_by_window(bare, t, eps, m) == cold
+    assert len(bare._levels) == 1
+    _level(s, t)
+    assert counts_by_window(s, t, eps, m) == cold
+    if t <= 6:
+        assert [(c.n_strict, c.n_closed) for c in cold] == word_counts(bare, t, eps, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.sampled_from(RANDOM_KINDS))
+def test_nesting_random_systems_count_alike_without_level_t(seed, t, kind):
+    # every random_system family nests, so with _nests its counts read
+    # node paths and extreme leaves, and equal those of level t; the two
+    # systems share the rule, whose lazily drawn widths are drawn once
+    rnd = random.Random(seed)
+    rule = draw_system(rnd, kind).diam_rule
+    nested, table = AdmissibleSystem(diam_rule=rule, _nests=True), AdmissibleSystem(diam_rule=rule)
+    d = rnd.randint(0, t)
+    got, want = (node_bounds(x, t, d, range(2 ** d)) for x in (nested, table))
+    assert [[F(int(v), got.scale) for v in row] for row in got[:4]] == \
+        [[F(int(v), want.scale) for v in row] for row in want[:4]]
+    ivs = level_intervals(table, t)
+    a, b = rnd.choice(ivs), rnd.choice(ivs)
+    eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
+    m_max = rnd.randint(1, 4)
+    assert counts_by_window(nested, t, eps, m_max) == counts_by_window(table, t, eps, m_max)
+    assert len(nested._levels) == 1
+
+
+def test_cold_delahaye_count_builds_no_deep_level():
+    # at r = 5, k = 1 the walk decides every pair within levels 0-5, so a
+    # cold depth-10 count calls the rule only for the extreme leaves of the
+    # nodes it touches (8 of them); level 10 alone would take 2^10 calls,
+    # and levels 6-10 take 1984
+    calls = []
+    s = build_delahaye(5).system
+    rule = s.diam_rule
+    counting = dataclasses.replace(s, diam_rule=lambda w: calls.append(w) or rule(w))
+    max_diam(counting, 5)   # the levels build_delahaye builds
+    calls.clear()
+    for system in (s, counting):
+        counts = counts_by_window(system, 10, F(1, 5), 2)
+        assert (counts[0].n_closed, counts[1].n_closed) == delahaye_counts_formula(1, 2, 10)
+        assert len(system._levels) == 6
+    assert 0 < len(calls) < 2 ** 10
+
+
+def test_node_bounds_read_the_extreme_leaves(delahaye5):
+    # node u at depth d of a depth-t count spans its leaves u (then zeros)
+    # and u + 2^t - 2^d (then ones)
+    s = delahaye5.system
+    t, d = 7, 3
+    b = node_bounds(s, t, d, [[0, 5], [7, 2]])
+    assert b.lo.shape == (2, 2)
+    for u, lo, hi_left, lo_right, hi in zip([0, 5, 7, 2], *(x.ravel().tolist() for x in b[:4])):
+        left = interval_of_word(s, Word(Word.from_int(u, d).digits + (0,) * (t - d)))
+        right = interval_of_word(s, Word(Word.from_int(u, d).digits + (1,) * (t - d)))
+        node = interval_of_word(s, Word.from_int(u, d))
+        assert (F(lo, b.scale), F(hi_left, b.scale)) == (left.lo, left.hi) == (node.lo, left.hi)
+        assert (F(lo_right, b.scale), F(hi, b.scale)) == (right.lo, right.hi) == (right.lo, node.hi)
+    for nodes in ([8], [-1]):
+        with pytest.raises(ValueError, match="outside 0..7"):
+            node_bounds(s, t, d, nodes)
+    with pytest.raises(ValueError, match="node depth 8 outside 0..7"):
+        node_bounds(s, t, 8, [0])
 
 
 class TestEnclosure:
