@@ -15,18 +15,15 @@ from .rqa import (RQAParams, RecurrenceMatrix, ResourceGuardError, SeriesEstimat
                   bowen_distance, correlation_sum, estimate_asymptotics,
                   recurrence_determinism, recurrence_matrix, rqa_det)
 from .solenoidal import (AdmissibleSystem, SolenoidalCounts, Word,
-                         asymptotic_corr_sum, count_pairs, diam_m_words,
-                         dist_m_words, interval_of_word, symbolic_trajectory,
-                         word_add)
+                         asymptotic_corr_sum, count_pairs, interval_of_word,
+                         symbolic_trajectory, word_add)
 from .finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                            aligned_orbit, asymptotic_rdet_finite,
-                           bowen_orbit_distance, closed_form_corr_sum,
-                           excluded_epsilons)
+                           closed_form_corr_sum, excluded_epsilons)
 from .constructions import (DelahayeInstance, Prop42Instance, build_delahaye,
                             build_prop42, delahaye_counts, delahaye_det,
                             delahaye_rdet, prop42_C1, prop42_c1_closed_form,
-                            prop42_numeric_map, prop42_positions,
-                            prop42_recurrence_rule)
+                            prop42_numeric_map, prop42_positions)
 
 __version__ = "0.1.0"
 

@@ -32,7 +32,6 @@ Two fully parameterized objects:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -199,21 +198,6 @@ def prop42_positions(inst: Prop42Instance, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, den) for num, den in cells[:n])
 
 
-def prop42_recurrence_rule(inst: Prop42Instance, i: int, j: int) -> bool:
-    """Symbolic test for |x_i - x_j| <= 1/2; no positional arithmetic.
-
-    True iff i, j share parity, or the mixed pair sits at levels (s, t)
-    (left-side level s, right-side level t) with s == t odd or s > t.
-    """
-    if not (0 <= i < inst.n_points and 0 <= j < inst.n_points):
-        raise ValueError("index outside generated depth")
-    if i % 2 == j % 2:
-        return True
-    e, o = (i, j) if i % 2 == 0 else (j, i)
-    s, t = index_level(e), index_level(o)
-    return (s == t and s % 2 == 1) or s > t
-
-
 def _parity_level_populations(count: int, max_level: int) -> list[int]:
     """#indices i < count at each level (i ranges over one parity class)."""
     pops = []
@@ -224,9 +208,11 @@ def _parity_level_populations(count: int, max_level: int) -> list[int]:
 
 
 def prop42_pair_count(inst: Prop42Instance, n: int) -> int:
-    """#{(i, j) in [0, n)^2 : recurrence rule holds}, exact.
+    """#{(i, j) in [0, n)^2 : |x_i - x_j| <= 1/2}, exact.
 
-    Grouped pair scan: indices with equal (parity, level) are
+    The pair recurs iff i and j share parity, or the mixed pair sits at
+    levels (s, t) (even index at level s, odd at level t) with s == t odd
+    or s > t.  Grouped pair scan: indices with equal (parity, level) are
     interchangeable for the rule, so the n^2 scan collapses to a sum over
     level pairs weighted by populations.  The direct scan (tests) and the
     independent closed form agree with this count exactly.
@@ -397,8 +383,7 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
             widths[d] = (unit, 2 * unit)
         return widths[d][w.digits[0]]
 
-    system = AdmissibleSystem(diam_rule=diam_rule, depth_cap=depth_cap,
-                              descriptor={"kind": "delahaye", "r": r}, _nests=True)
+    system = AdmissibleSystem(diam_rule=diam_rule, depth_cap=depth_cap, _nests=True)
     _check_delahaye_gaps(system, r)
     return DelahayeInstance(r=r, system=system)
 
@@ -474,18 +459,3 @@ def delahaye_rdet(inst: DelahayeInstance, k: int, m: int) -> Fraction:
 def delahaye_det(inst: DelahayeInstance, k: int, m: int) -> Fraction:
     """Asymptotic RQA-determinism m*rdet_m - (m-1)*rdet_{m+1} at eps_k."""
     return m * delahaye_rdet(inst, k, m) - (m - 1) * delahaye_rdet(inst, k, m + 1)
-
-
-def system_from_json(text: str) -> DelahayeInstance:
-    """Parse a system file; a malformed one raises ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed system JSON: {data!r} is not an object")
-    if data.get("kind") != "delahaye":
-        raise ValueError(f"unknown system kind: {data.get('kind')!r}")
-    r, depth_cap = data.get("r"), data.get("depth_cap", 13)
-    for name, value in (("r", r), ("depth_cap", depth_cap)):
-        # JSON integers only: int() would truncate 5.7, and read true as 1
-        if type(value) is not int:
-            raise ValueError(f"malformed system JSON: {name} = {value!r} is not an integer")
-    return build_delahaye(r, depth_cap)

@@ -51,7 +51,6 @@ only when the first k + p floats are pairwise distinct.
 """
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -329,12 +328,3 @@ def detect_periodic(t: Trajectory, tol: Number = 0) -> PeriodicStructure | None:
             return PeriodicStructure(preperiod=k, period=p,
                                      orbit=tuple(pts[k:k + p]))
     return None
-
-
-def write_trajectory_csv(t: Trajectory, path) -> None:
-    """CSV export (index, value); exact values as p/q strings."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index", "value"])
-        for i, p in enumerate(t.points):
-            w.writerow([i, repr(p) if isinstance(p, float) else fraction_str(p)])

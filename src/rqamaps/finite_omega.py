@@ -26,7 +26,6 @@ that called the closed form.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from functools import cached_property
 
 from .dynamics import PeriodicStructure, Trajectory
 from .rational import Number, as_fraction, fraction_str, positive
-from .rqa import window_counts
+from .rqa import bowen_distance, window_counts
 
 
 class ExcludedEpsilonWarning(UserWarning):
@@ -82,19 +81,12 @@ def aligned_orbit(ps: PeriodicStructure) -> PeriodicOrbitData:
     return PeriodicOrbitData(tuple(ps.orbit[(i - k) % p] for i in range(p)))
 
 
-def bowen_orbit_distance(o: PeriodicOrbitData, i: int, j: int, m: int) -> Number:
-    """Window-m Bowen distance along the cycle, successor indices mod p."""
-    p = o.period
-    if not (0 <= i < p and 0 <= j < p):
-        raise ValueError(f"indices ({i}, {j}) outside orbit of period {p}")
-    return max(abs(o.points[(i + s) % p] - o.points[(j + s) % p])
-               for s in range(m))
-
-
 def excluded_epsilons(o: PeriodicOrbitData, m: int) -> frozenset:
-    """All positive pairwise orbit Bowen distances (at most p^2 values)."""
+    """All positive pairwise orbit Bowen distances (at most p^2 values),
+    read along the trajectory of y_0, where windows past p repeat."""
     p = o.period
-    vals = {bowen_orbit_distance(o, i, j, m) for i in range(p) for j in range(p)}
+    steps = min(m, p)
+    vals = {bowen_distance(o._unrolled, i, j, steps) for i in range(p) for j in range(p)}
     vals.discard(0 * o.points[0])
     return frozenset(vals)
 
@@ -112,10 +104,6 @@ def _orbit_counts(o: PeriodicOrbitData, m: int, epsilon: Number,
     return counts + counts[-1:] * (m - steps)
 
 
-def recurrent_orbit_pairs(o: PeriodicOrbitData, m: int, epsilon: Number) -> int:
-    return _orbit_counts(o, m, epsilon)[-1]
-
-
 def _warn_if_excluded(epsilon, n_closed: int, n_strict: int) -> None:
     # eps is an orbit Bowen distance exactly when some pair sits at distance eps
     if n_closed != n_strict:
@@ -130,14 +118,6 @@ def closed_form_corr_sum(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fract
     n_m = _orbit_counts(o, m, epsilon)[-1]
     _warn_if_excluded(epsilon, n_m, _orbit_counts(o, m, epsilon, strict=True)[-1])
     return Fraction(n_m, o.period ** 2)
-
-
-def min_spatial_gap(o: PeriodicOrbitData) -> Number:
-    p = o.period
-    if p == 1:
-        raise ValueError("a fixed point has no spatial gap")
-    ys = sorted(o.points)
-    return min(b - a for a, b in zip(ys, ys[1:]))
 
 
 def asymptotic_rdet_finite(o: PeriodicOrbitData, m: int, epsilon: Number) -> Fraction:
@@ -161,7 +141,3 @@ def report(o: PeriodicOrbitData, m: int, epsilon: Number) -> dict:
         "c_m_den": c.denominator,
         "excluded": sorted(fraction_str(e) for e in excluded_epsilons(o, m)),
     }
-
-
-def report_json(o: PeriodicOrbitData, m: int, epsilon: Number) -> str:
-    return json.dumps(report(o, m, epsilon), indent=2)

@@ -44,6 +44,7 @@ in ``_nodes``.  Any other system builds and checks level t, and the
 accessor reads the leaves from it.  :func:`interval_of_word` is the
 accessor at d = t: a cold one walks one path on a system that nests and
 builds its word's whole level (at most 2^depth_cap nodes) on any other.
+:func:`midpoint_trajectory` reads all of its words with one accessor call.
 :func:`max_diam` needs every width, and always builds its level.
 
 Counts come from a dual-tree walk (Gray & Moore, "N-body problems in
@@ -86,7 +87,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import ranks
-from .intervals import CompactInterval, int_interval_test, interval_dist, union_diam
+from .intervals import CompactInterval, int_interval_test
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 from .rational import Number, as_fraction, fraction_str, positive, scaled
 
@@ -163,7 +164,6 @@ class AdmissibleSystem:
 
     diam_rule: Callable[[Word], Fraction]
     depth_cap: int = 13
-    descriptor: dict | None = None
     # level d: (lo, hi, scale), K_j = [lo[j], hi[j]] / scale for odometer value j
     _levels: list = field(default_factory=lambda: [(ranks.int_array([0]), ranks.int_array([1]), 1)],
                           init=False, repr=False, compare=False)
@@ -296,36 +296,10 @@ def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
     return CompactInterval(Fraction(int(b.lo[0]), b.scale), Fraction(int(b.hi[0]), b.scale))
 
 
-def word_midpoint(s: AdmissibleSystem, a: Word) -> Fraction:
-    iv = interval_of_word(s, a)
-    return (iv.lo + iv.hi) / 2
-
-
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
     """nu_t: the largest depth-t interval diameter."""
     lo, hi, scale = _level(s, t)
     return Fraction(int((hi - lo).max()), scale)
-
-
-def _shifted_pair(s: AdmissibleSystem, a: Word, b: Word, i: int):
-    return (interval_of_word(s, word_add(a, i)),
-            interval_of_word(s, word_add(b, i)))
-
-
-def dist_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> Fraction:
-    """max over i < m of dist(K_{a+i}, K_{b+i}); m is capped at p_t."""
-    if len(a) != len(b):
-        raise ValueError("words must share their length")
-    steps = min(m, a.group_order)
-    return max(interval_dist(*_shifted_pair(s, a, b, i)) for i in range(steps))
-
-
-def diam_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> Fraction:
-    """max over i < m of diam(K_{a+i} u K_{b+i}); m is capped at p_t."""
-    if len(a) != len(b):
-        raise ValueError("words must share their length")
-    steps = min(m, a.group_order)
-    return max(union_diam(*_shifted_pair(s, a, b, i)) for i in range(steps))
 
 
 @dataclass(frozen=True)
@@ -470,15 +444,16 @@ def symbolic_trajectory(prefix: Word, n: int) -> tuple[Word, ...]:
 
 
 def midpoint_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> list[Fraction]:
-    """Numeric positions for the symbolic itinerary (interval midpoints)."""
-    return [word_midpoint(s, w) for w in symbolic_trajectory(prefix, n)]
-
-
-def system_to_json(s: AdmissibleSystem) -> str:
-    import json
-    if not s.descriptor:
-        raise ValueError("system has no serializable descriptor")
-    return json.dumps({**s.descriptor, "depth_cap": s.depth_cap})
+    """Numeric positions for the symbolic itinerary: the midpoints of
+    K_{prefix + i} for i < n, read with one :func:`node_bounds` call."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    t = len(prefix)
+    # a prefix past the depth cap raises here, before its node values can
+    # leave int64
+    _check_depth(s, t)
+    b = node_bounds(s, t, t, (prefix.to_int() + np.arange(n)) % (1 << t))
+    return [Fraction(lo + hi, 2 * b.scale) for lo, hi in zip(b.lo.tolist(), b.hi.tolist())]
 
 
 def write_counts_csv(rows: Sequence[SolenoidalCounts], path) -> None:

@@ -1,22 +1,21 @@
-import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rqamaps import constructions
-from rqamaps.constructions import (DelahayeInstance, _cell, _check_delahaye_gaps,
-                                   build_delahaye, build_prop42,
-                                   delahaye_counts, delahaye_counts_formula,
+from rqamaps.constructions import (_cell, _check_delahaye_gaps, build_delahaye,
+                                   build_prop42, delahaye_counts, delahaye_counts_formula,
                                    delahaye_det, delahaye_rdet, index_level,
                                    prop42_C1, prop42_c1_closed_form,
                                    prop42_numeric_map, prop42_pair_count,
-                                   prop42_positions, prop42_recurrence_rule,
-                                   prop42_report, prop42_schedule_n,
-                                   system_from_json, write_c1_csv)
+                                   prop42_positions, prop42_report,
+                                   prop42_schedule_n, write_c1_csv)
 from rqamaps.dynamics import evaluate, iterate
 from rqamaps.intervals import CompactInterval, interval_dist, union_diam
 from rqamaps.solenoidal import _level, interval_of_word, Word
+
+from package_oracles import prop42_recurrence_rule
 
 
 def brute_rule_count(inst, n):
@@ -382,26 +381,3 @@ class TestDelahayeLimits:
     def test_ratio_from_counts(self, delahaye5):
         n1, nm = delahaye_counts(delahaye5, 2, 3, 5)
         assert F(nm, n1) == F(2, 3)
-
-
-def test_system_json_round_trip(delahaye5):
-    from rqamaps.solenoidal import system_to_json
-    text = system_to_json(delahaye5.system)
-    assert json.loads(text) == {"kind": "delahaye", "r": 5, "depth_cap": 13}
-    again = system_from_json(text)
-    assert isinstance(again, DelahayeInstance) and again.r == 5
-
-
-@pytest.mark.parametrize("text", ['{"kind": "delahaye"}', '[1]',
-                                  '{"kind": "delahaye", "r": 5, "depth_cap": null}',
-                                  '{"kind": "delahaye", "r": Infinity}',
-                                  '{"kind": "delahaye", "r": 5.7}',
-                                  '{"kind": "delahaye", "r": true}',
-                                  '{"kind": "delahaye", "r": "5"}',
-                                  '{"kind": "delahaye", "r": 5, "depth_cap": 5.7}',
-                                  '{"kind": "delahaye", "r": 5, "depth_cap": true}',
-                                  '{"kind": "delahaye", "r": 5, "depth_cap": "5"}',
-                                  '{"kind": "prop42", "r": 5}'])
-def test_system_json_rejects_malformed_input(text):
-    with pytest.raises(ValueError, match="malformed system JSON|unknown system kind"):
-        system_from_json(text)

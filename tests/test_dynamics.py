@@ -377,10 +377,3 @@ class TestSerialization:
         # strings and objects are iterable, but no map file holds them
         with pytest.raises(ValueError, match="malformed map JSON"):
             PiecewiseLinearMap.from_json(text)
-
-    def test_trajectory_csv(self, tmp_path):
-        from rqamaps.dynamics import write_trajectory_csv
-        t = iterate(SWAP, F(1, 4), 3)
-        out = tmp_path / "traj.csv"
-        write_trajectory_csv(t, out)
-        assert out.read_text() == "index,value\n0,1/4\n1,3/4\n2,1/4\n"

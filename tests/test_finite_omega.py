@@ -13,13 +13,12 @@ from rqamaps import ranks
 from rqamaps.dynamics import detect_periodic, iterate
 from rqamaps.finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                                   aligned_orbit, asymptotic_rdet_finite,
-                                  bowen_orbit_distance, closed_form_corr_sum,
-                                  excluded_epsilons, min_spatial_gap,
-                                  recurrent_orbit_pairs, report, report_json)
+                                  closed_form_corr_sum, excluded_epsilons, report)
 from rqamaps.rqa import RQAParams, correlation_sum
 
 from conftest import (EDGE_EPS, EDGE_SCALES, assert_lasso_holds, edge_points,
                       residual_detect)
+from package_oracles import bowen_orbit_distance
 
 TWO = PeriodicOrbitData.of(["1/4", "3/4"])
 THREE = PeriodicOrbitData.of(["1/5", "1/2", "4/5"])
@@ -116,7 +115,7 @@ class TestExcluded:
 
 class TestDeterminism:
     def test_below_min_gap_exactly_one(self):
-        assert min_spatial_gap(THREE) == F(3, 10)
+        # 1/10 is below 3/10, the smallest gap of 1/5, 1/2, 4/5
         for m in (1, 2, 3, 7):
             assert asymptotic_rdet_finite(THREE, m, F(1, 10)) == 1
 
@@ -212,19 +211,15 @@ def _check_closed_forms(o, m, eps):
 
     ties = [brute(w) != brute(w, operator.lt) for w in (m, 1)]
     assert ties[0] == (eps in excluded_epsilons(o, m))
-    assert recurrent_orbit_pairs(o, m, eps) == brute(m)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert closed_form_corr_sum(o, m, eps) == F(brute(m), p * p)
+        assert closed_form_corr_sum(o, m, eps) * p ** 2 == brute(m)
         assert len(caught) == ties[0]
         assert asymptotic_rdet_finite(o, m, eps) == F(brute(m), brute(1))
         # the determinism warns once per tied window among m and 1, after
         # the correlation sum's one warning for a tie at window m
         assert len(caught) == ties[0] + sum(ties)
     assert all(issubclass(w.category, ExcludedEpsilonWarning) for w in caught)
-    if p > 1:
-        assert min_spatial_gap(o) == min(abs(x - y) for x in o.points
-                                         for y in o.points if x != y)
 
 
 @pytest.mark.filterwarnings("ignore::rqamaps.finite_omega.ExcludedEpsilonWarning")
@@ -263,4 +258,3 @@ def test_report_shape():
         "c_m_den": 9,
         "excluded": ["3/10", "3/5"],
     }
-    assert "\"c_m_num\": 5" in report_json(THREE, 2, F(9, 20))

@@ -6,7 +6,11 @@ The interval tests have one home, :mod:`rqamaps.intervals`, as rank rows
 No module of the package reads a private name of another, and every
 module imports only from the modules before it in one order."""
 import ast
+import dataclasses
 from pathlib import Path
+
+import rqamaps
+from rqamaps.solenoidal import AdmissibleSystem
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
 
@@ -22,6 +26,11 @@ IMPORT_ORDER = ["rational", "dynamics", "ranks", "intervals", "rqa", "solenoidal
 # mock.patch target pass without testing anything
 RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_ranges",
            "_BLOCK_ELEMS", "_DEFAULT_MAX_PAIRS", "_check_pairs", "max_pairs_limit", "_ranks"}
+# helpers no subcommand, script or benchmark calls: deleted, or moved into
+# tests/package_oracles.py where the tests check counts against them
+REMOVED = {"system_to_json", "system_from_json", "write_trajectory_csv", "report_json",
+           "recurrent_orbit_pairs", "min_spatial_gap", "dist_m_words", "diam_m_words",
+           "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint"}
 
 
 def _private(name):
@@ -145,3 +154,10 @@ def test_interval_tests_have_one_home():
         assert defined & {"_leaf_tests", "Metric", "euclidean"} == set(), path.stem
         assert not [a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
                     for a in node.args + node.kwonlyargs if a.arg == "metric"], path.stem
+
+
+def test_removed_helpers_stay_out_of_the_package():
+    for path in sorted(SRC.glob("*.py")):
+        assert top_level_names(path.read_text()) & REMOVED == set(), path.stem
+    assert set(rqamaps.__all__) & REMOVED == set()
+    assert "descriptor" not in {f.name for f in dataclasses.fields(AdmissibleSystem)}

@@ -14,8 +14,7 @@ from rqamaps import ranks, rqa
 from rqamaps.constructions import prop42_positions
 from rqamaps.dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
                               detect_periodic, iterate)
-from rqamaps.finite_omega import (PeriodicOrbitData, closed_form_corr_sum,
-                                  recurrent_orbit_pairs)
+from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.rational import common_scale
 from rqamaps.rqa import (RQAParams, bowen_distance, correlation_sum,
                          estimate_asymptotics, pgm_bytes, recurrence_determinism,
@@ -706,7 +705,7 @@ def test_mixed_cycle_counts_in_floats_at_every_rotation():
         for m in (1, 2, 3):
             want = sum(max(abs(floats[i + s] - floats[j + s]) for s in range(m)) <= MIXED_EPS
                        for i in range(p) for j in range(p))
-            assert recurrent_orbit_pairs(o, m, MIXED_EPS) == want
+            assert closed_form_corr_sum(o, m, MIXED_EPS) * p ** 2 == want
 
 
 def test_det_window_one_needs_only_n_points():

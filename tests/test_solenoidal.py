@@ -17,12 +17,12 @@ from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
                                 asymptotic_corr_sum, count_pairs,
-                                counts_by_window, diam_m_words, dist_m_words,
-                                interval_of_word, max_diam,
+                                counts_by_window, interval_of_word, max_diam,
                                 midpoint_trajectory, node_bounds, symbolic_trajectory,
-                                word_add, word_midpoint, write_counts_csv)
+                                word_add, write_counts_csv)
 
 from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT
+from package_oracles import descent, diam_m_words, dist_m_words
 
 W = Word.parse
 
@@ -345,15 +345,6 @@ def draw_system(rnd, kind):
 RANDOM_KINDS = ["random", "random big", "near tiling"]
 
 
-def descent(rule, a):
-    """Oracle: K_a from the diameter rule, prefix by prefix, in Fractions."""
-    lo, hi = F(0), F(1)
-    for d in range(1, len(a) + 1):
-        width = rule(Word(a.digits[:d]))
-        lo, hi = (lo, lo + width) if a.digits[d - 1] == 0 else (hi - width, hi)
-    return lo, hi
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 8), st.sampled_from(["delahaye"] + RANDOM_KINDS))
 def test_depth_endpoints_match_descent(seed, t, kind):
@@ -540,7 +531,8 @@ def test_count_memory_does_not_grow_with_pairs():
 
 def word_counts(s, t, eps, m_max):
     """Oracle: [(N_m, N_m°) for m = 1..m_max] from dist_m_words and
-    diam_m_words at window 1 over every word pair: the window-w test of
+    diam_m_words at window 1 over every word pair, which read each K_a
+    from the diameter rule, not from the node bounds: the window-w test of
     (a, b) is the window-1 test at every (a + i, b + i), i < w, and both
     tests are symmetric in a and b."""
     p = 2 ** t
@@ -701,8 +693,13 @@ class TestSymbolicTrajectories:
             assert counts.lower - F(2, p) <= c <= counts.upper + F(2, p)
 
     def test_midpoint_inside_interval(self, delahaye5):
-        iv = interval_of_word(delahaye5.system, W("0110"))
-        assert iv.lo < word_midpoint(delahaye5.system, W("0110")) < iv.hi
+        # step i is the midpoint of K_{prefix + i}, wrapping past p_t = 16
+        s, prefix = delahaye5.system, W("0110")
+        for i, x in enumerate(midpoint_trajectory(s, prefix, 20)):
+            iv = interval_of_word(s, word_add(prefix, i))
+            assert x == (iv.lo + iv.hi) / 2 and iv.lo < x < iv.hi
+        with pytest.raises(ValueError, match="need n >= 1"):
+            midpoint_trajectory(s, prefix, 0)
 
 
 def test_counts_csv(tmp_path, delahaye5):
