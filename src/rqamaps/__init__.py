@@ -15,8 +15,7 @@ from .rqa import (RQAParams, RecurrenceMatrix, ResourceGuardError, SeriesEstimat
                   bowen_distance, correlation_sum, estimate_asymptotics,
                   recurrence_determinism, recurrence_matrix, rqa_det)
 from .solenoidal import (AdmissibleSystem, SolenoidalCounts, Word,
-                         asymptotic_corr_sum, count_pairs, interval_of_word,
-                         symbolic_trajectory, word_add)
+                         asymptotic_corr_sum, count_pairs, interval_of_word)
 from .finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                            aligned_orbit, asymptotic_rdet_finite,
                            closed_form_corr_sum, excluded_epsilons)

@@ -7,9 +7,9 @@ of that pair set is sharply bounded by ``4*(n-1)``; both the extremal and
 the empty configurations are constructible.
 
 The two tests between intervals, gap < eps and hull <= eps, have one home
-here, in two forms, both exact for any denominator.  :func:`interval_tests`
-decides them through the rank table of the endpoints (:mod:`rqamaps.ranks`)
-and :func:`epsilon_pairs` reads its rows: in an ordered configuration
+here, in two forms, both exact for any denominator.  :func:`epsilon_pairs`
+decides them through the rank table of the endpoints and its strict and
+closed cuts (:mod:`rqamaps.ranks`): in an ordered configuration
 J_1 < ... < J_n, for b > a the gap lo_b - hi_a and the hull hi_b - lo_a
 both grow with b, so row a of the pair set is the range of b between two
 ``searchsorted`` calls over the ranks of the endpoints.
@@ -146,29 +146,6 @@ class EpsilonPairSet:
         return 4 * (self.n - 1) if self.n >= 2 else 1
 
 
-def interval_tests(table: ranks.RankTable, epsilon: Number) -> np.ndarray:
-    """Rank tests for gap < epsilon (strict) and hull <= epsilon (closed)
-    between intervals, for any interval order: ``table`` ranks their p lows
-    and then their p highs, exact or float.  Rows (lo, x, y, hi) of 2p
-    entries, interval a of test k at k p + a (k = 0 strict, 1 closed), such
-    that a and b pass iff lo_a <= x_b and y_b < hi_a."""
-    p, n_values = len(table.rank) // 2, len(table.values)
-    rank_lo, rank_hi = table.rank[:p], table.rank[p:]
-    # gap < eps  iff  hi_b > lo_a - eps  and  lo_b < hi_a + eps
-    near_lo, near_hi = ranks.cuts(table, epsilon, strict=True)
-    strict = (near_lo[rank_lo], rank_hi, rank_lo, near_hi[rank_hi])
-    # hull <= eps  iff  lo_b >= hi_a - eps  and  hi_b <= lo_a + eps, and both
-    # diameters are <= eps: a wider interval gets the out-of-range rank
-    # len(values), which fails either comparison as a or as b
-    within_lo, within_hi = ranks.cuts(table, epsilon, strict=False)
-    closed_hi = within_hi[rank_lo]
-    wide = rank_hi >= closed_hi
-    closed = (np.where(wide, n_values, within_lo[rank_hi]), rank_lo,
-              np.where(wide, n_values, rank_hi), closed_hi)
-    dtype = np.min_scalar_type(n_values)   # the narrowest type is the fastest
-    return np.array([np.concatenate(pair) for pair in zip(strict, closed)], dtype=dtype)
-
-
 def int_interval_test(lo_a, hi_a, lo_b, hi_b, e: int, strict: bool) -> np.ndarray:
     """gap < eps (``strict``) or hull <= eps between [lo_a, hi_a] and
     [lo_b, hi_b], elementwise over integer endpoint arrays of one scale S,
@@ -193,10 +170,14 @@ def epsilon_pairs(c: Configuration, epsilon: Number) -> EpsilonPairSet:
     positive(epsilon)
     n = len(c.intervals)
     ends = [iv.lo for iv in c.intervals] + [iv.hi for iv in c.intervals]
-    _, x, y, hi = interval_tests(ranks.table(ends, 2 * n), epsilon)
-    # in order, for b > a: gap < eps iff b < near[a], hull > eps iff b >= wide[a]
-    near = np.searchsorted(y[:n], hi[:n]).tolist()
-    wide = np.searchsorted(x[:n], hi[n:]).tolist()
+    table = ranks.table(ends, 2 * n)
+    rank_lo, rank_hi = table.rank[:n], table.rank[n:]
+    _, near_hi = ranks.cuts(table, epsilon, strict=True)
+    _, within_hi = ranks.cuts(table, epsilon, strict=False)
+    # in order, for b > a: gap < eps iff lo_b < hi_a + eps iff b < near[a],
+    # and hull > eps iff hi_b > lo_a + eps iff b >= wide[a]
+    near = np.searchsorted(rank_lo, near_hi[rank_hi]).tolist()
+    wide = np.searchsorted(rank_hi, within_hi[rank_lo]).tolist()
     pairs = [(a + 1, a + 1) for a in range(n) if wide[a] <= a]
     for a in range(n):
         for b in range(max(wide[a], a + 1), near[a]):

@@ -66,22 +66,22 @@ form of the gap and hull tests, on the bounds over their scale against
 ``ranks.int_threshold``, so every pair is decided exactly, whatever the
 denominator.  A node paired with itself is never taken to fail every leaf
 pair above depth t.  A pair whose leading all-pass shifts end at an
-all-fail shift (or at m) adds 4^(t-d) to each of those windows at once;
-any other pair splits into its four child pairs.  At depth t each node is
-one leaf, so every pair left is decided there.  The walk's frontier runs
-in blocks of about ``ranks.BLOCK_ELEMS`` / 8 entries, so no temporary
-grows with p_t^2.  On the Delahaye systems a few dozen node pairs per test
-decide all p_t^2 leaf pairs, so a cold count there reads a few dozen
-nodes and builds no level.  A resource guard bounds the depth by p_t^2
-pairs before any node is read (``ranks.check_pairs``; env RQA_MAX_PAIRS
-overrides).
+all-fail shift (or at m) adds 4^(t-d) to each of those windows at once,
+in Python ints, exact past 4^32 = 2^64; any other pair splits into its
+four child pairs.  At depth t each node is one leaf, so every pair left
+is decided there.  The walk's frontier runs in blocks of about
+``ranks.BLOCK_ELEMS`` / 8 entries, so no temporary grows with p_t^2.
+On the Delahaye systems a few dozen node pairs per test decide all p_t^2
+leaf pairs, so a cold count there reads a few dozen nodes and builds no
+level.  A resource guard bounds the depth by p_t^2 pairs before any node
+is read (``ranks.check_pairs``; env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import inf, lcm
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -112,11 +112,6 @@ class Word:
     def __str__(self) -> str:
         return "".join(str(d) for d in self.digits)
 
-    @property
-    def group_order(self) -> int:
-        """p_t: the number of words of this length."""
-        return 1 << len(self.digits)
-
     def to_int(self) -> int:
         """Odometer-compatible integer value (leftmost digit least significant)."""
         return sum(d << i for i, d in enumerate(self.digits))
@@ -140,11 +135,6 @@ class Word:
     @staticmethod
     def parse(text: str) -> "Word":
         return Word(tuple(int(ch) for ch in text))
-
-
-def word_add(a: Word, k: int) -> Word:
-    """Odometer addition a + k, carrying left to right, wrapping mod p_t."""
-    return Word.from_int((a.to_int() + k) % a.group_order, len(a))
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,7 @@ class SolenoidalCounts:
     t: int
     p_t: int
     m: int
-    epsilon: Fraction
+    epsilon: Fraction   # or math.inf
     n_strict: int
     n_closed: int
 
@@ -334,7 +324,7 @@ def _test(ends: tuple[np.ndarray, np.ndarray], e: int, strict: bool) -> np.ndarr
     return int_interval_test(lo_a, hi_a, lo_b, hi_b, e, strict)
 
 
-def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
+def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
     """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : the test passes for
     (K_{a+s}, K_{b+s}) at every shift s < w}, where test 0 is gap < eps and
     test 1 hull <= eps.
@@ -350,7 +340,8 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
     weight = np.arange(steps, 0, -1, dtype=np.min_scalar_type(steps))[:, None]
     # k, u and v of the four child pairs of (k, u, v), over 2^d
     halves = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
-    by_lead = np.zeros(2 * (steps + 1), dtype=np.int64)
+    # Python ints: a count reaches 4^t, past int64 from t = 32
+    by_lead = np.zeros(2 * (steps + 1), dtype=object)
     stack = [(0, np.array([[0, 1], [0, 0], [0, 0]]))]
     while stack:
         # node pairs (u, v) = pairs[1:, i] at depth d under test k =
@@ -360,9 +351,11 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
         d, pairs = stack.pop()
         k = pairs[0].astype(bool)
         b = node_bounds(s, t, d, (pairs[1:, None, :] + shifts) & ((1 << d) - 1))
-        # every endpoint lies in [0, scale], so a wider threshold tells no
-        # pair apart, and these keep int64 differences in range
-        e_gap, e_hull = (min(ranks.int_threshold(eps, b.scale, strict), b.scale)
+        # every endpoint lies in [0, scale], so a wider threshold, an
+        # infinite one included, tells no pair apart, and these keep int64
+        # differences in range
+        e_gap, e_hull = (b.scale if eps == inf else
+                         min(ranks.int_threshold(eps, b.scale, strict), b.scale)
                          for strict in (True, False))
         # every leaf pair passes, or some does, as in the module docstring:
         # a node paired with itself has a negative inner hull, so above
@@ -375,7 +368,7 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
         lead = steps - (~every * weight).max(0)
         done = lead == steps - (~some * weight).max(0)
         by_lead += np.bincount(pairs[0, done] * (steps + 1) + lead[done],
-                               minlength=2 * (steps + 1)) << 2 * (t - d)
+                               minlength=2 * (steps + 1)).astype(object) << 2 * (t - d)
         if not done.all():
             # the four child pairs of each pair left in turn
             pairs = (pairs[:, ~done, None] + (halves << d)).reshape(3, -1)
@@ -389,9 +382,11 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Fraction) -> np.ndarray:
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                      threads: int = 1) -> list[SolenoidalCounts]:
     """Counts for every window length 1..m_max in one dual-tree walk.
+    Counts are Python ints, exact at any depth; an infinite epsilon passes
+    every word pair, so N_m = N_m° = p_t^2.
 
     ``threads`` has no effect: pair counts are serial."""
-    eps = positive(as_fraction(epsilon))
+    eps = positive(epsilon if epsilon == inf else as_fraction(epsilon))
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if t < 1:
@@ -428,19 +423,6 @@ def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
         if c.upper - c.lower > c.width_bound:
             raise AssertionError(f"enclosure width exceeds bound at t={c.t}: {c}")
     return out
-
-
-def symbolic_trajectory(prefix: Word, n: int) -> tuple[Word, ...]:
-    """Depth-|prefix| itinerary of a point of the Cantor set below K_prefix.
-
-    The image intervals follow the odometer, so the itinerary of step i is
-    simply prefix + i.  (The counts N_m/N_m° depend only on the system, not
-    on the particular point; word-level operations here are likewise
-    point-free.)
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(word_add(prefix, i) for i in range(n))
 
 
 def midpoint_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> list[Fraction]:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests check the package against.
 
 Each reads its quantity from a definition, not from the code under test:
-word intervals from the diameter rule by endpoint sharing, Bowen distances
+word intervals from the diameter rule by endpoint sharing, the odometer
+step from the word's integer value mod 2^t, Bowen distances
 along a cycle by successor indices mod p, and the prop42 recurrence rule
 from the levels of the two indices.
 
@@ -15,7 +16,7 @@ from functools import cache
 from rqamaps.constructions import Prop42Instance, index_level
 from rqamaps.finite_omega import PeriodicOrbitData
 from rqamaps.intervals import CompactInterval, interval_dist, union_diam
-from rqamaps.solenoidal import AdmissibleSystem, Word, word_add
+from rqamaps.solenoidal import AdmissibleSystem, Word
 
 
 def descent(rule, a):
@@ -33,15 +34,20 @@ def _word_interval(rule, digits: tuple[int, ...]) -> CompactInterval:
     return CompactInterval(*descent(rule, Word(digits)))
 
 
+def odometer_step(a: Word, i: int) -> Word:
+    """a + i under the odometer, carrying from the leftmost digit, mod 2^|a|."""
+    return Word.from_int((a.to_int() + i) % (1 << len(a)), len(a))
+
+
 def _shifted_pair(s: AdmissibleSystem, a: Word, b: Word, i: int):
-    return tuple(_word_interval(s.diam_rule, word_add(w, i).digits) for w in (a, b))
+    return tuple(_word_interval(s.diam_rule, odometer_step(w, i).digits) for w in (a, b))
 
 
 def dist_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> F:
     """max over i < m of dist(K_{a+i}, K_{b+i}); m is capped at p_t."""
     if len(a) != len(b):
         raise ValueError("words must share their length")
-    steps = min(m, a.group_order)
+    steps = min(m, 1 << len(a))
     return max(interval_dist(*_shifted_pair(s, a, b, i)) for i in range(steps))
 
 
@@ -49,7 +55,7 @@ def diam_m_words(s: AdmissibleSystem, a: Word, b: Word, m: int) -> F:
     """max over i < m of diam(K_{a+i} u K_{b+i}); m is capped at p_t."""
     if len(a) != len(b):
         raise ValueError("words must share their length")
-    steps = min(m, a.group_order)
+    steps = min(m, 1 << len(a))
     return max(union_diam(*_shifted_pair(s, a, b, i)) for i in range(steps))
 
 

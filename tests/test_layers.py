@@ -1,8 +1,9 @@
 """The rank layer has one home, :mod:`rqamaps.ranks`: no module reads its
 private names, the scans of :mod:`rqamaps.rqa` are read by their public
 names only, and nothing else defines a rank table, a cut or the guard.
-The interval tests have one home, :mod:`rqamaps.intervals`, as rank rows
-(``interval_tests``) and on integers (``int_interval_test``).
+The interval tests have one home, :mod:`rqamaps.intervals`: the pair set
+reads them from rank cuts, the word counts on integers
+(``int_interval_test``).
 No module of the package reads a private name of another, and every
 module imports only from the modules before it in one order."""
 import ast
@@ -10,7 +11,7 @@ import dataclasses
 from pathlib import Path
 
 import rqamaps
-from rqamaps.solenoidal import AdmissibleSystem
+from rqamaps.solenoidal import AdmissibleSystem, Word
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
 
@@ -30,7 +31,8 @@ RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_rang
 # tests/package_oracles.py where the tests check counts against them
 REMOVED = {"system_to_json", "system_from_json", "write_trajectory_csv", "report_json",
            "recurrent_orbit_pairs", "min_spatial_gap", "dist_m_words", "diam_m_words",
-           "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint"}
+           "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint",
+           "interval_tests", "word_add", "symbolic_trajectory"}
 
 
 def _private(name):
@@ -145,12 +147,11 @@ def test_imports_follow_one_order():
 
 
 def test_interval_tests_have_one_home():
-    # one producer of the gap/hull rank rows, and no metric seam beside it
+    # one integer gap/hull test, and no metric seam beside it
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         defined, tree = top_level_names(source), ast.parse(source)
-        for name in ("interval_tests", "int_interval_test"):
-            assert (name in defined) == (path.stem == "intervals"), (path.stem, name)
+        assert ("int_interval_test" in defined) == (path.stem == "intervals"), path.stem
         assert defined & {"_leaf_tests", "Metric", "euclidean"} == set(), path.stem
         assert not [a.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
                     for a in node.args + node.kwonlyargs if a.arg == "metric"], path.stem
@@ -161,3 +162,4 @@ def test_removed_helpers_stay_out_of_the_package():
         assert top_level_names(path.read_text()) & REMOVED == set(), path.stem
     assert set(rqamaps.__all__) & REMOVED == set()
     assert "descriptor" not in {f.name for f in dataclasses.fields(AdmissibleSystem)}
+    assert not hasattr(Word, "group_order")

@@ -18,11 +18,10 @@ from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
                                 asymptotic_corr_sum, count_pairs,
                                 counts_by_window, interval_of_word, max_diam,
-                                midpoint_trajectory, node_bounds, symbolic_trajectory,
-                                word_add, write_counts_csv)
+                                midpoint_trajectory, node_bounds, write_counts_csv)
 
 from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT
-from package_oracles import descent, diam_m_words, dist_m_words
+from package_oracles import descent, diam_m_words, dist_m_words, odometer_step
 
 W = Word.parse
 
@@ -114,19 +113,9 @@ def integer_dense_counts(ivs, eps, m_max):
 
 
 class TestWords:
-    def test_add_one(self):
-        assert str(word_add(W("00"), 1)) == "10"
-
-    def test_wrap_around(self):
-        assert str(word_add(W("11"), 1)) == "00"
-
-    def test_add_two(self):
-        step = word_add(word_add(W("10"), 1), 1)
-        assert str(word_add(W("10"), 2)) == str(step) == "11"
-
     def test_unit_word(self):
         # the word 1 0^{t-1} acts as the integer 1
-        assert word_add(W("000"), 1) == W("100")
+        assert Word.from_int(1, 3) == W("100")
         assert W("100").to_int() == 1
 
     def test_digit_validation(self):
@@ -138,12 +127,6 @@ class TestWords:
         # no silent wrap: 5 is not the word 10, nor -1 the word 11
         with pytest.raises(ValueError, match="outside 0..3"):
             Word.from_int(value, 2)
-
-    @given(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), st.integers(1, 8))
-    def test_addition_is_group_action(self, a, b, t):
-        w = Word.from_int(a % 2 ** t, t)
-        assert word_add(word_add(w, a), b) == word_add(w, a + b)
-        assert word_add(w, w.group_order) == w
 
 
 class TestIntervals:
@@ -228,9 +211,9 @@ class TestWindowDistances:
         for a0, b0 in [(0, 3), (2, 5), (1, 6)]:
             a, b = Word.from_int(a0, 3), Word.from_int(b0, 3)
             assert dist_m_words(s, a, b, 8) == \
-                dist_m_words(s, word_add(a, 1), word_add(b, 1), 8)
+                dist_m_words(s, odometer_step(a, 1), odometer_step(b, 1), 8)
             assert diam_m_words(s, a, b, 8) == \
-                diam_m_words(s, word_add(a, 1), word_add(b, 1), 8)
+                diam_m_words(s, odometer_step(a, 1), odometer_step(b, 1), 8)
 
 
 class TestCounts:
@@ -283,6 +266,29 @@ class TestCounts:
     def test_guard_env_override(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "16")
         assert count_pairs(delahaye5.system, 2, 1, F(1, 5)).n_closed == 6
+
+    @pytest.mark.parametrize("t", [31, 32, 33, 40])
+    def test_counts_stay_exact_past_int64(self, monkeypatch, t):
+        # 4^t passes 2^63 at t = 32: the walk's tallies are Python ints
+        monkeypatch.setenv("RQA_MAX_PAIRS", str(4 ** 40))
+        inst = build_delahaye(5, depth_cap=40)
+        for k in (1, 2, 3):
+            for m in (2, 3, 4):
+                counts = counts_by_window(inst.system, t, inst.epsilon_k(k), m)
+                assert (counts[0].n_closed, counts[-1].n_closed) == \
+                    delahaye_counts_formula(k, m, t)
+
+    def test_infinite_epsilon_passes_every_pair(self, delahaye5):
+        s = delahaye5.system
+        for t in (1, 3, 6):
+            every = 4 ** t
+            counts = counts_by_window(s, t, math.inf, 2 ** t + 2)
+            assert {(c.n_strict, c.n_closed) for c in counts} == {(every, every)}
+            assert (c := count_pairs(s, t, 2, math.inf)).lower == c.upper == 1
+        assert [c.lower for c in asymptotic_corr_sum(s, 3, math.inf, [2, 4])] == [1, 1]
+        # a system without _nests reads its built level, to the same count
+        plain = AdmissibleSystem(diam_rule=s.diam_rule)
+        assert count_pairs(plain, 4, 3, math.inf).n_closed == 4 ** 4
 
     def test_threads_deterministic(self, delahaye5):
         # the keyword is accepted and has no effect
@@ -660,20 +666,11 @@ class TestEnclosure:
 
 
 class TestSymbolicTrajectories:
-    def test_odometer_orbit(self):
-        words = symbolic_trajectory(W("00"), 4)
-        assert [str(w) for w in words] == ["00", "10", "01", "11"]
-
-    def test_full_cycle_visits_everything(self):
-        t = 4
-        words = symbolic_trajectory(W("0" * t), 2 ** t)
-        assert len({w.digits for w in words}) == 2 ** t
-
     def test_depth_consistency(self, delahaye5):
         # the depth-t projection of a depth-(t+1) itinerary is the depth-t one
         s = delahaye5.system
-        shallow = symbolic_trajectory(W("000"), 20)
-        deep = symbolic_trajectory(W("0000"), 20)
+        shallow = [odometer_step(W("000"), i) for i in range(20)]
+        deep = [odometer_step(W("0000"), i) for i in range(20)]
         for w3, w4 in zip(shallow, deep):
             assert w4.digits[:3] == w3.digits
             inner = interval_of_word(s, w4)
@@ -696,7 +693,7 @@ class TestSymbolicTrajectories:
         # step i is the midpoint of K_{prefix + i}, wrapping past p_t = 16
         s, prefix = delahaye5.system, W("0110")
         for i, x in enumerate(midpoint_trajectory(s, prefix, 20)):
-            iv = interval_of_word(s, word_add(prefix, i))
+            iv = interval_of_word(s, odometer_step(prefix, i))
             assert x == (iv.lo + iv.hi) / 2 and iv.lo < x < iv.hi
         with pytest.raises(ValueError, match="need n >= 1"):
             midpoint_trajectory(s, prefix, 0)
