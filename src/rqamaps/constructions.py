@@ -26,9 +26,9 @@ Two fully parameterized objects:
   eps_k = r^-k give asymptotic determinism exactly 2/3 for every window
   length m >= 2 -- recurrence determinism can stay away from 1 even for a
   map that is not chaotic in any standard sense.  Its rule nests at every
-  depth, which the system records (``_nests``), so a word count on it
-  reads the node bounds its walk touches and builds no level beyond the
-  five its build checks.
+  depth, which the system records (``_nests``), so neither its build
+  check nor a word count on it builds a level: each reads the node
+  bounds of the depths it needs.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .dynamics import PiecewiseLinearMap
 from .intervals import CompactInterval, interval_dist, union_diam
 from .rational import fraction_str
 from .rqa import ResourceGuardError
-from .solenoidal import AdmissibleSystem, Word, counts_by_window, max_diam, node_bounds
+from .solenoidal import AdmissibleSystem, Word, counts_by_window, node_bounds
 
 Y0 = Fraction(1, 4)
 Y1 = Fraction(3, 4)
@@ -390,28 +390,29 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
 
 def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
     """The build-time contract of ``build_delahaye``, read off the node
-    bounds down to depth 5: the top-level gap is 1 - 3/r, below every word
-    a of depth t <= 4 the sibling gap min K_{a1} - max K_{a0} is
+    bounds of depth 5: the top-level gap is 1 - 3/r, below every word a of
+    depth t <= 4 the sibling gap min K_{a1} - max K_{a0} is
     (r-2) r^-(t+1), doubled under a leading 1, and the widest interval at
     depth 5 is 2 r^-5.  Word j's children at depth t + 1 are words j and
     j + 2^t."""
     depth = min(system.depth_cap, 5)
-    # max_diam reads every width down to the depth, level by level, and the
-    # node bounds then read those levels
-    widest = max_diam(system, depth)
-    top = node_bounds(system, 1, 1, [0, 1])
-    if (top.lo[1] - top.hi[0]) * r != (r - 3) * top.scale:
+    n = 2 ** depth
+    # K_u at depth d spans the depth-5 intervals of its leftmost leaf u and
+    # its rightmost leaf u + 2^5 - 2^d, so one read of depth 5 gives every
+    # depth; its node bounds are built depth by depth from the root, 2^6 - 2
+    # rule calls as levels 1-5 take, and no level
+    b = node_bounds(system, depth, depth, range(n))
+    lo, hi = b.lo.tolist(), b.hi.tolist()
+    if (lo[1] - hi[n - 2]) * r != (r - 3) * b.scale:
         raise AssertionError("top-level gap violates the diameter rule")
     for t in range(1, depth):
         p = 2 ** t
-        b = node_bounds(system, t + 1, t + 1, range(2 * p))
-        lo, hi = b.lo.tolist(), b.hi.tolist()
         for j in range(p):
             # a leading digit 1 (odd j) doubles the gap
-            if (lo[j + p] - hi[j]) * r ** (t + 1) != (r - 2) * b.scale * (1 + j % 2):
+            if (lo[j + p] - hi[j + n - 2 * p]) * r ** (t + 1) != (r - 2) * b.scale * (1 + j % 2):
                 raise AssertionError(
                     f"sibling gap below {Word.from_int(j, t)} violates the rule")
-    if widest != Fraction(2, r ** depth):
+    if Fraction(max(y - x for x, y in zip(lo, hi)), b.scale) != Fraction(2, r ** depth):
         raise AssertionError(f"widest interval at depth {depth} violates the rule")
 
 

@@ -43,8 +43,10 @@ def fraction_str(value: Number) -> str:
 def scaled(values: Sequence[Rational], scale: int = 1) -> tuple[list[int], int]:
     """(ints, S): the rationals ``values`` as integers over S, the lcm of
     ``scale`` and their denominators, so that values[i] == ints[i] / S."""
-    common = lcm(scale, *{v.denominator for v in values})
-    return [v.numerator * (common // v.denominator) for v in values], common
+    # one as_integer_ratio call per value reads both parts at once
+    ratios = [v.as_integer_ratio() for v in values]
+    common = lcm(scale, *{den for _, den in ratios})
+    return [num * (common // den) for num, den in ratios], common
 
 
 def common_scale(values: list[Fraction]) -> int:

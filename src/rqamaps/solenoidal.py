@@ -37,15 +37,24 @@ lo K_u, and the rightmost, u then ones (value u + 2^t - 2^d), keeps
 hi K_u.  The accessor returns K_u and these two leaves.  A system whose
 rule nests at every depth records it in the private keyword field
 ``_nests`` (``constructions.build_delahaye`` sets it from its gap
-formula).  Below its built levels such a system reads K_u down one path
-of nodes, one rule call per node, and each extreme leaf with one more,
-since the zeros (ones) below u keep its lo (hi); it keeps what it reads
-in ``_nodes``.  Any other system builds and checks level t, and the
-accessor reads the leaves from it.  :func:`interval_of_word` is the
-accessor at d = t: a cold one walks one path on a system that nests and
-builds its word's whole level (at most 2^depth_cap nodes) on any other.
-:func:`midpoint_trajectory` reads all of its words with one accessor call.
-:func:`max_diam` needs every width, and always builds its level.
+formula).  Unless it has built level t, such a system reads the bounds
+of every node at depth d of a depth-t count from a table over one
+scale, built from the table of depth d - 1 and kept in ``_nodes``: each
+child keeps one extreme leaf of its parent, since the zeros (ones) below
+u keep its lo (hi), and costs one rule call for its width and one for
+its other extreme leaf.  The tables of depths 0..d cost 2^(d+2) - 2
+calls, and those of every depth to t cost 2^(t+1) - 2, as levels 1..t
+do, since the nodes at depth t are the extreme leaves of depth t - 1.
+Any other system builds and checks level t, and the accessor reads the
+leaves from it.  Both are read with one gather per call.
+:func:`interval_of_word` on a system that nests and has not built the
+word's level reads the widths of the word's prefixes alone, one rule
+call each, and is the accessor at d = t on any other, which builds its
+word's whole level.  :func:`midpoint_trajectory` reads all of its words
+with one accessor call.  :func:`max_diam` on a system that
+nests and has not built level t reads the 2^t depth-t widths alone, one
+rule call each, over one integer scale, and checks that each is
+positive; on any other it builds and checks level t.
 
 Counts come from a dual-tree walk (Gray & Moore, "N-body problems in
 statistical learning", 2001).  As the odometer carries from the least
@@ -72,16 +81,18 @@ four child pairs.  At depth t each node is one leaf, so every pair left
 is decided there.  The walk's frontier runs in blocks of about
 ``ranks.BLOCK_ELEMS`` / 8 entries, so no temporary grows with p_t^2.
 On the Delahaye systems a few dozen node pairs per test decide all p_t^2
-leaf pairs, so a cold count there reads a few dozen nodes and builds no
-level.  A resource guard bounds the depth by p_t^2 pairs before any node
-is read (``ranks.check_pairs``; env RQA_MAX_PAIRS overrides).
+leaf pairs by depth k + 1 at eps = r^-k, so a cold count there reads the
+nodes of depths 0..k + 1 alone, 2^(k+3) - 2 rule calls at most, and
+builds no level.  A resource guard bounds the depth by p_t^2 pairs
+before any node is read (``ranks.check_pairs``; env RQA_MAX_PAIRS
+overrides).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import inf, lcm
+from math import inf
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -148,8 +159,8 @@ class AdmissibleSystem:
     (their widths sum to less than the parent's); each level checks this
     as it is built and raises ValueError at the first depth that breaks it.
     A rule proved to nest at every depth is marked by the private keyword
-    field ``_nests``, and its counts then read only the nodes they touch
-    (:func:`node_bounds`), with no level to build or check.
+    field ``_nests``, and its counts then read the nodes of the depths
+    they walk (:func:`node_bounds`), with no level to build or check.
     """
 
     diam_rule: Callable[[Word], Fraction]
@@ -157,8 +168,8 @@ class AdmissibleSystem:
     # level d: (lo, hi, scale), K_j = [lo[j], hi[j]] / scale for odometer value j
     _levels: list = field(default_factory=lambda: [(ranks.int_array([0]), ranks.int_array([1]), 1)],
                           init=False, repr=False, compare=False)
-    # (d, u) -> (lo, hi, den, digits), K_u = [lo, hi] / den for the word of
-    # value u at depth d, for the nodes read below the built levels of a
+    # (t, d) -> (ends, scale): rows lo, lo_right, hi, hi_left of every node
+    # at depth d of a depth-t count, over scale, read without level t by a
     # system that nests
     _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the rule nests at every depth, so no count needs its level built
@@ -174,6 +185,27 @@ def _check_depth(s: AdmissibleSystem, t: int) -> None:
         raise ValueError(f"depth {t} outside 0..{s.depth_cap} (the depth cap)")
 
 
+def _odometer_words(d: int) -> list[tuple[int, ...]]:
+    """The digit tuples of every word at depth d, in ascending odometer
+    value."""
+    # product() counts with its last digit fastest, so reversed tuples run
+    # through the words in ascending odometer value
+    return [digits[::-1] for digits in product((0, 1), repeat=d)]
+
+
+def _widths(s: AdmissibleSystem, words: list[tuple[int, ...]], scale: int = 1) -> tuple[list[int], int]:
+    """The widths of ``words``, one rule call each, as integers over the lcm
+    of ``scale`` and their denominators; a width that is not positive raises
+    ValueError.  The words skip ``Word``'s digit validation: every digit is
+    0 or 1 by construction."""
+    rule, word = s.diam_rule, Word._unchecked
+    widths = [as_fraction(rule(word(digits))) for digits in words]
+    w, new = scaled(widths, scale)
+    if min(w) <= 0:
+        raise ValueError(f"diameter rule must be positive, got {min(widths)}")
+    return w, new
+
+
 def _level(s: AdmissibleSystem, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Level t, each new level built from its parent with one rule call per
     node in odometer order, over the lcm of the parent's scale and its
@@ -184,14 +216,8 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     while len(levels) <= t:
         d = len(levels)
         lo, hi, scale = levels[-1]
-        # product() counts with its last digit fastest, so reversed tuples
-        # run through the words in ascending odometer value
-        widths = [as_fraction(s.diam_rule(Word._unchecked(digits[::-1])))
-                  for digits in product((0, 1), repeat=d)]
-        w, new = scaled(widths, scale)
+        w, new = _widths(s, _odometer_words(d), scale)
         lo, hi = ([v * (new // scale) for v in ends.tolist()] for ends in (lo, hi))
-        if min(w) <= 0:
-            raise ValueError(f"diameter rule must be positive, got {min(widths)}")
         # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
         lo_1 = [h - x for h, x in zip(hi, w[len(hi):])]
         hi_0 = [v + x for v, x in zip(lo, w)]
@@ -202,41 +228,60 @@ def _level(s: AdmissibleSystem, t: int) -> tuple[np.ndarray, np.ndarray, int]:
     return levels[t]
 
 
-def _descend(s: AdmissibleSystem, above: tuple, digits: tuple[int, ...]) -> tuple:
-    """K of the word ``digits`` as (lo, hi, den, digits), K = [lo, hi] / den,
-    from ``above``, an ancestor's, when every digit below it is the last
-    one: a 1 keeps the ancestor's hi, a 0 its lo.  One rule call."""
-    lo, hi, den, _ = above
-    w = as_fraction(s.diam_rule(Word._unchecked(digits)))
-    scale = lcm(den, w.denominator)
-    up, width = scale // den, w.numerator * (scale // w.denominator)
-    if digits[-1]:
-        return hi * up - width, hi * up, scale, digits
-    return lo * up, lo * up + width, scale, digits
+def _node_table(s: AdmissibleSystem, t: int, d: int) -> tuple[np.ndarray, int]:
+    """The bounds of every node at depth d of a depth-t count on a system
+    that nests, as the rows lo, lo_right, hi, hi_left of a (4, 2^d)
+    integer array over one scale, built from depth d - 1 and kept in
+    ``_nodes``.
+
+    Child 0 of node j (node j at depth d) keeps its lo and its leftmost
+    leaf, child 1 (node j + 2^(d-1)) its hi and its rightmost leaf; each
+    child's width and its other extreme leaf's width cost one rule call
+    each, 2^(d+1) calls for the depth.  At depth t each child is its own
+    leaf, one of its parent's two, so that depth calls no rule."""
+    if (t, d) in s._nodes:
+        return s._nodes[t, d]
+    if d == 0:
+        # the root [0, 1] and its leaves 0^t and 1^t, the root itself at t = 0
+        (w_left, w_right), scale = _widths(s, [(0,) * t, (1,) * t]) if t else ((1, 1), 1)
+        rows = [0], [scale - w_right], [scale], [w_left]
+    else:
+        ends, scale = _node_table(s, t, d - 1)
+        lo, lo_right, hi, hi_left = ends.tolist()
+        if d == t:
+            lo, hi = lo + lo_right, hi_left + hi
+            rows = lo, lo, hi, hi
+        else:
+            words = _odometer_words(d)
+            # the child's width, then the width of its new extreme leaf: the
+            # child then ones below a 0-child, then zeros below a 1-child
+            tails = (1,) * (t - d), (0,) * (t - d)
+            w, new = _widths(s, words + [x + tails[x[-1]] for x in words], scale)
+            if new != scale:
+                lo, lo_right, hi, hi_left = ([v * (new // scale) for v in row]
+                                             for row in (lo, lo_right, hi, hi_left))
+            half = len(lo)
+            hi_0 = [v + x for v, x in zip(lo, w)]
+            lo_1 = [v - x for v, x in zip(hi, w[half:])]
+            rows = (lo + lo_1, [v - x for v, x in zip(hi_0, w[2 * half:])] + lo_right,
+                    hi_0 + hi, hi_left + [v + x for v, x in zip(lo_1, w[3 * half:])])
+            scale = new
+    s._nodes[t, d] = ranks.int_array(rows), scale
+    return s._nodes[t, d]
 
 
-def _node(s: AdmissibleSystem, d: int, u: int) -> tuple:
-    """K_u as (lo, hi, den, digits) for node u at depth d: from level d when
-    it is built, otherwise from its parent's and one rule call, kept in
-    ``_nodes``."""
-    if d < len(s._levels):
-        lo, hi, scale = s._levels[d]
-        return int(lo[u]), int(hi[u]), scale, tuple((u >> i) & 1 for i in range(d))
-    if (d, u) not in s._nodes:
-        parent = _node(s, d - 1, u % (1 << (d - 1)))
-        s._nodes[d, u] = _descend(s, parent, parent[3] + (u >> (d - 1),))
-    return s._nodes[d, u]
-
-
-def _leaf(s: AdmissibleSystem, t: int, d: int, one: bool, u: int) -> tuple:
-    """K of the rightmost (``one``) or the leftmost leaf at depth t of node
-    u at depth d, as (lo, hi, den, digits), kept in ``_nodes``."""
-    x = u + ((1 << t) - (1 << d) if one else 0)
-    if d == t or (t, x) in s._nodes:
-        return _node(s, t, x)
-    node = _node(s, d, u)
-    s._nodes[t, x] = _descend(s, node, node[3] + (int(one),) * (t - d))
-    return s._nodes[t, x]
+def _bounds(s: AdmissibleSystem, t: int, d: int, nodes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The bounds of :func:`node_bounds` for valid ``nodes``, as the rows
+    lo, lo_right, hi, hi_left of one integer array over one scale: the lo
+    and hi of K_u and of its inner interval [lo_right, hi_left]."""
+    if len(s._levels) > t or not s._nests:
+        lo, hi, scale = _level(s, t)
+        # the leftmost leaves of the nodes at depth d come first in level t,
+        # their rightmost leaves last
+        n = 1 << d
+        return np.stack((lo[:n], lo[-n:], hi[-n:], hi[:n])).take(nodes, axis=1), scale
+    ends, scale = _node_table(s, t, d)
+    return ends.take(nodes, axis=1), scale
 
 
 class NodeBounds(NamedTuple):
@@ -256,10 +301,10 @@ def node_bounds(s: AdmissibleSystem, t: int, d: int, nodes) -> NodeBounds:
     u + 2^t - 2^d at depth t, for every node u of ``nodes`` (an integer
     array of values in [0, 2^d)) at depth d <= t, in the shape of ``nodes``.
 
-    A system that nests (``_nests``) and has not built level t reads each
-    K_u down one path of nodes and each leaf with one rule call, and keeps
-    what it reads; any other system builds and checks level t, and reads
-    them from it."""
+    A system that nests (``_nests``) and has not built level t reads them
+    from the node tables of depths 0..d of the count, built on first use
+    and kept; any other system builds and checks level t, and reads them
+    from it."""
     _check_depth(s, t)
     if not 0 <= d <= t:
         raise ValueError(f"node depth {d} outside 0..{t}")
@@ -267,27 +312,36 @@ def node_bounds(s: AdmissibleSystem, t: int, d: int, nodes) -> NodeBounds:
     # a negative node sets every high bit
     if np.bitwise_or.reduce(nodes, axis=None) >> d:
         raise ValueError(f"a node at depth {d} is outside 0..{(1 << d) - 1}")
-    if len(s._levels) > t or not s._nests:
-        lo, hi, scale = _level(s, t)
-        right = nodes + ((1 << t) - (1 << d))
-        return NodeBounds(lo[nodes], hi[nodes], lo[right], hi[right], scale)
-    distinct = sorted(set(nodes.ravel().tolist()))
-    leaves = [leaf for u in distinct for leaf in (_leaf(s, t, d, False, u), _leaf(s, t, d, True, u))]
-    scale = lcm(*{den for _, _, den, _ in leaves})
-    # lo, hi_left, lo_right, hi of each distinct node, over scale
-    ends = ranks.int_array([end * (scale // den) for lo, hi, den, _ in leaves for end in (lo, hi)])
-    index = np.searchsorted(np.array(distinct), nodes)
-    return NodeBounds(*ends.reshape(-1, 4).T.take(index, axis=1), scale)
+    (lo, lo_right, hi, hi_left), scale = _bounds(s, t, d, nodes)
+    return NodeBounds(lo, hi_left, lo_right, hi, scale)
 
 
 def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a, exact rational endpoints (:func:`node_bounds` at depth len(a))."""
-    b = node_bounds(s, len(a), len(a), [a.to_int()])
+    """K_a, exact rational endpoints.  A system that nests and has not
+    built level len(a) reads the widths of a's prefixes alone, one rule
+    call each: a 1 keeps its parent's hi, a 0 its lo.  Any other reads
+    :func:`node_bounds` at depth len(a)."""
+    t = len(a)
+    if s._nests and len(s._levels) <= t:
+        _check_depth(s, t)
+        w, scale = _widths(s, [a.digits[:i] for i in range(1, t + 1)])
+        lo, hi = 0, scale
+        for digit, x in zip(a.digits, w):
+            lo, hi = (hi - x, hi) if digit else (lo, lo + x)
+        return CompactInterval(Fraction(lo, scale), Fraction(hi, scale))
+    b = node_bounds(s, t, t, [a.to_int()])
     return CompactInterval(Fraction(int(b.lo[0]), b.scale), Fraction(int(b.hi[0]), b.scale))
 
 
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
-    """nu_t: the largest depth-t interval diameter."""
+    """nu_t: the largest depth-t interval diameter.  A system that nests
+    and has not built level t reads the 2^t widths alone; any other builds
+    and checks level t."""
+    _check_depth(s, t)
+    if s._nests and len(s._levels) <= t:
+        # every word of depth t, in any order, as only the widest counts
+        w, scale = _widths(s, list(product((0, 1), repeat=t)))
+        return Fraction(max(w), scale)
     lo, hi, scale = _level(s, t)
     return Fraction(int((hi - lo).max()), scale)
 
@@ -317,13 +371,6 @@ class SolenoidalCounts:
         return Fraction(4 * self.m * (self.p_t - 1), self.p_t ** 2)
 
 
-def _test(ends: tuple[np.ndarray, np.ndarray], e: int, strict: bool) -> np.ndarray:
-    """The test of :func:`~rqamaps.intervals.int_interval_test` between the
-    intervals [lo[0], hi[0]] and [lo[1], hi[1]], for ends = (lo, hi)."""
-    (lo_a, lo_b), (hi_a, hi_b) = ends
-    return int_interval_test(lo_a, hi_a, lo_b, hi_b, e, strict)
-
-
 def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
     """counts[k, w-1] = #{(a, b) in [0, p_t)^2 : the test passes for
     (K_{a+s}, K_{b+s}) at every shift s < w}, where test 0 is gap < eps and
@@ -340,8 +387,10 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
     weight = np.arange(steps, 0, -1, dtype=np.min_scalar_type(steps))[:, None]
     # k, u and v of the four child pairs of (k, u, v), over 2^d
     halves = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
-    # Python ints: a count reaches 4^t, past int64 from t = 32
-    by_lead = np.zeros(2 * (steps + 1), dtype=object)
+    # by_depth[d, k (steps + 1) + P]: the pairs of depth d under test k
+    # decided after P leading passes, each standing for 4^(t-d) leaf pairs
+    by_depth = np.zeros((t + 1, 2 * (steps + 1)), dtype=np.int64)
+    finite = eps != inf
     stack = [(0, np.array([[0, 1], [0, 0], [0, 0]]))]
     while stack:
         # node pairs (u, v) = pairs[1:, i] at depth d under test k =
@@ -349,32 +398,37 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
         # (u + s) mod 2^d, as the odometer carries from the least
         # significant digit
         d, pairs = stack.pop()
-        k = pairs[0].astype(bool)
-        b = node_bounds(s, t, d, (pairs[1:, None, :] + shifts) & ((1 << d) - 1))
+        ends, scale = _bounds(s, t, d, (pairs[1:, None, :] + shifts) & ((1 << d) - 1))
         # every endpoint lies in [0, scale], so a wider threshold, an
         # infinite one included, tells no pair apart, and these keep int64
         # differences in range
-        e_gap, e_hull = (b.scale if eps == inf else
-                         min(ranks.int_threshold(eps, b.scale, strict), b.scale)
+        e_gap, e_hull = (min(ranks.int_threshold(eps, scale, strict), scale) if finite else scale
                          for strict in (True, False))
-        # every leaf pair passes, or some does, as in the module docstring:
-        # a node paired with itself has a negative inner hull, so above
-        # depth t some leaf pair is taken to pass
-        outer, inner = (b.lo, b.hi), (b.lo_right, b.hi_left)
-        every = np.where(k, _test(outer, e_hull, False), _test(inner, e_gap, True))
-        some = np.where(k, _test(inner, e_hull, False), _test(outer, e_gap, True))
+        # the lo and hi of the outer (K_u) and inner ([lo_right, hi_left])
+        # intervals of node u, then of node v; every leaf pair passes, or
+        # some does, as in the module docstring: a node paired with itself
+        # has a negative inner hull, so above depth t some leaf pair is
+        # taken to pass
+        (lo_a, lo_b), (hi_a, hi_b) = ends[:2].swapaxes(0, 1), ends[2:].swapaxes(0, 1)
+        hull = int_interval_test(lo_a, hi_a, lo_b, hi_b, e_hull, False)
+        gap = int_interval_test(lo_a, hi_a, lo_b, hi_b, e_gap, True)
+        # [every, some]: the outer and inner hulls under test 1, the inner
+        # and outer gaps under test 0
+        passes = np.where(pairs[0] == 1, hull, gap[::-1])
         # the first shift where not every leaf pair passes, and the first
         # where none does: a pair is decided when they are the same shift
-        lead = steps - (~every * weight).max(0)
-        done = lead == steps - (~some * weight).max(0)
-        by_lead += np.bincount(pairs[0, done] * (steps + 1) + lead[done],
-                               minlength=2 * (steps + 1)).astype(object) << 2 * (t - d)
+        lead, fail = steps - (~passes * weight).max(1)
+        done = lead == fail
+        by_depth[d] += np.bincount((pairs[0] * (steps + 1) + lead)[done],
+                                   minlength=2 * (steps + 1))
         if not done.all():
             # the four child pairs of each pair left in turn
             pairs = (pairs[:, ~done, None] + (halves << d)).reshape(3, -1)
             stack.extend((d + 1, pairs[:, i:i + walk_rows])
                          for i in range(0, pairs.shape[1], walk_rows))
-    # a pair decided after P leading passes counts in every window w <= P
+    # in Python ints, as a count reaches 4^t, past int64 from t = 32; a
+    # pair decided after P leading passes counts in every window w <= P
+    by_lead = (by_depth.astype(object) * 4 ** np.arange(t, -1, -1, dtype=object)[:, None]).sum(0)
     by_lead = by_lead.reshape(2, steps + 1)
     return np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
 
@@ -439,10 +493,11 @@ def midpoint_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> list[Fract
 
 
 def write_counts_csv(rows: Sequence[SolenoidalCounts], path) -> None:
-    """CSV export (t, p_t, m, epsilon_num, epsilon_den, N_strict, N_closed, lower, upper)."""
+    """CSV export (t, p_t, m, epsilon_num, epsilon_den, N_strict, N_closed,
+    lower, upper); an infinite threshold is written as inf over 1."""
     with open(path, "w", newline="") as fh:
         fh.write("t,p_t,m,epsilon_num,epsilon_den,N_strict,N_closed,lower,upper\n")
         for c in rows:
-            fh.write(f"{c.t},{c.p_t},{c.m},{c.epsilon.numerator},"
-                     f"{c.epsilon.denominator},{c.n_strict},{c.n_closed},"
+            num, den = ("inf", 1) if c.epsilon == inf else c.epsilon.as_integer_ratio()
+            fh.write(f"{c.t},{c.p_t},{c.m},{num},{den},{c.n_strict},{c.n_closed},"
                      f"{fraction_str(c.lower)},{fraction_str(c.upper)}\n")

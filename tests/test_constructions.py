@@ -304,11 +304,12 @@ class TestDelahaye:
 
     @pytest.mark.parametrize("t, j", [(1, 0), (1, 1), (2, 3), (3, 5), (4, 10)])
     def test_gap_check_rejects_sibling_gap_one_unit_off(self, t, j):
-        # K_{a1} of the word a with value j starts one unit of the level's
-        # scale too late; nothing else in the table changes
+        # K_{a1} of the word a with value j starts one unit of the scale too
+        # late: so does its leftmost leaf, of value j + 2^t, in the depth-5
+        # node bounds that the check reads; nothing else in the table changes
         system = build_delahaye(5).system
-        lo, _, _ = _level(system, t + 1)
-        lo[j + 2 ** t] += 1
+        ends, _ = system._nodes[5, 5]
+        ends[0, j + 2 ** t] += 1
         with pytest.raises(AssertionError,
                            match=f"sibling gap below {Word.from_int(j, t)} "
                                  "violates"):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import random
@@ -363,6 +364,9 @@ def test_depth_endpoints_match_descent(seed, t, kind):
     words = [Word.from_int(j, t) for j in range(2 ** t)]
     assert [(iv.lo, iv.hi) for iv in ivs] == [descent(rule, a) for a in words]
     assert interval_of_word(AdmissibleSystem(diam_rule=rule), words[-1]) == ivs[-1]
+    # a system that nests reads a word's prefixes alone
+    j = rnd.randrange(2 ** t)
+    assert interval_of_word(AdmissibleSystem(diam_rule=rule, _nests=True), words[j]) == ivs[j]
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
     scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs])
     assert (scale > INT64_SCALE_LIMIT) == (kind == "random big" and t > 0)
@@ -568,10 +572,10 @@ def test_delahaye_counts_without_level_t_match_level_t(r, t, m, k, x):
     eps = F(1, 2 * r ** t) if x is None else x / r ** k
     s = build_delahaye(r).system
     cold = counts_by_window(s, t, eps, m)
-    # build_delahaye builds levels 0-5 and the count none: below depth 5
-    # it reads node paths and extreme leaves; without any built level, so
-    # does a bare system with the same rule
-    assert len(s._levels) == 6
+    # neither build_delahaye nor the count builds a level: the count reads
+    # the node bounds of each depth it walks, and so does a bare system
+    # with the same rule
+    assert len(s._levels) == 1
     bare = AdmissibleSystem(diam_rule=s.diam_rule, _nests=True)
     assert counts_by_window(bare, t, eps, m) == cold
     assert len(bare._levels) == 1
@@ -603,21 +607,97 @@ def test_nesting_random_systems_count_alike_without_level_t(seed, t, kind):
 
 
 def test_cold_delahaye_count_builds_no_deep_level():
-    # at r = 5, k = 1 the walk decides every pair within levels 0-5, so a
-    # cold depth-10 count calls the rule only for the extreme leaves of the
-    # nodes it touches (8 of them); level 10 alone would take 2^10 calls,
-    # and levels 6-10 take 1984
+    # at r = 5, k = 1 the walk decides every pair by depth 2, so a cold
+    # depth-10 count calls the rule for the nodes of depths 1-2 and for
+    # their extreme leaves, 2 + 4 + 8 calls; level 10 alone would take
+    # 2^10 calls, and levels 1-10 take 2046
     calls = []
     s = build_delahaye(5).system
     rule = s.diam_rule
     counting = dataclasses.replace(s, diam_rule=lambda w: calls.append(w) or rule(w))
-    max_diam(counting, 5)   # the levels build_delahaye builds
-    calls.clear()
     for system in (s, counting):
         counts = counts_by_window(system, 10, F(1, 5), 2)
         assert (counts[0].n_closed, counts[1].n_closed) == delahaye_counts_formula(1, 2, 10)
-        assert len(system._levels) == 6
-    assert 0 < len(calls) < 2 ** 10
+        assert len(system._levels) == 1
+    assert len(calls) == 2 + 4 + 8
+    # the same count read from level 10
+    _level(s, 10)
+    assert counts_by_window(s, 10, F(1, 5), 2) == counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.sampled_from(["delahaye"] + RANDOM_KINDS))
+def test_max_diam_without_level_t_matches_level_t(seed, t, kind):
+    # a system that nests reads the 2^t depth-t widths alone, with no
+    # level and no node bounds; its twin without _nests shares the rule,
+    # whose lazily drawn widths are drawn once, and builds level t
+    rnd = random.Random(seed)
+    rule = draw_system(rnd, kind).diam_rule
+    calls = []
+    nested = AdmissibleSystem(diam_rule=lambda w: calls.append(w) or rule(w), _nests=True)
+    got = max_diam(nested, t)
+    assert sorted(w.to_int() for w in calls) == list(range(2 ** t))
+    assert len(nested._levels) == 1 and nested._nodes == {}
+    twin = AdmissibleSystem(diam_rule=rule)
+    assert got == max(iv.diam for iv in level_intervals(twin, t))
+    assert (_level(twin, t)[2] > INT64_SCALE_LIMIT) == (kind == "random big")
+    assert max_diam(nested, 0) == 1
+    for depth in (-1, nested.depth_cap + 1):
+        with pytest.raises(ValueError, match="outside 0.."):
+            max_diam(nested, depth)
+    assert len(calls) == 2 ** t
+
+
+def test_max_diam_without_level_t_rejects_nonpositive_width():
+    def rule(w):
+        return F(0) if w.digits == (1, 0, 1) else F(1, 3 ** len(w))
+    assert max_diam(AdmissibleSystem(diam_rule=rule, _nests=True), 2) == F(1, 9)
+    with pytest.raises(ValueError, match="diameter rule must be positive, got 0"):
+        max_diam(AdmissibleSystem(diam_rule=rule, _nests=True), 3)
+
+
+def count_table_calls(t, depth):
+    """Rule calls of the node bounds of depths 0..depth of a cold depth-t
+    count on a system that nests: the root's two extreme leaves, then per
+    depth d < t a width and a new extreme leaf for each of the 2^d nodes,
+    and none at depth t, whose nodes are the leaves of depth t - 1."""
+    return 2 * (t > 0) + sum(2 ** (d + 1) for d in range(1, min(depth, t - 1) + 1))
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbolic_job_rule_calls_stay_within_budget(r, k):
+    # the Delahaye part of the symbolic benchmark job on a cold system: at
+    # eps_k = r^-k the walk decides every node pair by depth k + 1, so
+    # after max_diam's 2^10 widths each count reads the node bounds of
+    # depths 0..k + 1 at most; levels 6-10 alone took 1984 calls
+    inst = build_delahaye(r)
+    calls = []
+    rule = inst.system.diam_rule
+    s = dataclasses.replace(inst.system, diam_rule=lambda w: calls.append(w) or rule(w))
+    eps = inst.epsilon_k(k)
+    assert max_diam(s, 10) == F(2, r ** 10)
+    assert len(calls) == 2 ** 10
+    counts = counts_by_window(s, 10, eps, 4)
+    rows = asymptotic_corr_sum(s, 3, eps, (4, 6, 8))
+    assert (counts[0].n_closed, counts[2].n_closed) == delahaye_counts_formula(k, 3, 10)
+    assert [c.n_closed for c in rows] == [delahaye_counts_formula(k, 3, t)[1] for t in (4, 6, 8)]
+    budget = 2 ** 10 + sum(count_table_calls(t, k + 1) for t in (10, 4, 6, 8))
+    assert len(calls) <= budget < 2 ** 10 + 1984
+    assert len(s._levels) == 1
+
+
+def test_count_table_calls_match_a_level_build_at_full_depth():
+    # the node bounds of every depth of a depth-t count cost what levels
+    # 1..t cost, 2^(t+1) - 2 rule calls, and give level t at depth t
+    for t in range(6):
+        calls = []
+        s = AdmissibleSystem(diam_rule=lambda w: calls.append(w) or F(1, 3 ** len(w)), _nests=True)
+        b = node_bounds(s, t, t, range(2 ** t))
+        assert len(calls) == count_table_calls(t, t) == 2 ** (t + 1) - 2
+        lo, hi, scale = _level(AdmissibleSystem(diam_rule=s.diam_rule), t)
+        assert [F(v, b.scale) for v in b.lo.tolist() + b.hi.tolist()] == \
+            [F(v, scale) for v in lo.tolist() + hi.tolist()]
 
 
 def test_node_bounds_read_the_extreme_leaves(delahaye5):
@@ -697,6 +777,18 @@ class TestSymbolicTrajectories:
             assert x == (iv.lo + iv.hi) / 2 and iv.lo < x < iv.hi
         with pytest.raises(ValueError, match="need n >= 1"):
             midpoint_trajectory(s, prefix, 0)
+
+
+def test_counts_csv_writes_an_infinite_threshold(tmp_path):
+    rows = counts_by_window(build_delahaye(5).system, 3, math.inf, 2)
+    out = tmp_path / "counts.csv"
+    write_counts_csv(rows, out)
+    with open(out, newline="") as fh:
+        read = list(csv.DictReader(fh))
+    assert [dict(row) for row in read] == [
+        {"t": "3", "p_t": "8", "m": str(m), "epsilon_num": "inf", "epsilon_den": "1",
+         "N_strict": "64", "N_closed": "64", "lower": "1", "upper": "1"} for m in (1, 2)]
+    assert {float(row["epsilon_num"]) / int(row["epsilon_den"]) for row in read} == {math.inf}
 
 
 def test_counts_csv(tmp_path, delahaye5):
