@@ -26,9 +26,9 @@ Two fully parameterized objects:
   eps_k = r^-k give asymptotic determinism exactly 2/3 for every window
   length m >= 2 -- recurrence determinism can stay away from 1 even for a
   map that is not chaotic in any standard sense.  Its rule nests at every
-  depth, which the system records (``_nests``), so neither its build
-  check nor a word count on it builds a level: each reads the node
-  bounds of the depths it needs.
+  depth, which the system records (``_nests``), so its build check and
+  the word counts on it build the node tables of the depths they read
+  alone, each checked at its own depth.
 """
 from __future__ import annotations
 
@@ -370,7 +370,8 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
 
     The rule nests at every depth: below a word of depth d the sibling gap
     is c (r - 2) r^-(d+1) > 0, c = 1 or 2 by its leading digit, so the
-    system is built with ``_nests`` and its counts build no level.
+    system is built with ``_nests`` and its counts build the node tables
+    of the depths they walk alone.
     """
     if r < 5:
         raise ValueError("need r >= 5")
@@ -400,7 +401,7 @@ def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
     # K_u at depth d spans the depth-5 intervals of its leftmost leaf u and
     # its rightmost leaf u + 2^5 - 2^d, so one read of depth 5 gives every
     # depth; its node bounds are built depth by depth from the root, 2^6 - 2
-    # rule calls as levels 1-5 take, and no level
+    # rule calls, one per word of depths 1-5
     b = node_bounds(system, depth, depth, range(n))
     lo, hi = b.lo.tolist(), b.hi.tolist()
     if (lo[1] - hi[n - 2]) * r != (r - 3) * b.scale:

@@ -18,43 +18,41 @@ correlation sum over the system, with enclosure width at most
 and this enclosure; :func:`asymptotic_corr_sum` returns the rows of a depth
 schedule after checking each width against its bound.
 
-Each system keeps one table of levels: level d is K_j = [lo[j], hi[j]] /
-scale for every odometer value j, an integer array over one denominator
-(int64 while it fits, Python ints otherwise), built from level d - 1 on
-first use.  A level costs one ``diam_rule`` call per node: its words come
-in ascending odometer value from ``itertools.product`` with each digit
-tuple reversed, skip ``Word``'s digit validation (every digit is 0 or 1
-by construction), and each width's sign is checked on its integer
-numerator over the level's denominator.  The level then checks
-admissibility, one integer comparison per parent: the children of K_a lie
-inside it and in order iff max K_{a0} < min K_{a1}.  A rule that breaks
-either check raises ValueError naming the first depth that shows it.
-
 Node intervals are read through one accessor, :func:`node_bounds`.  Node
 u at depth d of a depth-t count covers the leaves a = u mod 2^d, which
 lie inside K_u in order: the leftmost, u then zeros (value u), keeps
 lo K_u, and the rightmost, u then ones (value u + 2^t - 2^d), keeps
-hi K_u.  The accessor returns K_u and these two leaves.  A system whose
-rule nests at every depth records it in the private keyword field
-``_nests`` (``constructions.build_delahaye`` sets it from its gap
-formula).  Unless it has built level t, such a system reads the bounds
-of every node at depth d of a depth-t count from a table over one
-scale, built from the table of depth d - 1 and kept in ``_nodes``: each
-child keeps one extreme leaf of its parent, since the zeros (ones) below
-u keep its lo (hi), and costs one rule call for its width and one for
-its other extreme leaf.  The tables of depths 0..d cost 2^(d+2) - 2
-calls, and those of every depth to t cost 2^(t+1) - 2, as levels 1..t
-do, since the nodes at depth t are the extreme leaves of depth t - 1.
-Any other system builds and checks level t, and the accessor reads the
-leaves from it.  Both are read with one gather per call.
-:func:`interval_of_word` on a system that nests and has not built the
-word's level reads the widths of the word's prefixes alone, one rule
-call each, and is the accessor at d = t on any other, which builds its
-word's whole level.  :func:`midpoint_trajectory` reads all of its words
-with one accessor call.  :func:`max_diam` on a system that
-nests and has not built level t reads the 2^t depth-t widths alone, one
-rule call each, over one integer scale, and checks that each is
-positive; on any other it builds and checks level t.
+hi K_u.  The accessor returns K_u and these two leaves, with one gather
+from the table of depth d, which holds the bounds of every node at that
+depth of the count over one scale (int64 while they fit, Python ints
+otherwise).  The table is built from that of depth d - 1 on first use and
+kept in ``_nodes``: each child keeps one extreme leaf of its parent, since
+the zeros (ones) below u keep its lo (hi), and costs one ``diam_rule``
+call for its width and one for its other extreme leaf.  The words come in
+ascending odometer value from ``itertools.product`` with each digit tuple
+reversed, skip ``Word``'s digit validation (every digit is 0 or 1 by
+construction), and each width's sign is checked on its integer numerator
+over the table's scale.  Each table of depth d >= 1 then checks
+admissibility, one integer comparison per parent: the children of K_a lie
+inside it and in order iff max K_{a0} < min K_{a1}.  A rule that breaks
+either check raises ValueError, the nesting check naming the first depth
+that shows it.  The tables of depths 0..d cost 2^(d+2) - 2 calls, and
+those of every depth to t cost 2^(t+1) - 2, since the nodes at depth t are
+the extreme leaves of depth t - 1 and call no rule.
+
+Every public entry opens with one gate: the depth within ``depth_cap``,
+and on a system whose rule is not known to nest the tables of every depth
+to t, built and checked once.  A system whose rule nests at every depth
+records it in the private keyword field ``_nests``
+(``constructions.build_delahaye`` sets it from its gap formula), and its
+entries then build only the tables they read; each of those still checks
+its own depth, so a wrong certificate raises at the first depth read that
+breaks nesting.  :func:`interval_of_word`
+reads the widths of the word's prefixes, one rule call each;
+:func:`max_diam` reads the 2^t depth-t widths, one rule call each, over
+one integer scale, and checks that each is positive;
+:func:`midpoint_trajectory` reads all of its words with one accessor
+call.
 
 Counts come from a dual-tree walk (Gray & Moore, "N-body problems in
 statistical learning", 2001).  As the odometer carries from the least
@@ -82,10 +80,9 @@ is decided there.  The walk's frontier runs in blocks of about
 ``ranks.BLOCK_ELEMS`` / 8 entries, so no temporary grows with p_t^2.
 On the Delahaye systems a few dozen node pairs per test decide all p_t^2
 leaf pairs by depth k + 1 at eps = r^-k, so a cold count there reads the
-nodes of depths 0..k + 1 alone, 2^(k+3) - 2 rule calls at most, and
-builds no level.  A resource guard bounds the depth by p_t^2 pairs
-before any node is read (``ranks.check_pairs``; env RQA_MAX_PAIRS
-overrides).
+nodes of depths 0..k + 1 alone, 2^(k+3) - 2 rule calls at most.  A
+resource guard bounds the depth by p_t^2 pairs before any node is read
+(``ranks.check_pairs``; env RQA_MAX_PAIRS overrides).
 """
 from __future__ import annotations
 
@@ -156,23 +153,20 @@ class AdmissibleSystem:
     follows from endpoint sharing: the 0-child keeps the parent's lo, the
     1-child keeps the parent's hi.  The rule is admissible when every width
     is positive and the two children of every word lie inside it in order
-    (their widths sum to less than the parent's); each level checks this
-    as it is built and raises ValueError at the first depth that breaks it.
-    A rule proved to nest at every depth is marked by the private keyword
-    field ``_nests``, and its counts then read the nodes of the depths
-    they walk (:func:`node_bounds`), with no level to build or check.
+    (their widths sum to less than the parent's); each node table checks
+    this at its depth as it is built and raises ValueError at the first
+    depth that breaks it.  A rule proved to nest at every depth is marked
+    by the private keyword field ``_nests``, and its entries then build
+    only the tables they read, where any other system builds and checks
+    the tables of every depth to t first.
     """
 
     diam_rule: Callable[[Word], Fraction]
     depth_cap: int = 13
-    # level d: (lo, hi, scale), K_j = [lo[j], hi[j]] / scale for odometer value j
-    _levels: list = field(default_factory=lambda: [(ranks.int_array([0]), ranks.int_array([1]), 1)],
-                          init=False, repr=False, compare=False)
     # (t, d) -> (ends, scale): rows lo, lo_right, hi, hi_left of every node
-    # at depth d of a depth-t count, over scale, read without level t by a
-    # system that nests
+    # at depth d of a depth-t count, over scale
     _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the rule nests at every depth, so no count needs its level built
+    # the rule nests at every depth, so no entry checks a depth it does not read
     _nests: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,17 +174,14 @@ class AdmissibleSystem:
             raise ValueError("depth_cap must be >= 1")
 
 
-def _check_depth(s: AdmissibleSystem, t: int) -> None:
+def _gate(s: AdmissibleSystem, t: int) -> None:
+    """The check that opens every entry at depth t: t within the depth cap,
+    and on a system without ``_nests`` the node tables of every depth to t
+    built and checked, 2^(t+1) - 2 rule calls on first use."""
     if not 0 <= t <= s.depth_cap:
         raise ValueError(f"depth {t} outside 0..{s.depth_cap} (the depth cap)")
-
-
-def _odometer_words(d: int) -> list[tuple[int, ...]]:
-    """The digit tuples of every word at depth d, in ascending odometer
-    value."""
-    # product() counts with its last digit fastest, so reversed tuples run
-    # through the words in ascending odometer value
-    return [digits[::-1] for digits in product((0, 1), repeat=d)]
+    if not s._nests:
+        _node_table(s, t, t)
 
 
 def _widths(s: AdmissibleSystem, words: list[tuple[int, ...]], scale: int = 1) -> tuple[list[int], int]:
@@ -201,44 +192,23 @@ def _widths(s: AdmissibleSystem, words: list[tuple[int, ...]], scale: int = 1) -
     rule, word = s.diam_rule, Word._unchecked
     widths = [as_fraction(rule(word(digits))) for digits in words]
     w, new = scaled(widths, scale)
-    if min(w) <= 0:
+    if min(w, default=1) <= 0:
         raise ValueError(f"diameter rule must be positive, got {min(widths)}")
     return w, new
 
 
-def _level(s: AdmissibleSystem, t: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Level t, each new level built from its parent with one rule call per
-    node in odometer order, over the lcm of the parent's scale and its
-    width denominators, and checked for positive widths and nesting.
-    Word j + b 2^(d-1) is child b of word j."""
-    _check_depth(s, t)
-    levels = s._levels
-    while len(levels) <= t:
-        d = len(levels)
-        lo, hi, scale = levels[-1]
-        w, new = _widths(s, _odometer_words(d), scale)
-        lo, hi = ([v * (new // scale) for v in ends.tolist()] for ends in (lo, hi))
-        # child 0 of word j keeps its lo, child 1 (word j + 2^(d-1)) its hi
-        lo_1 = [h - x for h, x in zip(hi, w[len(hi):])]
-        hi_0 = [v + x for v, x in zip(lo, w)]
-        if any(a >= b for a, b in zip(hi_0, lo_1)):
-            raise ValueError(f"diameter rule is not admissible at depth {d}: "
-                             "children must lie inside their parent, in order")
-        levels.append((ranks.int_array(lo + lo_1), ranks.int_array(hi_0 + hi), new))
-    return levels[t]
-
-
 def _node_table(s: AdmissibleSystem, t: int, d: int) -> tuple[np.ndarray, int]:
-    """The bounds of every node at depth d of a depth-t count on a system
-    that nests, as the rows lo, lo_right, hi, hi_left of a (4, 2^d)
-    integer array over one scale, built from depth d - 1 and kept in
-    ``_nodes``.
+    """The bounds of every node at depth d of a depth-t count, as the rows
+    lo, lo_right, hi, hi_left of a (4, 2^d) integer array over one scale,
+    built from depth d - 1 and kept in ``_nodes``.
 
     Child 0 of node j (node j at depth d) keeps its lo and its leftmost
     leaf, child 1 (node j + 2^(d-1)) its hi and its rightmost leaf; each
     child's width and its other extreme leaf's width cost one rule call
     each, 2^(d+1) calls for the depth.  At depth t each child is its own
-    leaf, one of its parent's two, so that depth calls no rule."""
+    leaf, one of its parent's two, so that depth calls no rule.  Each depth
+    d >= 1 then checks admissibility, one integer comparison per parent:
+    its children lie inside it and in order iff max K_{j0} < min K_{j1}."""
     if (t, d) in s._nodes:
         return s._nodes[t, d]
     if d == 0:
@@ -249,10 +219,14 @@ def _node_table(s: AdmissibleSystem, t: int, d: int) -> tuple[np.ndarray, int]:
         ends, scale = _node_table(s, t, d - 1)
         lo, lo_right, hi, hi_left = ends.tolist()
         if d == t:
+            # the children of each parent are its two extreme leaves
+            hi_0, lo_1 = hi_left, lo_right
             lo, hi = lo + lo_right, hi_left + hi
             rows = lo, lo, hi, hi
         else:
-            words = _odometer_words(d)
+            # product() counts with its last digit fastest, so reversed
+            # tuples run through the words in ascending odometer value
+            words = [digits[::-1] for digits in product((0, 1), repeat=d)]
             # the child's width, then the width of its new extreme leaf: the
             # child then ones below a 0-child, then zeros below a 1-child
             tails = (1,) * (t - d), (0,) * (t - d)
@@ -266,22 +240,11 @@ def _node_table(s: AdmissibleSystem, t: int, d: int) -> tuple[np.ndarray, int]:
             rows = (lo + lo_1, [v - x for v, x in zip(hi_0, w[2 * half:])] + lo_right,
                     hi_0 + hi, hi_left + [v + x for v, x in zip(lo_1, w[3 * half:])])
             scale = new
+        if any(a >= b for a, b in zip(hi_0, lo_1)):
+            raise ValueError(f"diameter rule is not admissible at depth {d}: "
+                             "children must lie inside their parent, in order")
     s._nodes[t, d] = ranks.int_array(rows), scale
     return s._nodes[t, d]
-
-
-def _bounds(s: AdmissibleSystem, t: int, d: int, nodes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The bounds of :func:`node_bounds` for valid ``nodes``, as the rows
-    lo, lo_right, hi, hi_left of one integer array over one scale: the lo
-    and hi of K_u and of its inner interval [lo_right, hi_left]."""
-    if len(s._levels) > t or not s._nests:
-        lo, hi, scale = _level(s, t)
-        # the leftmost leaves of the nodes at depth d come first in level t,
-        # their rightmost leaves last
-        n = 1 << d
-        return np.stack((lo[:n], lo[-n:], hi[-n:], hi[:n])).take(nodes, axis=1), scale
-    ends, scale = _node_table(s, t, d)
-    return ends.take(nodes, axis=1), scale
 
 
 class NodeBounds(NamedTuple):
@@ -299,51 +262,43 @@ class NodeBounds(NamedTuple):
 def node_bounds(s: AdmissibleSystem, t: int, d: int, nodes) -> NodeBounds:
     """K_u and its two extreme leaves, the words of value u and
     u + 2^t - 2^d at depth t, for every node u of ``nodes`` (an integer
-    array of values in [0, 2^d)) at depth d <= t, in the shape of ``nodes``.
-
-    A system that nests (``_nests``) and has not built level t reads them
-    from the node tables of depths 0..d of the count, built on first use
-    and kept; any other system builds and checks level t, and reads them
-    from it."""
-    _check_depth(s, t)
+    array of values in [0, 2^d)) at depth d <= t, in the shape of ``nodes``,
+    read with one gather from the node table of depth d."""
+    _gate(s, t)
     if not 0 <= d <= t:
         raise ValueError(f"node depth {d} outside 0..{t}")
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = np.asarray(nodes)
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValueError(f"nodes must be integers, got dtype {nodes.dtype}")
+    nodes = nodes.astype(np.int64)
     # a negative node sets every high bit
     if np.bitwise_or.reduce(nodes, axis=None) >> d:
         raise ValueError(f"a node at depth {d} is outside 0..{(1 << d) - 1}")
-    (lo, lo_right, hi, hi_left), scale = _bounds(s, t, d, nodes)
+    ends, scale = _node_table(s, t, d)
+    lo, lo_right, hi, hi_left = ends.take(nodes, axis=1)
     return NodeBounds(lo, hi_left, lo_right, hi, scale)
 
 
 def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a, exact rational endpoints.  A system that nests and has not
-    built level len(a) reads the widths of a's prefixes alone, one rule
-    call each: a 1 keeps its parent's hi, a 0 its lo.  Any other reads
-    :func:`node_bounds` at depth len(a)."""
+    """K_a, exact rational endpoints, from the widths of a's prefixes, one
+    rule call each: a 1 keeps its parent's hi, a 0 its lo."""
     t = len(a)
-    if s._nests and len(s._levels) <= t:
-        _check_depth(s, t)
-        w, scale = _widths(s, [a.digits[:i] for i in range(1, t + 1)])
-        lo, hi = 0, scale
-        for digit, x in zip(a.digits, w):
-            lo, hi = (hi - x, hi) if digit else (lo, lo + x)
-        return CompactInterval(Fraction(lo, scale), Fraction(hi, scale))
-    b = node_bounds(s, t, t, [a.to_int()])
-    return CompactInterval(Fraction(int(b.lo[0]), b.scale), Fraction(int(b.hi[0]), b.scale))
+    _gate(s, t)
+    w, scale = _widths(s, [a.digits[:i] for i in range(1, t + 1)])
+    lo, hi = 0, scale
+    for digit, x in zip(a.digits, w):
+        lo, hi = (hi - x, hi) if digit else (lo, lo + x)
+    return CompactInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
-    """nu_t: the largest depth-t interval diameter.  A system that nests
-    and has not built level t reads the 2^t widths alone; any other builds
-    and checks level t."""
-    _check_depth(s, t)
-    if s._nests and len(s._levels) <= t:
-        # every word of depth t, in any order, as only the widest counts
-        w, scale = _widths(s, list(product((0, 1), repeat=t)))
-        return Fraction(max(w), scale)
-    lo, hi, scale = _level(s, t)
-    return Fraction(int((hi - lo).max()), scale)
+    """nu_t: the largest depth-t interval diameter, from the 2^t widths of
+    depth t, one rule call each, over one integer scale."""
+    _gate(s, t)
+    # every word of depth t, in any order, as only the widest counts; the
+    # root, at depth 0, is [0, 1]
+    w, scale = _widths(s, list(product((0, 1), repeat=t))) if t else ([1], 1)
+    return Fraction(max(w), scale)
 
 
 @dataclass(frozen=True)
@@ -398,7 +353,8 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
         # (u + s) mod 2^d, as the odometer carries from the least
         # significant digit
         d, pairs = stack.pop()
-        ends, scale = _bounds(s, t, d, (pairs[1:, None, :] + shifts) & ((1 << d) - 1))
+        table, scale = _node_table(s, t, d)
+        ends = table.take((pairs[1:, None, :] + shifts) & ((1 << d) - 1), axis=1)
         # every endpoint lies in [0, scale], so a wider threshold, an
         # infinite one included, tells no pair apart, and these keep int64
         # differences in range
@@ -447,6 +403,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
         raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
     p = 2 ** t
     ranks.check_pairs("a word-pair scan", p)
+    _gate(s, t)
     steps = min(m_max, p)
     strict, closed = _walk(s, t, steps, eps).tolist()
     # windows beyond p_t repeat the p_t values
@@ -487,7 +444,7 @@ def midpoint_trajectory(s: AdmissibleSystem, prefix: Word, n: int) -> list[Fract
     t = len(prefix)
     # a prefix past the depth cap raises here, before its node values can
     # leave int64
-    _check_depth(s, t)
+    _gate(s, t)
     b = node_bounds(s, t, t, (prefix.to_int() + np.arange(n)) % (1 << t))
     return [Fraction(lo + hi, 2 * b.scale) for lo, hi in zip(b.lo.tolist(), b.hi.tolist())]
 

@@ -13,7 +13,7 @@ from rqamaps.constructions import (_cell, _check_delahaye_gaps, build_delahaye,
                                    prop42_schedule_n, write_c1_csv)
 from rqamaps.dynamics import evaluate, iterate
 from rqamaps.intervals import CompactInterval, interval_dist, union_diam
-from rqamaps.solenoidal import _level, interval_of_word, Word
+from rqamaps.solenoidal import interval_of_word, Word
 
 from package_oracles import prop42_recurrence_rule
 
@@ -316,11 +316,11 @@ class TestDelahaye:
             _check_delahaye_gaps(system, 5)
 
     def test_gap_check_rejects_a_wider_interval_at_depth_five(self):
-        # K of word value 31 at depth 5 ends one unit of the level's scale
-        # late; no gap the check reads changes
+        # K of word value 31 at depth 5 ends one unit of the scale late in
+        # the depth-5 node bounds that the check reads; no gap it reads changes
         system = build_delahaye(5).system
-        _, hi, _ = _level(system, 5)
-        hi[31] += 1
+        ends, _ = system._nodes[5, 5]
+        ends[2, 31] += 1
         with pytest.raises(AssertionError, match="widest interval at depth 5 violates"):
             _check_delahaye_gaps(system, 5)
 

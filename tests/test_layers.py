@@ -32,7 +32,7 @@ RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_rang
 REMOVED = {"system_to_json", "system_from_json", "write_trajectory_csv", "report_json",
            "recurrent_orbit_pairs", "min_spatial_gap", "dist_m_words", "diam_m_words",
            "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint",
-           "interval_tests", "word_add", "symbolic_trajectory"}
+           "interval_tests", "word_add", "symbolic_trajectory", "_level"}
 
 
 def _private(name):
@@ -161,5 +161,7 @@ def test_removed_helpers_stay_out_of_the_package():
     for path in sorted(SRC.glob("*.py")):
         assert top_level_names(path.read_text()) & REMOVED == set(), path.stem
     assert set(rqamaps.__all__) & REMOVED == set()
-    assert "descriptor" not in {f.name for f in dataclasses.fields(AdmissibleSystem)}
+    fields = {f.name for f in dataclasses.fields(AdmissibleSystem)}
+    # every system reads its bounds from its node tables, with no store of levels beside them
+    assert fields & {"descriptor", "_levels"} == set()
     assert not hasattr(Word, "group_order")

@@ -16,7 +16,7 @@ from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs, in
                                union_diam)
 from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
-from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word, _level,
+from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
                                 asymptotic_corr_sum, count_pairs,
                                 counts_by_window, interval_of_word, max_diam,
                                 midpoint_trajectory, node_bounds, write_counts_csv)
@@ -66,6 +66,24 @@ def level_intervals(s, t):
     b = node_bounds(s, t, t, range(2 ** t))
     return [CompactInterval(F(lo, b.scale), F(hi, b.scale))
             for lo, hi in zip(b.lo.tolist(), b.hi.tolist())]
+
+
+def descent_intervals(rule, t):
+    """The depth-t intervals of ``rule``, indexed by odometer value, each
+    from the word-by-word descent, with no node table."""
+    return [CompactInterval(*descent(rule, Word.from_int(j, t))) for j in range(2 ** t)]
+
+
+def assert_table_matches_descent(s, t, d):
+    """Every node of the depth-d table of a depth-t count against the
+    descent from the rule: K_u, its leftmost leaf (u, then zeros) and its
+    rightmost leaf (u, then ones)."""
+    b = node_bounds(s, t, d, range(2 ** d))
+    for u, row in enumerate(zip(*(x.tolist() for x in b[:4]))):
+        digits = Word.from_int(u, d).digits
+        (lo, hi), left, right = (descent(s.diam_rule, Word(digits + tail))
+                                 for tail in ((), (0,) * (t - d), (1,) * (t - d)))
+        assert [F(v, b.scale) for v in row] == [lo, left[1], right[0], hi]
 
 
 def dense_counts(ivs, eps, m_max):
@@ -264,6 +282,20 @@ class TestCounts:
         # one guard for every path, still importable from here
         assert ResourceGuardError is rqa.ResourceGuardError
 
+    def test_depth_cap(self, monkeypatch):
+        # past the depth cap a count raises as every other entry does, once
+        # the guard admits its p_t^2 pairs; the guard still runs first
+        monkeypatch.setenv("RQA_MAX_PAIRS", str(4 ** 20))
+        s = build_delahaye(5).system
+        for read in (lambda: counts_by_window(s, 20, F(1, 5), 2), lambda: max_diam(s, 20),
+                     lambda: node_bounds(s, 20, 0, [0]),
+                     lambda: interval_of_word(s, Word((0,) * 20))):
+            with pytest.raises(ValueError, match=r"depth 20 outside 0\.\.13 \(the depth cap\)"):
+                read()
+        monkeypatch.setenv("RQA_MAX_PAIRS", str(4 ** 19))
+        with pytest.raises(ResourceGuardError):
+            counts_by_window(s, 20, F(1, 5), 2)
+
     def test_guard_env_override(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "16")
         assert count_pairs(delahaye5.system, 2, 1, F(1, 5)).n_closed == 6
@@ -287,7 +319,8 @@ class TestCounts:
             assert {(c.n_strict, c.n_closed) for c in counts} == {(every, every)}
             assert (c := count_pairs(s, t, 2, math.inf)).lower == c.upper == 1
         assert [c.lower for c in asymptotic_corr_sum(s, 3, math.inf, [2, 4])] == [1, 1]
-        # a system without _nests reads its built level, to the same count
+        # a system without _nests builds and checks every table first, to
+        # the same count
         plain = AdmissibleSystem(diam_rule=s.diam_rule)
         assert count_pairs(plain, 4, 3, math.inf).n_closed == 4 ** 4
 
@@ -355,9 +388,9 @@ RANDOM_KINDS = ["random", "random big", "near tiling"]
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 8), st.sampled_from(["delahaye"] + RANDOM_KINDS))
 def test_depth_endpoints_match_descent(seed, t, kind):
-    # the level table against the word-by-word descent, each call on a cold
-    # system sharing one diameter rule; the table draws the rule's lazy
-    # widths first, level by level
+    # the node table of depth t against the word-by-word descent, each call
+    # on a cold system sharing one diameter rule; the tables draw the rule's
+    # lazy widths first, depth by depth
     rnd = random.Random(seed)
     rule = draw_system(rnd, kind).diam_rule
     ivs = level_intervals(AdmissibleSystem(diam_rule=rule), t)
@@ -373,17 +406,27 @@ def test_depth_endpoints_match_descent(seed, t, kind):
 
 
 def test_level_build_calls_rule_once_per_node_in_odometer_order():
-    # the lazily drawn random rules depend on this order
+    # the lazily drawn random rules depend on this order: the gate on a
+    # system without _nests builds the tables of depths 0..t, the root's
+    # two extreme leaves first, then per depth d < t every node in
+    # odometer order and the new extreme leaf of each, u then ones below
+    # a 0-child and u then zeros below a 1-child; every word of depths
+    # 1..t is called once
     for t in range(9):
         calls = []
 
         def rule(w):
             calls.append(w)
             return F(1, 3 ** len(w))
-        max_diam(AdmissibleSystem(diam_rule=rule), t)
-        want = [Word.from_int(j, d) for d in range(1, t + 1) for j in range(2 ** d)]
+        node_bounds(AdmissibleSystem(diam_rule=rule), t, 0, [0])
+        want = [Word((x,) * t) for x in (0, 1)] if t else []
+        for d in range(1, t):
+            nodes = [Word.from_int(j, d) for j in range(2 ** d)]
+            want += nodes + [Word(u.digits + (1 - u.digits[-1],) * (t - d)) for u in nodes]
         assert calls == want
         assert [hash(w) for w in calls] == [hash(w) for w in want]
+        assert sorted((len(w), w.to_int()) for w in calls) == \
+            [(d, j) for d in range(1, t + 1) for j in range(2 ** d)]
 
 
 def test_depth_endpoints_reject_nonpositive_width():
@@ -414,7 +457,7 @@ def wider(w):
 @pytest.mark.parametrize("rule,depth", [(overlapping, 2), (touching, 2), (wider, 3)],
                          ids=["overlapping", "touching", "wider"])
 def test_rule_whose_children_do_not_nest_is_rejected(rule, depth):
-    # every level above the first that breaks nesting builds; every entry
+    # every depth above the first that breaks nesting builds; every entry
     # point raises there, naming that depth
     assert max_diam(AdmissibleSystem(diam_rule=rule), depth - 1) == F(1, 3 ** (depth - 1))
     for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
@@ -423,6 +466,14 @@ def test_rule_whose_children_do_not_nest_is_rejected(rule, depth):
                   lambda s: asymptotic_corr_sum(s, 1, F(1, 8), range(1, 5))):
         with pytest.raises(ValueError, match=f"not admissible at depth {depth}:"):
             build(AdmissibleSystem(diam_rule=rule))
+    # a wrong _nests certificate spares the tables of depths an entry does
+    # not read, not the check of those it reads
+    for build in (lambda s: counts_by_window(s, 4, F(1, 100), 2),
+                  lambda s: node_bounds(s, 4, depth, range(2 ** depth))):
+        with pytest.raises(ValueError, match=f"not admissible at depth {depth}:"):
+            build(AdmissibleSystem(diam_rule=rule, _nests=True))
+    shallow = AdmissibleSystem(diam_rule=rule, _nests=True)
+    assert node_bounds(shallow, 4, depth - 1, [0]).lo.tolist() == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,7 +580,7 @@ def test_count_memory_does_not_grow_with_pairs():
     # on a near-tiling rule many node pairs reach deep levels, and the
     # walk's frontier runs in blocks of ranks.BLOCK_ELEMS
     s = random_system(random.Random(1), near=True)
-    max_diam(s, 10)   # the level is built outside the measurement
+    max_diam(s, 10)   # the gate builds the node tables outside the measurement
     tracemalloc.start()
     try:
         counts_by_window(s, 10, F(1, 4), 3)
@@ -572,15 +623,13 @@ def test_delahaye_counts_without_level_t_match_level_t(r, t, m, k, x):
     eps = F(1, 2 * r ** t) if x is None else x / r ** k
     s = build_delahaye(r).system
     cold = counts_by_window(s, t, eps, m)
-    # neither build_delahaye nor the count builds a level: the count reads
-    # the node bounds of each depth it walks, and so does a bare system
-    # with the same rule
-    assert len(s._levels) == 1
+    # the count reads the node tables of the depths it walks alone, and so
+    # does a bare system with the same rule: every table it read is the
+    # descent from the rule
     bare = AdmissibleSystem(diam_rule=s.diam_rule, _nests=True)
     assert counts_by_window(bare, t, eps, m) == cold
-    assert len(bare._levels) == 1
-    _level(s, t)
-    assert counts_by_window(s, t, eps, m) == cold
+    for key in bare._nodes:
+        assert_table_matches_descent(bare, *key)
     if t <= 6:
         assert [(c.n_strict, c.n_closed) for c in cold] == word_counts(bare, t, eps, m)
 
@@ -588,22 +637,23 @@ def test_delahaye_counts_without_level_t_match_level_t(r, t, m, k, x):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 8), st.sampled_from(RANDOM_KINDS))
 def test_nesting_random_systems_count_alike_without_level_t(seed, t, kind):
-    # every random_system family nests, so with _nests its counts read
-    # node paths and extreme leaves, and equal those of level t; the two
-    # systems share the rule, whose lazily drawn widths are drawn once
+    # every random_system family nests, so with _nests its counts read the
+    # tables of the depths they walk alone, and equal the dense counts over
+    # the descent from the rule; its twin without _nests builds every table
+    # first, to the same counts.  The systems and the descent share the
+    # rule, whose lazily drawn widths are drawn once
     rnd = random.Random(seed)
     rule = draw_system(rnd, kind).diam_rule
     nested, table = AdmissibleSystem(diam_rule=rule, _nests=True), AdmissibleSystem(diam_rule=rule)
-    d = rnd.randint(0, t)
-    got, want = (node_bounds(x, t, d, range(2 ** d)) for x in (nested, table))
-    assert [[F(int(v), got.scale) for v in row] for row in got[:4]] == \
-        [[F(int(v), want.scale) for v in row] for row in want[:4]]
-    ivs = level_intervals(table, t)
+    assert_table_matches_descent(nested, t, rnd.randint(0, t))
+    ivs = descent_intervals(rule, t)
     a, b = rnd.choice(ivs), rnd.choice(ivs)
     eps = rnd.choice([interval_dist(a, b), union_diam(a, b), a.diam]) or F(1, 8)
     m_max = rnd.randint(1, 4)
-    assert counts_by_window(nested, t, eps, m_max) == counts_by_window(table, t, eps, m_max)
-    assert len(nested._levels) == 1
+    got = counts_by_window(nested, t, eps, m_max)
+    assert [(c.n_strict, c.n_closed) for c in got] == integer_dense_counts(ivs, eps, m_max)
+    assert counts_by_window(table, t, eps, m_max) == got
+    assert set(table._nodes) == {(t, d) for d in range(t + 1)}
 
 
 def test_cold_delahaye_count_builds_no_deep_level():
@@ -618,29 +668,33 @@ def test_cold_delahaye_count_builds_no_deep_level():
     for system in (s, counting):
         counts = counts_by_window(system, 10, F(1, 5), 2)
         assert (counts[0].n_closed, counts[1].n_closed) == delahaye_counts_formula(1, 2, 10)
-        assert len(system._levels) == 1
+        # beside the depth-5 tables of build_delahaye's check, the count
+        # keeps the tables of depths 0-2 alone
+        assert sorted(key for key in system._nodes if key[0] == 10) == [(10, d) for d in range(3)]
     assert len(calls) == 2 + 4 + 8
-    # the same count read from level 10
-    _level(s, 10)
-    assert counts_by_window(s, 10, F(1, 5), 2) == counts
+    assert set(counting._nodes) == {(10, d) for d in range(3)}
+    # the tables it read against the descent from the rule
+    for d in range(3):
+        assert_table_matches_descent(s, 10, d)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 10), st.sampled_from(["delahaye"] + RANDOM_KINDS))
 def test_max_diam_without_level_t_matches_level_t(seed, t, kind):
-    # a system that nests reads the 2^t depth-t widths alone, with no
-    # level and no node bounds; its twin without _nests shares the rule,
-    # whose lazily drawn widths are drawn once, and builds level t
+    # a system that nests reads the 2^t depth-t widths alone, with no node
+    # table; the descent from the rule, which shares its lazily drawn
+    # widths, gives every depth-t interval
     rnd = random.Random(seed)
     rule = draw_system(rnd, kind).diam_rule
     calls = []
     nested = AdmissibleSystem(diam_rule=lambda w: calls.append(w) or rule(w), _nests=True)
     got = max_diam(nested, t)
     assert sorted(w.to_int() for w in calls) == list(range(2 ** t))
-    assert len(nested._levels) == 1 and nested._nodes == {}
-    twin = AdmissibleSystem(diam_rule=rule)
-    assert got == max(iv.diam for iv in level_intervals(twin, t))
-    assert (_level(twin, t)[2] > INT64_SCALE_LIMIT) == (kind == "random big")
+    assert nested._nodes == {}
+    ivs = descent_intervals(rule, t)
+    assert got == max(iv.diam for iv in ivs)
+    ends = [iv.lo for iv in ivs] + [iv.hi for iv in ivs]
+    assert (common_scale(ends) > INT64_SCALE_LIMIT) == (kind == "random big")
     assert max_diam(nested, 0) == 1
     for depth in (-1, nested.depth_cap + 1):
         with pytest.raises(ValueError, match="outside 0.."):
@@ -684,20 +738,27 @@ def test_symbolic_job_rule_calls_stay_within_budget(r, k):
     assert [c.n_closed for c in rows] == [delahaye_counts_formula(k, 3, t)[1] for t in (4, 6, 8)]
     budget = 2 ** 10 + sum(count_table_calls(t, k + 1) for t in (10, 4, 6, 8))
     assert len(calls) <= budget < 2 ** 10 + 1984
-    assert len(s._levels) == 1
+    assert {d for _, d in s._nodes} <= set(range(k + 2))
 
 
 def test_count_table_calls_match_a_level_build_at_full_depth():
-    # the node bounds of every depth of a depth-t count cost what levels
-    # 1..t cost, 2^(t+1) - 2 rule calls, and give level t at depth t
+    # the node bounds of every depth of a depth-t count cost what building
+    # levels 1..t node by node costs, 2^(t+1) - 2 rule calls, and give the
+    # depth-t intervals of the descent at depth t; the gate of a system
+    # without _nests builds them all with that many calls
     for t in range(6):
         calls = []
-        s = AdmissibleSystem(diam_rule=lambda w: calls.append(w) or F(1, 3 ** len(w)), _nests=True)
-        b = node_bounds(s, t, t, range(2 ** t))
+
+        def rule(w):
+            calls.append(w)
+            return F(1, 3 ** len(w))
+        b = node_bounds(AdmissibleSystem(diam_rule=rule, _nests=True), t, t, range(2 ** t))
         assert len(calls) == count_table_calls(t, t) == 2 ** (t + 1) - 2
-        lo, hi, scale = _level(AdmissibleSystem(diam_rule=s.diam_rule), t)
-        assert [F(v, b.scale) for v in b.lo.tolist() + b.hi.tolist()] == \
-            [F(v, scale) for v in lo.tolist() + hi.tolist()]
+        assert [(F(lo, b.scale), F(hi, b.scale)) for lo, hi in zip(b.lo.tolist(), b.hi.tolist())] \
+            == [(iv.lo, iv.hi) for iv in descent_intervals(rule, t)]
+        calls.clear()
+        node_bounds(AdmissibleSystem(diam_rule=rule), t, 0, [0])
+        assert len(calls) == 2 ** (t + 1) - 2
 
 
 def test_node_bounds_read_the_extreme_leaves(delahaye5):
@@ -718,6 +779,12 @@ def test_node_bounds_read_the_extreme_leaves(delahaye5):
             node_bounds(s, t, d, nodes)
     with pytest.raises(ValueError, match="node depth 8 outside 0..7"):
         node_bounds(s, t, 8, [0])
+    # no silent cast: node 1.7 is not node 1
+    for nodes in ([1.7], [1.0], np.array([0, 1], dtype=bool)):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            node_bounds(s, t, d, nodes)
+    assert node_bounds(s, t, d, []).lo.shape == (0,)
+    assert node_bounds(s, t, d, np.array([5], dtype=np.uint8)).lo.tolist() == [b.lo[0, 1]]
 
 
 class TestEnclosure:
