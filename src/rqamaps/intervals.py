@@ -35,19 +35,31 @@ from . import ranks
 from .rational import Number, as_fraction, fraction_str, positive
 
 
+def _less(x: Number, y: Number) -> bool:
+    """x < y, exactly, by cross-multiplying the two ``as_integer_ratio()``
+    pairs (whose denominators are positive); a type without that method
+    raises TypeError."""
+    try:
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"cannot compare {x!r} and {y!r} as exact rationals") from None
+    return p * s < r * q
+
+
 @dataclass(frozen=True)
 class CompactInterval:
     """Closed interval [lo, hi]; degenerate (lo == hi) allowed.  A float
-    endpoint must be finite."""
+    endpoint, numpy's included, must be finite, and an endpoint without
+    ``as_integer_ratio`` (a numpy integer, a string) raises TypeError."""
 
     lo: Number
     hi: Number
 
     def __post_init__(self):
         for x in (self.lo, self.hi):
-            if isinstance(x, float) and not math.isfinite(x):
+            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
                 raise ValueError("float points must be finite")
-        if self.lo > self.hi:
+        if _less(self.hi, self.lo):
             raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
 
     @property
@@ -86,7 +98,7 @@ class Configuration:
         if not self.intervals:
             raise ValueError("configuration must contain at least one interval")
         for a, b in zip(self.intervals, self.intervals[1:]):
-            if not a.hi < b.lo:
+            if not _less(a.hi, b.lo):
                 raise ValueError(
                     f"intervals not strictly ordered: [{a.lo},{a.hi}] !< [{b.lo},{b.hi}]")
 

@@ -76,6 +76,12 @@ than ``RQA_MAX_PAIRS`` pairs raises :class:`ResourceGuardError` before
 its bits are allocated, through the guard ``ranks.check_pairs``, which
 the word counts of :mod:`rqamaps.solenoidal` share.  Every count is
 serial.
+
+One renderer writes the plot as a plain bitmap: each pixel is one
+little-endian uint16, its bit plus 0x2030 ("0 " or "1 ", "0\\n" or "1\\n"
+at the end of a row); :func:`pgm_bytes` renders every row at once, and
+:func:`write_pgm` writes blocks of at most ``ranks.BLOCK_ELEMS`` pixels
+(one row at least), so a file costs one block of text beside the bits.
 """
 from __future__ import annotations
 
@@ -290,6 +296,13 @@ class RecurrenceMatrix:
     epsilon: Number
     bits: np.ndarray = field(compare=False)
 
+    def __post_init__(self):
+        # the renderers read the bits as raw bytes, one per pixel
+        if not (self.n >= 1 and isinstance(self.bits, np.ndarray)
+                and self.bits.dtype == bool and self.bits.shape == (self.n, self.n)):
+            raise ValueError(f"bits must be a bool array of shape (n, n) = "
+                             f"({self.n}, {self.n}) with n >= 1")
+
     @property
     def popcount(self) -> int:
         return int(self.bits.sum())
@@ -334,20 +347,34 @@ def estimate_asymptotics(t, m: int, epsilon: Number, schedule: Sequence[int]) ->
                           liminf_est=min(tail), limsup_est=max(tail))
 
 
+def _pgm_rows(bits: np.ndarray) -> np.ndarray:
+    """The plain-bitmap text of a block of rows, one little-endian uint16
+    per pixel: "0 " or "1 ", and "0\\n" or "1\\n" in the last column."""
+    cells = bits.view(np.uint8).astype("<u2", order="C")   # C order: written as is
+    cells += 0x2030                 # bytes (0x30 + bit, 0x20)
+    cells[:, -1] -= 0x1600          # 0x20 -> 0x0a in the row's last cell
+    return cells
+
+
+def _pgm_header(n: int) -> bytes:
+    return f"P1\n{n} {n}\n".encode("ascii")
+
+
 def pgm_bytes(matrix: RecurrenceMatrix) -> bytes:
     """Plain-bitmap rendering: header "P1\\n<n> <n>\\n", rows of 0/1 tokens.
 
     Row i corresponds to trajectory index i; 1 marks a recurrent pair.
     Byte-exact golden-file format.
     """
-    n = matrix.n
-    cells = np.empty((n, n, 2), dtype=np.uint8)   # each bit and the byte after it
-    cells[:, :, 0] = matrix.bits.view(np.uint8) + ord("0")
-    cells[:, :, 1] = ord(" ")
-    cells[:, -1:, 1] = ord("\n")
-    return f"P1\n{n} {n}\n".encode("ascii") + cells.tobytes()
+    return _pgm_header(matrix.n) + _pgm_rows(matrix.bits).tobytes()
 
 
 def write_pgm(matrix: RecurrenceMatrix, path) -> None:
+    """Write :func:`pgm_bytes` of the plot to ``path``, rendering it in
+    blocks of rows of at most ``ranks.BLOCK_ELEMS`` pixels (at least one
+    row), so the text is never held whole."""
+    rows = max(1, ranks.BLOCK_ELEMS // matrix.n)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(matrix))
+        fh.write(_pgm_header(matrix.n))
+        for i0 in range(0, matrix.n, rows):
+            fh.write(_pgm_rows(matrix.bits[i0:i0 + rows]))

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -87,6 +88,40 @@ class TestConfiguration:
         assert Configuration.of(["01", "23"]) == Configuration.of([(0, 1), (2, 3)])
 
 
+# endpoints are ordered by cross-multiplying as_integer_ratio(), exact for
+# int, bool, float and Fraction alike; Python's own mixed comparisons are
+# exact too, so they are the oracle
+ENDPOINTS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                      st.floats(-2.0 ** 70, 2.0 ** 70), st.fractions())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDPOINTS, ENDPOINTS)
+@example(0.1, F(1, 10))                     # 0.1 lies just above 1/10
+@example(2 ** 60 + 1, float(2 ** 60))       # past float precision
+@example(True, 1)
+def test_endpoint_order_is_exact_across_types(x, y):
+    if x > y:
+        with pytest.raises(ValueError, match="invalid interval"):
+            CompactInterval(x, y)
+    else:
+        assert CompactInterval(x, y).hi is y
+    ordered = [CompactInterval(x, x), CompactInterval(y, y)]
+    if x < y:
+        assert Configuration(tuple(ordered)).intervals == tuple(ordered)
+    else:
+        with pytest.raises(ValueError, match="not strictly ordered"):
+            Configuration(tuple(ordered))
+
+
+@pytest.mark.parametrize("lo, hi", [(np.int64(0), np.int64(1)), (0, np.int64(1)),
+                                    (np.int32(0), F(1)), ("0", "1")])
+def test_endpoint_without_integer_ratio_is_refused(lo, hi):
+    # numpy integer scalars have no as_integer_ratio; as_fraction refuses them too
+    with pytest.raises(TypeError, match="as exact rationals"):
+        CompactInterval(lo, hi)
+
+
 class TestEpsilonPairs:
     def test_single_small_interval_empty(self):
         c = Configuration.of([(0, "3/10")])
@@ -124,7 +159,9 @@ class TestEpsilonPairs:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             epsilon_pairs(c, float("nan"))
 
-    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)])
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan),
+                                       (np.float32(0), np.float32(math.inf)),
+                                       (np.float32(math.nan), np.float32(1))])
     def test_rejects_non_finite_endpoint(self, lo, hi):
         with pytest.raises(ValueError, match="float points must be finite"):
             CompactInterval(lo, hi)

@@ -722,14 +722,53 @@ def joined_pgm(matrix):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 10 ** 6))
-@example(1, 0)
-def test_pgm_bytes_matches_joined_rendering(n, seed):
+@given(st.integers(1, 40), st.integers(0, 10 ** 6), st.sampled_from([1, 7, ranks.BLOCK_ELEMS]),
+       st.booleans())
+@example(1, 0, 1, False)
+@example(40, 0, 7, True)
+def test_pgm_bytes_matches_joined_rendering(tmp_path_factory, n, seed, block, transposed):
+    # write_pgm renders blocks of max(1, block // n) rows: one-row blocks,
+    # a short last block and a single block; a transposed plot is
+    # Fortran-ordered, and its text is still written row by row
     rnd = random.Random(seed)
     density = rnd.random()
     bits = np.array([[rnd.random() < density for _ in range(n)] for _ in range(n)])
-    matrix = rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=bits)
+    matrix = rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=bits.T if transposed else bits)
     assert pgm_bytes(matrix) == joined_pgm(matrix)
+    path = tmp_path_factory.mktemp("pgm") / "plot.pgm"
+    with mock.patch.object(ranks, "BLOCK_ELEMS", block):
+        rqa.write_pgm(matrix, path)
+    assert path.read_bytes() == joined_pgm(matrix)
+
+
+def test_write_pgm_holds_one_block_of_text(tmp_path):
+    # 2 bytes of text per pixel, rendered a block of rows at a time: the
+    # writer holds a fraction of the plot's own n^2 bytes
+    n = 1024
+    rnd = np.random.default_rng(5)
+    matrix = rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=rnd.random((n, n)) < 0.3)
+    tracemalloc.start()
+    try:
+        rqa.write_pgm(matrix, tmp_path / "plot.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+    assert (tmp_path / "plot.pgm").read_bytes() == pgm_bytes(matrix)
+
+
+@pytest.mark.parametrize("n, bits", [
+    (2, np.full((2, 2), 2, np.uint8)),        # not a bitmap: "2" tokens
+    (2, np.ones((2, 2), np.int64)),           # 8 bytes a pixel
+    (2, np.ones((2, 3), bool)),
+    (3, np.ones((2, 2), bool)),
+    (2, np.ones(4, bool)),
+    (2, [[True, False], [False, True]]),
+    (0, np.ones((0, 0), bool)),
+])
+def test_recurrence_matrix_requires_an_n_by_n_bool_array(n, bits):
+    with pytest.raises(ValueError, match="bool array of shape"):
+        rqa.RecurrenceMatrix(n=n, m=1, epsilon=F(1, 2), bits=bits)
 
 
 
