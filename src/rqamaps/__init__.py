@@ -14,8 +14,7 @@ from .dynamics import (PeriodicStructure, PiecewiseLinearMap, Trajectory,
 from .rqa import (RQAParams, RecurrenceMatrix, ResourceGuardError, SeriesEstimate,
                   bowen_distance, correlation_sum, estimate_asymptotics,
                   recurrence_determinism, recurrence_matrix, rqa_det)
-from .solenoidal import (AdmissibleSystem, SolenoidalCounts, Word,
-                         asymptotic_corr_sum, count_pairs, interval_of_word)
+from .solenoidal import AdmissibleSystem, SolenoidalCounts, Word, asymptotic_corr_sum
 from .finite_omega import (ExcludedEpsilonWarning, PeriodicOrbitData,
                            aligned_orbit, asymptotic_rdet_finite,
                            closed_form_corr_sum, excluded_epsilons)

@@ -71,8 +71,15 @@ class ResourceGuardError(RuntimeError):
 
 def check_pairs(what: str, side: int) -> None:
     """Raise ResourceGuardError when ``what``, of side^2 pairs, exceeds the
-    budget ``RQA_MAX_PAIRS`` (default 2^26)."""
-    limit = int(os.environ.get("RQA_MAX_PAIRS", str(2 ** 26)))
+    budget ``RQA_MAX_PAIRS`` (default 2^26); a budget that is not a
+    nonnegative integer raises ValueError naming the variable."""
+    value = os.environ.get("RQA_MAX_PAIRS", str(2 ** 26))
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = -1   # refused below with the negative budgets
+    if limit < 0:
+        raise ValueError(f"RQA_MAX_PAIRS must be a nonnegative integer, got {value!r}")
     if side * side > limit:
         raise ResourceGuardError(f"{what} of {side}^2 pairs exceeds the guard ({limit}); "
                                  "raise RQA_MAX_PAIRS to override")

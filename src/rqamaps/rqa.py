@@ -305,7 +305,7 @@ class RecurrenceMatrix:
 
     @property
     def popcount(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
 def recurrence_matrix(t, p: RQAParams) -> RecurrenceMatrix:

@@ -47,12 +47,11 @@ records it in the private keyword field ``_nests``
 (``constructions.build_delahaye`` sets it from its gap formula), and its
 entries then build only the tables they read; each of those still checks
 its own depth, so a wrong certificate raises at the first depth read that
-breaks nesting.  :func:`interval_of_word`
-reads the widths of the word's prefixes, one rule call each;
-:func:`max_diam` reads the 2^t depth-t widths, one rule call each, over
-one integer scale, and checks that each is positive;
-:func:`midpoint_trajectory` reads all of its words with one accessor
-call.
+breaks nesting.  The public entries are :func:`node_bounds`,
+:func:`counts_by_window` and :func:`max_diam`, which reads the 2^t
+depth-t widths, one rule call each, over one integer scale, and checks
+that each is positive; :func:`midpoint_trajectory` reads all of its words
+with one :func:`node_bounds` call.
 
 Counts come from a dual-tree walk (Gray & Moore, "N-body problems in
 statistical learning", 2001).  As the odometer carries from the least
@@ -95,7 +94,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import ranks
-from .intervals import CompactInterval, int_interval_test
+from .intervals import int_interval_test
 from .ranks import ResourceGuardError   # re-exported: callers catch it from here
 from .rational import Number, as_fraction, fraction_str, positive, scaled
 
@@ -279,18 +278,6 @@ def node_bounds(s: AdmissibleSystem, t: int, d: int, nodes) -> NodeBounds:
     return NodeBounds(lo, hi_left, lo_right, hi, scale)
 
 
-def interval_of_word(s: AdmissibleSystem, a: Word) -> CompactInterval:
-    """K_a, exact rational endpoints, from the widths of a's prefixes, one
-    rule call each: a 1 keeps its parent's hi, a 0 its lo."""
-    t = len(a)
-    _gate(s, t)
-    w, scale = _widths(s, [a.digits[:i] for i in range(1, t + 1)])
-    lo, hi = 0, scale
-    for digit, x in zip(a.digits, w):
-        lo, hi = (hi - x, hi) if digit else (lo, lo + x)
-    return CompactInterval(Fraction(lo, scale), Fraction(hi, scale))
-
-
 def max_diam(s: AdmissibleSystem, t: int) -> Fraction:
     """nu_t: the largest depth-t interval diameter, from the 2^t widths of
     depth t, one rule call each, over one integer scale."""
@@ -413,11 +400,6 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                                              closed + closed[-1:] * pad), start=1)]
 
 
-def count_pairs(s: AdmissibleSystem, t: int, m: int, epsilon: Number) -> SolenoidalCounts:
-    """N_m / N_m° at depth t (strict < eps vs closed <= eps)."""
-    return counts_by_window(s, t, epsilon, m)[-1]
-
-
 def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
                         t_schedule: Sequence[int]) -> tuple[SolenoidalCounts, ...]:
     """The window-m counts at every depth of ``t_schedule``, each checked
@@ -429,7 +411,7 @@ def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
     vanishes as t grows.  A wider enclosure is a bug and raises
     AssertionError.
     """
-    out = tuple(count_pairs(s, t, m, epsilon) for t in t_schedule)
+    out = tuple(counts_by_window(s, t, epsilon, m)[m - 1] for t in t_schedule)
     for c in out:
         if c.upper - c.lower > c.width_bound:
             raise AssertionError(f"enclosure width exceeds bound at t={c.t}: {c}")

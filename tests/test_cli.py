@@ -174,6 +174,21 @@ class TestRplot:
         assert "6^2 pairs exceeds the guard (35)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "1e8", "-1"])
+    def test_malformed_guard_names_the_variable(self, monkeypatch, capsys, tmp_path, value):
+        # a budget that is not a nonnegative integer is a usage error, not
+        # a guard trip, in every guarded scan
+        monkeypatch.setenv("RQA_MAX_PAIRS", value)
+        out = tmp_path / "plot.pgm"
+        for argv in (["rplot", "--construction", "prop42", "--depth", "4", "--m", "1",
+                      "--epsilon", "1/2", "--n", "6", "--output", str(out)],
+                     ["solenoid", "--r", "5", "--m", "1", "--epsilon", "1/5",
+                      "--t-schedule", "3"]):
+            assert run(*argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: RQA_MAX_PAIRS must be a nonnegative integer, got '{value}'\n")
+        assert not out.exists()
+
 
 class TestConfig:
     def test_extremal_bound(self, capsys):

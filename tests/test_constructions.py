@@ -13,9 +13,21 @@ from rqamaps.constructions import (_cell, _check_delahaye_gaps, build_delahaye,
                                    prop42_schedule_n, write_c1_csv)
 from rqamaps.dynamics import evaluate, iterate
 from rqamaps.intervals import CompactInterval, interval_dist, union_diam
-from rqamaps.solenoidal import interval_of_word, Word
+from rqamaps.solenoidal import Word, node_bounds
 
-from package_oracles import prop42_recurrence_rule
+from package_oracles import descent, prop42_recurrence_rule
+
+
+def word_intervals(s, *texts):
+    """K of each word, all of one length t, read by one node_bounds call at
+    depth t and checked against the descent from the diameter rule."""
+    words = [Word.parse(text) for text in texts]
+    t = len(words[0])
+    b = node_bounds(s, t, t, [w.to_int() for w in words])
+    ivs = [CompactInterval(F(lo, b.scale), F(hi, b.scale))
+           for lo, hi in zip(b.lo.tolist(), b.hi.tolist())]
+    assert [(iv.lo, iv.hi) for iv in ivs] == [descent(s.diam_rule, w) for w in words]
+    return ivs
 
 
 def brute_rule_count(inst, n):
@@ -273,23 +285,16 @@ class TestProp42NumericMap:
 
 class TestDelahaye:
     def test_top_intervals(self, delahaye5):
-        s = delahaye5.system
-        k0 = interval_of_word(s, Word.parse("0"))
-        k1 = interval_of_word(s, Word.parse("1"))
+        k0, k1 = word_intervals(delahaye5.system, "0", "1")
         assert (k0.lo, k0.hi) == (0, F(1, 5))
         assert (k1.lo, k1.hi) == (F(3, 5), 1)
         assert interval_dist(k0, k1) == 1 - F(3, 5)
 
     def test_sibling_gap(self, delahaye5):
-        s = delahaye5.system
-        assert interval_dist(interval_of_word(s, Word.parse("00")),
-                             interval_of_word(s, Word.parse("01"))) == F(3, 25)
+        assert interval_dist(*word_intervals(delahaye5.system, "00", "01")) == F(3, 25)
 
     def test_r6_top_gap(self):
-        inst = build_delahaye(6)
-        s = inst.system
-        assert interval_dist(interval_of_word(s, Word.parse("0")),
-                             interval_of_word(s, Word.parse("1"))) == F(1, 2)
+        assert interval_dist(*word_intervals(build_delahaye(6).system, "0", "1")) == F(1, 2)
 
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,14 @@ No module of the package reads a private name of another, and every
 module imports only from the modules before it in one order."""
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import rqamaps
 from rqamaps.solenoidal import AdmissibleSystem, Word
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rqamaps"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rqamaps"
 
 # what rqamaps.ranks alone defines
 RANK_LAYER = {"RankTable", "int_array", "int_table", "_rank_table", "table", "threshold",
@@ -27,12 +29,14 @@ IMPORT_ORDER = ["rational", "dynamics", "ranks", "intervals", "rqa", "solenoidal
 # mock.patch target pass without testing anything
 RETIRED = {"_RankTable", "_int_table", "_table", "_cuts", "_unsigned", "_in_ranges",
            "_BLOCK_ELEMS", "_DEFAULT_MAX_PAIRS", "_check_pairs", "max_pairs_limit", "_ranks"}
-# helpers no subcommand, script or benchmark calls: deleted, or moved into
+# helpers no subcommand, script or benchmark calls, and readers that
+# duplicate node_bounds or counts_by_window: deleted, or moved into
 # tests/package_oracles.py where the tests check counts against them
 REMOVED = {"system_to_json", "system_from_json", "write_trajectory_csv", "report_json",
            "recurrent_orbit_pairs", "min_spatial_gap", "dist_m_words", "diam_m_words",
            "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint",
-           "interval_tests", "word_add", "symbolic_trajectory", "_level"}
+           "interval_tests", "word_add", "symbolic_trajectory", "_level",
+           "interval_of_word", "count_pairs"}
 
 
 def _private(name):
@@ -161,6 +165,10 @@ def test_removed_helpers_stay_out_of_the_package():
     for path in sorted(SRC.glob("*.py")):
         assert top_level_names(path.read_text()) & REMOVED == set(), path.stem
     assert set(rqamaps.__all__) & REMOVED == set()
+    # nor does the README name one, as `name` or as a call name(
+    readme = (ROOT / "README.md").read_text()
+    assert {name for name in REMOVED
+            if f"`{name}`" in readme or re.search(rf"(?<!\w){name}\(", readme)} == set()
     fields = {f.name for f in dataclasses.fields(AdmissibleSystem)}
     # every system reads its bounds from its node tables, with no store of levels beside them
     assert fields & {"descriptor", "_levels"} == set()

@@ -17,8 +17,7 @@ from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs, in
 from rqamaps.rational import common_scale
 from rqamaps.rqa import RQAParams, correlation_sum
 from rqamaps.solenoidal import (AdmissibleSystem, ResourceGuardError, Word,
-                                asymptotic_corr_sum, count_pairs,
-                                counts_by_window, interval_of_word, max_diam,
+                                asymptotic_corr_sum, counts_by_window, max_diam,
                                 midpoint_trajectory, node_bounds, write_counts_csv)
 
 from conftest import EDGE_EPS, EDGE_SCALES, INT64_SCALE_LIMIT
@@ -151,42 +150,42 @@ class TestWords:
 class TestIntervals:
     def test_top_level(self, delahaye5):
         s = delahaye5.system
-        assert interval_of_word(s, W("0")) == interval_of_word(s, W("0"))
-        k0, k1 = interval_of_word(s, W("0")), interval_of_word(s, W("1"))
-        assert (k0.lo, k0.hi) == (0, F(1, 5))
-        assert (k1.lo, k1.hi) == (F(3, 5), 1)
+        assert level_intervals(s, 1) == level_intervals(s, 1)
+        k0, k1 = level_intervals(s, 1)
+        assert (k0.lo, k0.hi) == descent(s.diam_rule, W("0")) == (0, F(1, 5))
+        assert (k1.lo, k1.hi) == descent(s.diam_rule, W("1")) == (F(3, 5), 1)
 
     def test_right_child_keeps_hi(self, delahaye5):
-        k01 = interval_of_word(delahaye5.system, W("01"))
-        assert (k01.lo, k01.hi) == (F(4, 25), F(1, 5))
+        s = delahaye5.system
+        k01 = level_intervals(s, 2)[W("01").to_int()]
+        assert (k01.lo, k01.hi) == descent(s.diam_rule, W("01")) == (F(4, 25), F(1, 5))
 
     def test_matches_oracle(self, delahaye5):
         s = delahaye5.system
         for t in range(1, 6):
-            got = [interval_of_word(s, Word.from_int(j, t))
-                   for j in range(2 ** t)]
-            assert [(iv.lo, iv.hi) for iv in got] == oracle_intervals(5, t)
+            assert [(iv.lo, iv.hi) for iv in level_intervals(s, t)] == oracle_intervals(5, t)
 
     def test_nesting_and_sibling_order(self, delahaye5):
+        # word a of depth t has children a0 (value j) and a1 (value j + 2^t)
         s = delahaye5.system
         for t in range(1, 6):
-            for j in range(2 ** t):
-                a = Word.from_int(j, t)
-                parent = interval_of_word(s, a)
-                left = interval_of_word(s, Word(a.digits + (0,)))
-                right = interval_of_word(s, Word(a.digits + (1,)))
+            parents, children = level_intervals(s, t), level_intervals(s, t + 1)
+            assert [(iv.lo, iv.hi) for iv in parents] == \
+                [(iv.lo, iv.hi) for iv in descent_intervals(s.diam_rule, t)]
+            for j, parent in enumerate(parents):
+                left, right = children[j], children[j + 2 ** t]
                 assert parent.lo == left.lo and parent.hi == right.hi
                 assert left.hi < right.lo
                 assert left.lo >= parent.lo and right.hi <= parent.hi
 
     def test_depth_cap(self, delahaye5):
-        with pytest.raises(ValueError):
-            interval_of_word(delahaye5.system, Word((0,) * 99))
+        with pytest.raises(ValueError, match="depth 99 outside"):
+            node_bounds(delahaye5.system, 99, 99, [0])
 
     def test_depth_zero_is_the_unit_interval(self, delahaye5):
         s = delahaye5.system
-        iv = interval_of_word(s, Word(()))
-        assert (iv.lo, iv.hi) == (0, 1)
+        [iv] = level_intervals(s, 0)
+        assert (iv.lo, iv.hi) == descent(s.diam_rule, Word(())) == (0, 1)
         assert max_diam(s, 0) == 1
 
     def test_negative_depth(self, delahaye5):
@@ -238,15 +237,15 @@ class TestWindowDistances:
 class TestCounts:
     @pytest.mark.parametrize("t,m,expected_closed", [(2, 1, 6), (2, 2, 4), (3, 1, 24)])
     def test_known_counts(self, delahaye5, t, m, expected_closed):
-        c = count_pairs(delahaye5.system, t, m, F(1, 5))
-        assert c.n_closed == expected_closed
+        c = counts_by_window(delahaye5.system, t, F(1, 5), m)[m - 1]
+        assert (c.m, c.n_closed) == (m, expected_closed)
 
     def test_matches_oracle(self, delahaye5):
         for t in (1, 2, 3, 4):
-            for m in (1, 2, 3):
-                for eps in (F(1, 5), F(1, 25), F(1, 7)):
-                    c = count_pairs(delahaye5.system, t, m, eps)
-                    assert (c.n_strict, c.n_closed) == oracle_counts(5, t, m, eps)
+            for eps in (F(1, 5), F(1, 25), F(1, 7)):
+                counts = counts_by_window(delahaye5.system, t, eps, 3)
+                assert [(c.n_strict, c.n_closed) for c in counts] == \
+                    [oracle_counts(5, t, m, eps) for m in (1, 2, 3)]
 
     def test_rank_kernel_matches_dense_scan(self, delahaye5):
         # the rank kernel against the dense Fraction scan, windows past p_t
@@ -258,10 +257,12 @@ class TestCounts:
                     [(c.n_strict, c.n_closed) for c in counts]
 
     def test_counts_by_window_consistent(self, delahaye5):
+        # a walk to window m gives the first m rows of a walk to window 3
         counts = counts_by_window(delahaye5.system, 4, F(1, 5), 3)
-        singles = [count_pairs(delahaye5.system, 4, m, F(1, 5)) for m in (1, 2, 3)]
+        for m in (1, 2, 3):
+            assert counts_by_window(delahaye5.system, 4, F(1, 5), m) == counts[:m]
         assert [(c.n_strict, c.n_closed) for c in counts] == \
-            [(c.n_strict, c.n_closed) for c in singles]
+            [oracle_counts(5, 4, m, F(1, 5)) for m in (1, 2, 3)]
 
     def test_windows_past_group_order_saturate(self, delahaye5):
         counts = counts_by_window(delahaye5.system, 1, F(1, 5), 5)
@@ -278,7 +279,7 @@ class TestCounts:
     def test_resource_guard(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "15")
         with pytest.raises(ResourceGuardError):
-            count_pairs(delahaye5.system, 2, 1, F(1, 5))
+            counts_by_window(delahaye5.system, 2, F(1, 5), 1)
         # one guard for every path, still importable from here
         assert ResourceGuardError is rqa.ResourceGuardError
 
@@ -289,7 +290,7 @@ class TestCounts:
         s = build_delahaye(5).system
         for read in (lambda: counts_by_window(s, 20, F(1, 5), 2), lambda: max_diam(s, 20),
                      lambda: node_bounds(s, 20, 0, [0]),
-                     lambda: interval_of_word(s, Word((0,) * 20))):
+                     lambda: midpoint_trajectory(s, Word((0,) * 20), 1)):
             with pytest.raises(ValueError, match=r"depth 20 outside 0\.\.13 \(the depth cap\)"):
                 read()
         monkeypatch.setenv("RQA_MAX_PAIRS", str(4 ** 19))
@@ -298,7 +299,7 @@ class TestCounts:
 
     def test_guard_env_override(self, delahaye5, monkeypatch):
         monkeypatch.setenv("RQA_MAX_PAIRS", "16")
-        assert count_pairs(delahaye5.system, 2, 1, F(1, 5)).n_closed == 6
+        assert counts_by_window(delahaye5.system, 2, F(1, 5), 1)[0].n_closed == 6
 
     @pytest.mark.parametrize("t", [31, 32, 33, 40])
     def test_counts_stay_exact_past_int64(self, monkeypatch, t):
@@ -317,12 +318,12 @@ class TestCounts:
             every = 4 ** t
             counts = counts_by_window(s, t, math.inf, 2 ** t + 2)
             assert {(c.n_strict, c.n_closed) for c in counts} == {(every, every)}
-            assert (c := count_pairs(s, t, 2, math.inf)).lower == c.upper == 1
+            assert {c.lower for c in counts} == {c.upper for c in counts} == {1}
         assert [c.lower for c in asymptotic_corr_sum(s, 3, math.inf, [2, 4])] == [1, 1]
         # a system without _nests builds and checks every table first, to
         # the same count
         plain = AdmissibleSystem(diam_rule=s.diam_rule)
-        assert count_pairs(plain, 4, 3, math.inf).n_closed == 4 ** 4
+        assert counts_by_window(plain, 4, math.inf, 3)[2].n_closed == 4 ** 4
 
     def test_threads_deterministic(self, delahaye5):
         # the keyword is accepted and has no effect
@@ -396,10 +397,10 @@ def test_depth_endpoints_match_descent(seed, t, kind):
     ivs = level_intervals(AdmissibleSystem(diam_rule=rule), t)
     words = [Word.from_int(j, t) for j in range(2 ** t)]
     assert [(iv.lo, iv.hi) for iv in ivs] == [descent(rule, a) for a in words]
-    assert interval_of_word(AdmissibleSystem(diam_rule=rule), words[-1]) == ivs[-1]
-    # a system that nests reads a word's prefixes alone
+    # a system that nests reads its depth-t node from the tables it builds
     j = rnd.randrange(2 ** t)
-    assert interval_of_word(AdmissibleSystem(diam_rule=rule, _nests=True), words[j]) == ivs[j]
+    b = node_bounds(AdmissibleSystem(diam_rule=rule, _nests=True), t, t, [j])
+    assert (F(int(b.lo[0]), b.scale), F(int(b.hi[0]), b.scale)) == descent(rule, words[j])
     assert max_diam(AdmissibleSystem(diam_rule=rule), t) == max(iv.diam for iv in ivs)
     scale = common_scale([iv.lo for iv in ivs] + [iv.hi for iv in ivs])
     assert (scale > INT64_SCALE_LIMIT) == (kind == "random big" and t > 0)
@@ -432,7 +433,7 @@ def test_level_build_calls_rule_once_per_node_in_odometer_order():
 def test_depth_endpoints_reject_nonpositive_width():
     def rule(w):
         return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 3 ** len(w))
-    for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
+    for build in (lambda s: node_bounds(s, 4, 4, [0]),
                   lambda s: max_diam(s, 3),
                   lambda s: counts_by_window(s, 3, F(1, 8), 1)):
         with pytest.raises(ValueError, match="diameter rule must be positive"):
@@ -460,7 +461,7 @@ def test_rule_whose_children_do_not_nest_is_rejected(rule, depth):
     # every depth above the first that breaks nesting builds; every entry
     # point raises there, naming that depth
     assert max_diam(AdmissibleSystem(diam_rule=rule), depth - 1) == F(1, 3 ** (depth - 1))
-    for build in (lambda s: interval_of_word(s, Word.from_int(0, 4)),
+    for build in (lambda s: node_bounds(s, 4, 4, [0]),
                   lambda s: max_diam(s, depth),
                   lambda s: counts_by_window(s, 4, F(1, 8), 2),
                   lambda s: asymptotic_corr_sum(s, 1, F(1, 8), range(1, 5))):
@@ -769,11 +770,11 @@ def test_node_bounds_read_the_extreme_leaves(delahaye5):
     b = node_bounds(s, t, d, [[0, 5], [7, 2]])
     assert b.lo.shape == (2, 2)
     for u, lo, hi_left, lo_right, hi in zip([0, 5, 7, 2], *(x.ravel().tolist() for x in b[:4])):
-        left = interval_of_word(s, Word(Word.from_int(u, d).digits + (0,) * (t - d)))
-        right = interval_of_word(s, Word(Word.from_int(u, d).digits + (1,) * (t - d)))
-        node = interval_of_word(s, Word.from_int(u, d))
-        assert (F(lo, b.scale), F(hi_left, b.scale)) == (left.lo, left.hi) == (node.lo, left.hi)
-        assert (F(lo_right, b.scale), F(hi, b.scale)) == (right.lo, right.hi) == (right.lo, node.hi)
+        digits = Word.from_int(u, d).digits
+        left, right = (descent(s.diam_rule, Word(digits + (x,) * (t - d))) for x in (0, 1))
+        node = descent(s.diam_rule, Word(digits))
+        assert (F(lo, b.scale), F(hi_left, b.scale)) == left == (node[0], left[1])
+        assert (F(lo_right, b.scale), F(hi, b.scale)) == right == (right[0], node[1])
     for nodes in ([8], [-1]):
         with pytest.raises(ValueError, match="outside 0..7"):
             node_bounds(s, t, d, nodes)
@@ -808,7 +809,8 @@ class TestEnclosure:
     def test_strict_contains_closed(self, delahaye5):
         # nondegenerate intervals force dist < diam, so N_m° is inside N_m
         for t in (2, 3, 4):
-            c = count_pairs(delahaye5.system, t, 2, F(1, 5))
+            c = counts_by_window(delahaye5.system, t, F(1, 5), 2)[1]
+            assert (c.n_strict, c.n_closed) == oracle_counts(5, t, 2, F(1, 5))
             assert c.n_closed <= c.n_strict
 
 
@@ -818,10 +820,12 @@ class TestSymbolicTrajectories:
         s = delahaye5.system
         shallow = [odometer_step(W("000"), i) for i in range(20)]
         deep = [odometer_step(W("0000"), i) for i in range(20)]
+        level3, level4 = level_intervals(s, 3), level_intervals(s, 4)
         for w3, w4 in zip(shallow, deep):
             assert w4.digits[:3] == w3.digits
-            inner = interval_of_word(s, w4)
-            outer = interval_of_word(s, w3)
+            outer, inner = level3[w3.to_int()], level4[w4.to_int()]
+            assert (outer.lo, outer.hi) == descent(s.diam_rule, w3)
+            assert (inner.lo, inner.hi) == descent(s.diam_rule, w4)
             assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
     def test_sandwich(self, delahaye5):
@@ -833,15 +837,16 @@ class TestSymbolicTrajectories:
             n = 8 * p
             pts = midpoint_trajectory(delahaye5.system, W("0" * t), n + m - 1)
             c = correlation_sum(pts, RQAParams(m, eps, n))
-            counts = count_pairs(delahaye5.system, t, m, eps)
+            counts = counts_by_window(delahaye5.system, t, eps, m)[m - 1]
+            assert (counts.n_strict, counts.n_closed) == oracle_counts(5, t, m, eps)
             assert counts.lower - F(2, p) <= c <= counts.upper + F(2, p)
 
     def test_midpoint_inside_interval(self, delahaye5):
         # step i is the midpoint of K_{prefix + i}, wrapping past p_t = 16
         s, prefix = delahaye5.system, W("0110")
         for i, x in enumerate(midpoint_trajectory(s, prefix, 20)):
-            iv = interval_of_word(s, odometer_step(prefix, i))
-            assert x == (iv.lo + iv.hi) / 2 and iv.lo < x < iv.hi
+            lo, hi = descent(s.diam_rule, odometer_step(prefix, i))
+            assert x == (lo + hi) / 2 and lo < x < hi
         with pytest.raises(ValueError, match="need n >= 1"):
             midpoint_trajectory(s, prefix, 0)
 
@@ -859,7 +864,7 @@ def test_counts_csv_writes_an_infinite_threshold(tmp_path):
 
 
 def test_counts_csv(tmp_path, delahaye5):
-    rows = [count_pairs(delahaye5.system, t, 2, F(1, 5)) for t in (2, 3)]
+    rows = [counts_by_window(delahaye5.system, t, F(1, 5), 2)[1] for t in (2, 3)]
     out = tmp_path / "counts.csv"
     write_counts_csv(rows, out)
     assert out.read_text() == (
