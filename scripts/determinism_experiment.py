@@ -40,8 +40,8 @@ def main():
                 mismatches.append(f"k={k} t={t}: (N_1°, N_m°) = {got}, scaling law {law}")
             rows.append(counts[-1])
         print(f"k={k} eps={eps}: N_m°/p_t^2 = {rows[-1].lower} at every depth, "
-              f"rdet limit = {delahaye_rdet(inst, k, args.m)}, "
-              f"DET limit = {delahaye_det(inst, k, args.m)}")
+              f"rdet limit = {delahaye_rdet(k, args.m)}, "
+              f"DET limit = {delahaye_det(k, args.m)}")
     out = args.outdir / "prop52_counts.csv"
     write_counts_csv(rows, out)
     print(f"wrote {out}")

@@ -208,8 +208,8 @@ def _cmd_prop42(args) -> int:
 def _cmd_prop52(args) -> int:
     inst = constructions.build_delahaye(args.r)
     n1, nm = constructions.delahaye_counts(inst, args.k, args.m, args.t)
-    rdet = constructions.delahaye_rdet(inst, args.k, args.m)
-    det = constructions.delahaye_det(inst, args.k, args.m)
+    rdet = constructions.delahaye_rdet(args.k, args.m)
+    det = constructions.delahaye_det(args.k, args.m)
     f1, fm = constructions.delahaye_counts_formula(args.k, args.m, args.t)
     report = {
         "r": args.r, "k": args.k, "m": args.m, "t": args.t,

@@ -8,9 +8,12 @@ Two fully parameterized objects:
   schedule n_k = 2*(2^{k+1} - 1) the even-k values settle at 7/10 and the
   odd-k values at 8/10, so no asymptotic correlation sum exists.  The
   symbolic point positions are authoritative; the numeric map is a
-  depth-truncated cross-check.  The report and the C_1 table read one
-  schedule, whose k_max is checked before any value is computed or any
-  file is opened.
+  depth-truncated cross-check.  The pair count behind C_1
+  (``prop42_pair_count``) reads n alone, in one pass over the O(log n)
+  levels, so it needs no built depth and runs at n = 10^100; ``prop42_C1``
+  keeps C_1 to the built depth of its instance.  The report and the C_1
+  table read one schedule, whose k_max is checked before any value is
+  computed or any file is opened.
 
   Every value of the scheme comes from integers (``_lows``, ``_cells``).
   With R = ``SCALE_RATIO`` and delta_n = 1/(4 R^(n+1)), the level-n
@@ -93,8 +96,7 @@ def index_level(index: int) -> int:
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
-    i = index // 2 if index % 2 == 0 else (index - 1) // 2
-    return (i + 1).bit_length() - 1
+    return (index // 2 + 1).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -198,44 +200,33 @@ def prop42_positions(inst: Prop42Instance, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, den) for num, den in cells[:n])
 
 
-def _parity_level_populations(count: int, max_level: int) -> list[int]:
-    """#indices i < count at each level (i ranges over one parity class)."""
-    pops = []
-    for s in range(max_level + 1):
-        lo, hi = 2 ** s - 1, 2 ** (s + 1) - 2
-        pops.append(max(0, min(count - 1, hi) - lo + 1))
-    return pops
-
-
-def prop42_pair_count(inst: Prop42Instance, n: int) -> int:
-    """#{(i, j) in [0, n)^2 : |x_i - x_j| <= 1/2}, exact.
+def prop42_pair_count(n: int) -> int:
+    """#{(i, j) in [0, n)^2 : |x_i - x_j| <= 1/2}, exact, from n alone.
 
     The pair recurs iff i and j share parity, or the mixed pair sits at
     levels (s, t) (even index at level s, odd at level t) with s == t odd
-    or s > t.  Grouped pair scan: indices with equal (parity, level) are
-    interchangeable for the rule, so the n^2 scan collapses to a sum over
-    level pairs weighted by populations.  The direct scan (tests) and the
-    independent closed form agree with this count exactly.
+    or s > t.  Level s of a parity class holds its indices
+    2^s - 1 <= i <= 2^(s+1) - 2, so the even class puts
+    min(evens + 1 - 2^s, 2^s) of its indices at each level s it reaches,
+    and each of them recurs with the min(odds, 2^s - 1) odd indices below
+    its level, or min(odds, 2^(s+1) - 1) when s is odd.  One pass over the
+    levels in Python ints: O(log n) at any n.  The rule scan and the
+    closed form (tests) agree with it exactly.
     """
-    if not 1 <= n <= inst.n_points:
-        raise ValueError(f"n={n} outside generated depth (max {inst.n_points})")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     evens, odds = (n + 1) // 2, n // 2
-    max_level = max(index_level(n - 1), index_level(max(n - 2, 0)))
-    e_pop = _parity_level_populations(evens, max_level)
-    o_pop = _parity_level_populations(odds, max_level)
     mixed = 0
-    for s in range(max_level + 1):
-        if not e_pop[s]:
-            continue
-        for t in range(max_level + 1):
-            if o_pop[t] and ((s == t and s % 2 == 1) or s > t):
-                mixed += e_pop[s] * o_pop[t]
+    for s in range(evens.bit_length()):
+        mixed += min(evens + 1 - 2 ** s, 2 ** s) * min(odds, 2 ** (s + s % 2) - 1)
     return evens * evens + odds * odds + 2 * mixed
 
 
 def prop42_C1(inst: Prop42Instance, n: int) -> Fraction:
     """C_1(n, 1/2) of the constructed trajectory, exact for any n in depth."""
-    return Fraction(prop42_pair_count(inst, n), n * n)
+    if not 1 <= n <= inst.n_points:
+        raise ValueError(f"n={n} outside generated depth (max {inst.n_points})")
+    return Fraction(prop42_pair_count(n), n * n)
 
 
 def prop42_schedule_n(k: int) -> int:
@@ -419,6 +410,8 @@ def _check_delahaye_gaps(system: AdmissibleSystem, r: int) -> None:
 
 def delahaye_counts_formula(k: int, m: int, t: int) -> tuple[int, int]:
     """Scaling-law counts (N_1°, N_m°) at eps_k for depth t >= k + 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if t < k + 1:
         raise ValueError("formula needs t >= k + 1")
     if m < 2:
@@ -448,8 +441,11 @@ def delahaye_counts(inst: DelahayeInstance, k: int, m: int, t: int) -> tuple[int
     return delahaye_counts_formula(k, m, t)
 
 
-def delahaye_rdet(inst: DelahayeInstance, k: int, m: int) -> Fraction:
-    """Asymptotic determinism at eps_k: exactly 2/3 for every m >= 2."""
+def delahaye_rdet(k: int, m: int) -> Fraction:
+    """Asymptotic determinism at eps_k: exactly 2/3 for every m >= 2, and
+    for every r, so it reads (k, m) alone."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
@@ -458,6 +454,6 @@ def delahaye_rdet(inst: DelahayeInstance, k: int, m: int) -> Fraction:
     return Fraction(nm, n1)
 
 
-def delahaye_det(inst: DelahayeInstance, k: int, m: int) -> Fraction:
+def delahaye_det(k: int, m: int) -> Fraction:
     """Asymptotic RQA-determinism m*rdet_m - (m-1)*rdet_{m+1} at eps_k."""
-    return m * delahaye_rdet(inst, k, m) - (m - 1) * delahaye_rdet(inst, k, m + 1)
+    return m * delahaye_rdet(k, m) - (m - 1) * delahaye_rdet(k, m + 1)

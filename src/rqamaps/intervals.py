@@ -213,7 +213,7 @@ def extremal_configuration(n: int, epsilon: Number) -> Configuration:
     """
     if n < 2:
         raise ValueError("extremal configuration needs n >= 2")
-    eps = positive(as_fraction(epsilon))
+    eps = as_fraction(positive(epsilon))
     a, b = eps.numerator, eps.denominator
     first = CompactInterval(Fraction(0), Fraction(11 * a, 10 * b))
     last = CompactInterval(Fraction(2 * a, b), Fraction(31 * a, 10 * b))
@@ -234,6 +234,6 @@ def zero_configuration(n: int, epsilon: Number) -> Configuration:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    eps = positive(as_fraction(epsilon))
+    eps = as_fraction(positive(epsilon))
     return Configuration(tuple(
         CompactInterval(2 * k * eps, 2 * k * eps + eps) for k in range(n)))

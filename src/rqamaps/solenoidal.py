@@ -383,7 +383,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     every word pair, so N_m = N_m° = p_t^2.
 
     ``threads`` has no effect: pair counts are serial."""
-    eps = positive(epsilon if epsilon == inf else as_fraction(epsilon))
+    eps = epsilon if epsilon == inf else as_fraction(positive(epsilon))
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if t < 1:

@@ -4,7 +4,8 @@ Each reads its quantity from a definition, not from the code under test:
 word intervals from the diameter rule by endpoint sharing, the odometer
 step from the word's integer value mod 2^t, Bowen distances
 along a cycle by successor indices mod p, and the prop42 recurrence rule
-from the levels of the two indices.
+from the levels of the two indices, with its pair count summed over every
+pair of (parity, level) populations.
 
 The module is not named ``oracles``: the benchmark imports its own
 ``perfbench/oracles.py`` under that name, and one pytest run over both
@@ -72,6 +73,36 @@ def prop42_recurrence_rule(inst: Prop42Instance, i: int, j: int) -> bool:
     e, o = (i, j) if i % 2 == 0 else (j, i)
     s, t = index_level(e), index_level(o)
     return (s == t and s % 2 == 1) or s > t
+
+
+def _parity_level_populations(count: int, max_level: int) -> list[int]:
+    """#indices i < count at each level (i ranges over one parity class)."""
+    pops = []
+    for s in range(max_level + 1):
+        lo, hi = 2 ** s - 1, 2 ** (s + 1) - 2
+        pops.append(max(0, min(count - 1, hi) - lo + 1))
+    return pops
+
+
+def prop42_population_count(n: int) -> int:
+    """#{(i, j) in [0, n)^2 : |x_i - x_j| <= 1/2} as a sum over level pairs.
+
+    Indices with equal (parity, level) are interchangeable for the rule, so
+    the n^2 scan collapses to a double loop over level pairs (s, t), each
+    weighted by its two populations: O(L^2) for L levels.
+    """
+    evens, odds = (n + 1) // 2, n // 2
+    max_level = max(index_level(n - 1), index_level(max(n - 2, 0)))
+    e_pop = _parity_level_populations(evens, max_level)
+    o_pop = _parity_level_populations(odds, max_level)
+    mixed = 0
+    for s in range(max_level + 1):
+        if not e_pop[s]:
+            continue
+        for t in range(max_level + 1):
+            if o_pop[t] and ((s == t and s % 2 == 1) or s > t):
+                mixed += e_pop[s] * o_pop[t]
+    return evens * evens + odds * odds + 2 * mixed
 
 
 def bowen_orbit_distance(o: PeriodicOrbitData, i: int, j: int, m: int):

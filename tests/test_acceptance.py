@@ -226,9 +226,9 @@ def test_criterion_7_word_pair_counts(delahaye5):
         for m in (2, 3, 4):
             n1, nm = delahaye_counts(delahaye5, k, m, k + 1)
             assert (n1, nm) == (3 * 2 ** k, 2 ** (k + 1))
-        assert delahaye_rdet(delahaye5, k, m=2) == F(2, 3)
+        assert delahaye_rdet(k, m=2) == F(2, 3)
         for m in (2, 3, 4):
-            assert delahaye_det(delahaye5, k, m) == F(2, 3)
+            assert delahaye_det(k, m) == F(2, 3)
     for k in range(1, 7):
         for t in range(k + 2, 9):
             enumerated = delahaye_counts(delahaye5, k, 3, t)

@@ -15,7 +15,7 @@ from rqamaps.dynamics import evaluate, iterate
 from rqamaps.intervals import CompactInterval, interval_dist, union_diam
 from rqamaps.solenoidal import Word, node_bounds
 
-from package_oracles import descent, prop42_recurrence_rule
+from package_oracles import descent, prop42_population_count, prop42_recurrence_rule
 
 
 def word_intervals(s, *texts):
@@ -202,8 +202,45 @@ class TestProp42Counts:
 
     def test_aggregation_matches_brute_rule_scan(self, prop42_small):
         for n in (1, 2, 3, 5, 6, 14, 17, 30, 47, 62, 100, 126):
-            assert prop42_pair_count(prop42_small, n) == \
-                brute_rule_count(prop42_small, n)
+            assert prop42_pair_count(n) == brute_rule_count(prop42_small, n)
+
+    def test_count_matches_level_populations_to_depth_14(self):
+        # every n of a depth-14 instance, against the O(L^2) double loop
+        # over (parity, level) populations
+        ns = range(1, prop42_schedule_n(14) + 1)
+        assert [prop42_pair_count(n) for n in ns] == [prop42_population_count(n) for n in ns]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 300))
+    @example(1)
+    @example(300)
+    def test_count_matches_rule_scan(self, n):
+        assert prop42_pair_count(n) == brute_rule_count(build_prop42(7), n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300))
+    @example(300)
+    def test_count_matches_closed_form_on_schedule(self, k):
+        # n_300 is about 8 * 10^90
+        n = prop42_schedule_n(k)
+        assert prop42_pair_count(n) == prop42_c1_closed_form(k) * n * n
+
+    def test_count_at_a_googol(self):
+        # far past any built depth; C_1 stays inside the block extremes
+        n = 10 ** 100
+        count = prop42_pair_count(n)
+        assert type(count) is int
+        assert F(69, 100) < F(count, n * n) < F(81, 100)
+
+    def test_count_of_no_points(self):
+        assert prop42_pair_count(0) == 0
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            prop42_pair_count(-1)
+
+    def test_c1_keeps_its_depth_check(self, prop42_small):
+        for n in (0, prop42_small.n_points + 1):
+            with pytest.raises(ValueError, match=f"n={n} outside generated depth"):
+                prop42_C1(prop42_small, n)
 
     def test_rule_count_matches_arithmetic_count(self, prop42_small):
         for n in (6, 14, 30, 62):
@@ -369,20 +406,30 @@ class TestDelahayeCounts:
 
 
 class TestDelahayeLimits:
-    def test_rdet_two_thirds(self, delahaye5):
-        assert delahaye_rdet(delahaye5, 1, 2) == F(2, 3)
-        assert delahaye_rdet(delahaye5, 7, 4) == F(2, 3)
+    def test_rdet_two_thirds(self):
+        assert delahaye_rdet(1, 2) == F(2, 3)
+        assert delahaye_rdet(7, 4) == F(2, 3)
 
-    def test_rdet_window_one(self, delahaye5):
-        assert delahaye_rdet(delahaye5, 3, 1) == 1
+    def test_rdet_window_one(self):
+        assert delahaye_rdet(3, 1) == 1
 
-    def test_det_two_thirds(self, delahaye5):
+    def test_det_two_thirds(self):
         for k in (1, 4):
             for m in (2, 3, 5):
-                assert delahaye_det(delahaye5, k, m) == F(2, 3)
+                assert delahaye_det(k, m) == F(2, 3)
 
-    def test_det_window_one(self, delahaye5):
-        assert delahaye_det(delahaye5, 2, 1) == 1
+    def test_det_window_one(self):
+        assert delahaye_det(2, 1) == 1
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_limits_need_k_at_least_one(self, k):
+        for m in (1, 2):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                delahaye_rdet(k, m)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                delahaye_det(k, m)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            delahaye_counts_formula(k, 2, 3)
 
     def test_ratio_from_counts(self, delahaye5):
         n1, nm = delahaye_counts(delahaye5, 2, 3, 5)

@@ -9,6 +9,7 @@ module imports only from the modules before it in one order."""
 import ast
 import dataclasses
 import re
+import runpy
 from pathlib import Path
 
 import rqamaps
@@ -36,7 +37,7 @@ REMOVED = {"system_to_json", "system_from_json", "write_trajectory_csv", "report
            "recurrent_orbit_pairs", "min_spatial_gap", "dist_m_words", "diam_m_words",
            "_shifted_pair", "prop42_recurrence_rule", "bowen_orbit_distance", "word_midpoint",
            "interval_tests", "word_add", "symbolic_trajectory", "_level",
-           "interval_of_word", "count_pairs"}
+           "interval_of_word", "count_pairs", "_parity_level_populations"}
 
 
 def _private(name):
@@ -173,3 +174,24 @@ def test_removed_helpers_stay_out_of_the_package():
     # every system reads its bounds from its node tables, with no store of levels beside them
     assert fields & {"descriptor", "_levels"} == set()
     assert not hasattr(Word, "group_order")
+
+
+
+def test_code_line_rule():
+    # a line counts when it holds code, a trailing comment or not; blank
+    # lines, comment lines and lone strings (docstrings) do not, wherever
+    # they stand, but a string that is part of an expression does
+    code_lines = runpy.run_path(str(ROOT / "scripts" / "code_lines.py"))["code_lines"]
+    source = "\n".join([
+        '"""Module',
+        'docstring."""',
+        '',
+        '# a comment',
+        'def f(x):  # trailing comment',
+        '    """One."""',
+        '    "lone"',
+        '    return (x +',
+        '            """two',
+        'lines""")',
+        ''])
+    assert code_lines(source) == 4

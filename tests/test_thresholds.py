@@ -13,7 +13,7 @@ from rqamaps.finite_omega import PeriodicOrbitData, closed_form_corr_sum
 from rqamaps.intervals import (CompactInterval, Configuration, epsilon_pairs,
                                extremal_configuration, zero_configuration)
 from rqamaps.rqa import RQAParams, correlation_sum
-from rqamaps.solenoidal import counts_by_window
+from rqamaps.solenoidal import asymptotic_corr_sum, counts_by_window
 
 TINY, HUGE = 5e-324, F(10 ** 400)
 
@@ -56,23 +56,32 @@ def test_infinite_threshold_passes_every_exact_distance():
 
 ORBIT = PeriodicOrbitData((0.0, 0.5))
 CONF = Configuration((CompactInterval(F(0), F(1)), CompactInterval(F(2), F(3))))
-# name -> (call with eps and a nested-interval system, whether a float eps
-# reaches the check as it is, unconverted)
-ENTRY_POINTS = {
-    "cli": (lambda eps, _: cli._parse_epsilon(str(eps), False), False),
-    "RQAParams": (lambda eps, _: RQAParams(1, eps, 3), True),
-    "finite_omega": (lambda eps, _: closed_form_corr_sum(ORBIT, 1, eps), True),
-    "counts_by_window": (lambda eps, system: counts_by_window(system, 2, eps, 1), False),
-    "epsilon_pairs": (lambda eps, _: epsilon_pairs(CONF, eps), True),
-    "extremal_configuration": (lambda eps, _: extremal_configuration(3, eps), False),
-    "zero_configuration": (lambda eps, _: zero_configuration(3, eps), False),
+# name -> call with eps and a nested-interval system; the library entries
+# take eps as a number, the cli as exact rational text
+LIBRARY = {
+    "RQAParams": lambda eps, _: RQAParams(1, eps, 3),
+    "finite_omega": lambda eps, _: closed_form_corr_sum(ORBIT, 1, eps),
+    "counts_by_window": lambda eps, system: counts_by_window(system, 2, eps, 1),
+    "asymptotic_corr_sum": lambda eps, system: asymptotic_corr_sum(system, 1, eps, [2]),
+    "epsilon_pairs": lambda eps, _: epsilon_pairs(CONF, eps),
+    "extremal_configuration": lambda eps, _: extremal_configuration(3, eps),
+    "zero_configuration": lambda eps, _: zero_configuration(3, eps),
 }
+ENTRY_POINTS = {"cli": lambda eps, _: cli._parse_epsilon(str(eps), False), **LIBRARY}
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_every_entry_point_rejects_a_threshold_that_is_not_positive(delahaye5, name):
-    call, as_is = ENTRY_POINTS[name]
-    for eps in [0, -0.0, F(-1, 2), -3] + [math.nan] * as_is:
+    call = ENTRY_POINTS[name]
+    for eps in [0, -0.0, F(-1, 2), -3]:
         with pytest.raises(ValueError, match="^epsilon must be positive$"):
             call(eps, delahaye5.system)
     call(F(1, 4), delahaye5.system)
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0, -1], ids=["nan", "zero", "minus_one"])
+@pytest.mark.parametrize("name", LIBRARY)
+def test_nan_zero_and_negative_get_the_one_message(delahaye5, name, eps):
+    # NaN is checked before any conversion, which would raise its own error
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        LIBRARY[name](eps, delahaye5.system)
