@@ -50,8 +50,14 @@ def _parse_epsilon(text: str, as_float: bool):
     return _float(eps, "--epsilon") if as_float else eps
 
 
-def _parse_schedule(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
+def _parse_schedule(text: str, option: str = "--t-schedule") -> list[int]:
+    """The schedule of ``option``; ``--t-schedule`` reads it as its
+    argparse type, which reports its own message for a value that is not
+    an integer."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
     if not values or any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError("schedule must be a strictly increasing integer list")
     return values
@@ -59,7 +65,7 @@ def _parse_schedule(text: str) -> list[int]:
 
 def _schedule_arg(args) -> list[int]:
     if args.schedule:
-        return _parse_schedule(args.schedule)
+        return _parse_schedule(args.schedule, "--schedule")
     if args.n is None:
         raise ValueError("need --n or --schedule")
     return [args.n]

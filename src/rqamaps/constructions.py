@@ -368,12 +368,12 @@ def build_delahaye(r: int, depth_cap: int = 13) -> DelahayeInstance:
         raise ValueError("need r >= 5")
     widths = {}   # depth -> (r^-depth, 2 r^-depth)
 
-    def diam_rule(w: Word) -> Fraction:
-        d = len(w.digits)
+    def diam_rule(digits: tuple[int, ...]) -> Fraction:
+        d = len(digits)
         if d not in widths:
             unit = Fraction(1, r ** d)
             widths[d] = (unit, 2 * unit)
-        return widths[d][w.digits[0]]
+        return widths[d][digits[0]]
 
     system = AdmissibleSystem(diam_rule=diam_rule, depth_cap=depth_cap, _nests=True)
     _check_delahaye_gaps(system, r)

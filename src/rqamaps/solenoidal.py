@@ -28,11 +28,13 @@ depth of the count over one scale (int64 while they fit, Python ints
 otherwise).  The table is built from that of depth d - 1 on first use and
 kept in ``_nodes``: each child keeps one extreme leaf of its parent, since
 the zeros (ones) below u keep its lo (hi), and costs one ``diam_rule``
-call for its width and one for its other extreme leaf.  The words come in
-ascending odometer value from ``itertools.product`` with each digit tuple
-reversed, skip ``Word``'s digit validation (every digit is 0 or 1 by
-construction), and each width's sign is checked on its integer numerator
-over the table's scale.  Each table of depth d >= 1 then checks
+call for its width and one for its other extreme leaf.  The rule reads a
+word as its digit tuple, a plain ``tuple`` of 0/1 ints, least significant
+digit first, as long as the word's depth; no :class:`Word` is built per
+call.  The words come in ascending odometer value from
+``itertools.product`` with each digit tuple reversed, and each width's
+sign is checked on its integer numerator over the table's scale.  Each
+table of depth d >= 1 then checks
 admissibility, one integer comparison per parent: the children of K_a lie
 inside it and in order iff max K_{a0} < min K_{a1}.  A rule that breaks
 either check raises ValueError, the nesting check naming the first depth
@@ -132,14 +134,6 @@ class Word:
         return Word(tuple((value >> i) & 1 for i in range(t)))
 
     @staticmethod
-    def _unchecked(digits: tuple[int, ...]) -> "Word":
-        """A word whose digits are known to be binary, built without
-        ``__post_init__``'s validation."""
-        word = object.__new__(Word)
-        word.__dict__["digits"] = digits
-        return word
-
-    @staticmethod
     def parse(text: str) -> "Word":
         return Word(tuple(int(ch) for ch in text))
 
@@ -148,10 +142,14 @@ class Word:
 class AdmissibleSystem:
     """Binary nested-interval system driven by a diameter rule.
 
-    ``diam_rule(word)`` fixes the width of K_word; interval placement then
-    follows from endpoint sharing: the 0-child keeps the parent's lo, the
-    1-child keeps the parent's hi.  The rule is admissible when every width
-    is positive and the two children of every word lie inside it in order
+    ``diam_rule(digits)`` fixes the width of K_a for the word a whose digit
+    tuple is ``digits``: a plain ``tuple`` of 0/1 ints, least significant
+    digit first, as long as a's depth.  ``Word(digits)`` reads it as a word,
+    and a rule written for words runs as ``lambda digits:
+    rule(Word(digits))``.  Interval placement then follows from endpoint
+    sharing: the 0-child keeps the parent's lo, the 1-child keeps the
+    parent's hi.  The rule is admissible when every width is positive and
+    the two children of every word lie inside it in order
     (their widths sum to less than the parent's); each node table checks
     this at its depth as it is built and raises ValueError at the first
     depth that breaks it.  A rule proved to nest at every depth is marked
@@ -160,7 +158,7 @@ class AdmissibleSystem:
     the tables of every depth to t first.
     """
 
-    diam_rule: Callable[[Word], Fraction]
+    diam_rule: Callable[[tuple[int, ...]], Fraction]
     depth_cap: int = 13
     # (t, d) -> (ends, scale): rows lo, lo_right, hi, hi_left of every node
     # at depth d of a depth-t count, over scale
@@ -184,12 +182,10 @@ def _gate(s: AdmissibleSystem, t: int) -> None:
 
 
 def _widths(s: AdmissibleSystem, words: list[tuple[int, ...]], scale: int = 1) -> tuple[list[int], int]:
-    """The widths of ``words``, one rule call each, as integers over the lcm
-    of ``scale`` and their denominators; a width that is not positive raises
-    ValueError.  The words skip ``Word``'s digit validation: every digit is
-    0 or 1 by construction."""
-    rule, word = s.diam_rule, Word._unchecked
-    widths = [as_fraction(rule(word(digits))) for digits in words]
+    """The widths of ``words``, digit tuples, one rule call each, as
+    integers over the lcm of ``scale`` and their denominators; a width that
+    is not positive raises ValueError."""
+    widths = [as_fraction(w) for w in map(s.diam_rule, words)]
     w, new = scaled(widths, scale)
     if min(w, default=1) <= 0:
         raise ValueError(f"diameter rule must be positive, got {min(widths)}")
@@ -376,6 +372,15 @@ def _walk(s: AdmissibleSystem, t: int, steps: int, eps: Number) -> np.ndarray:
     return np.cumsum(by_lead[:, :0:-1], axis=1)[:, ::-1]
 
 
+def _window_args(epsilon: Number, m_max: int) -> Number:
+    """epsilon as a Fraction, or math.inf, once it and the window m_max are
+    checked."""
+    eps = epsilon if epsilon == inf else as_fraction(positive(epsilon))
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    return eps
+
+
 def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
                      threads: int = 1) -> list[SolenoidalCounts]:
     """Counts for every window length 1..m_max in one dual-tree walk.
@@ -383,9 +388,7 @@ def counts_by_window(s: AdmissibleSystem, t: int, epsilon: Number, m_max: int,
     every word pair, so N_m = N_m° = p_t^2.
 
     ``threads`` has no effect: pair counts are serial."""
-    eps = epsilon if epsilon == inf else as_fraction(positive(epsilon))
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    eps = _window_args(epsilon, m_max)
     if t < 1:
         raise ValueError(f"depth {t} < 1: the enclosure width bound needs p_t >= 2")
     p = 2 ** t
@@ -409,9 +412,11 @@ def asymptotic_corr_sum(s: AdmissibleSystem, m: int, epsilon: Number,
     asymptotic correlation sums of any trajectory attracted to the system,
     and its width never exceeds ``width_bound`` = 4m(p_t - 1)/p_t^2, which
     vanishes as t grows.  A wider enclosure is a bug and raises
-    AssertionError.
+    AssertionError.  epsilon and m are checked before any depth is read,
+    so an empty schedule with either out of range raises too.
     """
-    out = tuple(counts_by_window(s, t, epsilon, m)[m - 1] for t in t_schedule)
+    eps = _window_args(epsilon, m)
+    out = tuple(counts_by_window(s, t, eps, m)[m - 1] for t in t_schedule)
     for c in out:
         if c.upper - c.lower > c.width_bound:
             raise AssertionError(f"enclosure width exceeds bound at t={c.t}: {c}")

@@ -21,10 +21,11 @@ from rqamaps.solenoidal import AdmissibleSystem, Word
 
 
 def descent(rule, a):
-    """K_a from the diameter rule, prefix by prefix, in Fractions."""
+    """K_a from the diameter rule, read on the digit tuple of each prefix,
+    prefix by prefix, in Fractions."""
     lo, hi = F(0), F(1)
     for d in range(1, len(a) + 1):
-        width = rule(Word(a.digits[:d]))
+        width = rule(a.digits[:d])
         lo, hi = (lo, lo + width) if a.digits[d - 1] == 0 else (hi - width, hi)
     return lo, hi
 

@@ -343,6 +343,13 @@ class TestParsing:
         assert run("corrsum", "--map", plateau_map_file, "--x0", "0",
                    "--m", "1", "--epsilon", "1/2", "--schedule", "5,5") == 1
 
+    def test_schedule_that_is_not_integers_names_its_option(self, capsys, plateau_map_file):
+        for name in ("corrsum", "rdet", "det"):
+            assert run(name, "--map", plateau_map_file, "--x0", "0",
+                       "--m", "1", "--epsilon", "1/2", "--schedule", "5,x") == 1
+            assert capsys.readouterr() == (
+                "", "error: --schedule takes comma-separated integers, got '5,x'\n")
+
     def test_repeated_calls_in_one_process(self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "artifact"
         plot = ["rplot", "--construction", "prop42", "--depth", "4", "--m", "1",

@@ -174,6 +174,8 @@ def test_removed_helpers_stay_out_of_the_package():
     # every system reads its bounds from its node tables, with no store of levels beside them
     assert fields & {"descriptor", "_levels"} == set()
     assert not hasattr(Word, "group_order")
+    # a diameter rule reads the word's digit tuple, so no word is built per call
+    assert not hasattr(Word, "_unchecked")
 
 
 

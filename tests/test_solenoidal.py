@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -350,15 +351,15 @@ def random_system(rnd, big=False, scale=None, near=False):
             shortfall[digits] = deficit(digits[:-1]) + rnd.randint(1, 3)
         return shortfall[digits]
 
-    def rule(w):
-        d = len(w)
-        if w.digits not in widths and near:
-            widths[w.digits] = F(64 - deficit(w.digits), 64 * 2 ** d)
-        elif w.digits not in widths:
+    def rule(digits):
+        d = len(digits)
+        if digits not in widths and near:
+            widths[digits] = F(64 - deficit(digits), 64 * 2 ** d)
+        elif digits not in widths:
             extra = (F(1, scale) if scale else
-                     F(1, 8 ** d * (2 ** 33 + 2 * d + w.digits[-1])) if big else 0)
-            widths[w.digits] = F(rnd.randint(1, 3), 8 ** d) + extra
-        return widths[w.digits]
+                     F(1, 8 ** d * (2 ** 33 + 2 * d + digits[-1])) if big else 0)
+            widths[digits] = F(rnd.randint(1, 3), 8 ** d) + extra
+        return widths[digits]
     return AdmissibleSystem(diam_rule=rule)
 
 
@@ -368,11 +369,11 @@ def nonnesting_rule(rnd, big):
     ``big``, each width gets 1/(2^33 + 2d + last digit) added."""
     widths = {}
 
-    def rule(w):
-        if w.digits not in widths:
-            extra = F(1, 2 ** 33 + 2 * len(w) + w.digits[-1]) if big else 0
-            widths[w.digits] = F(rnd.randint(1, 6), 8) + extra
-        return widths[w.digits]
+    def rule(digits):
+        if digits not in widths:
+            extra = F(1, 2 ** 33 + 2 * len(digits) + digits[-1]) if big else 0
+            widths[digits] = F(rnd.randint(1, 6), 8) + extra
+        return widths[digits]
     return rule
 
 
@@ -416,23 +417,24 @@ def test_level_build_calls_rule_once_per_node_in_odometer_order():
     for t in range(9):
         calls = []
 
-        def rule(w):
-            calls.append(w)
-            return F(1, 3 ** len(w))
+        def rule(digits):
+            calls.append(digits)
+            return F(1, 3 ** len(digits))
         node_bounds(AdmissibleSystem(diam_rule=rule), t, 0, [0])
-        want = [Word((x,) * t) for x in (0, 1)] if t else []
+        want = [(x,) * t for x in (0, 1)] if t else []
         for d in range(1, t):
-            nodes = [Word.from_int(j, d) for j in range(2 ** d)]
-            want += nodes + [Word(u.digits + (1 - u.digits[-1],) * (t - d)) for u in nodes]
+            nodes = [Word.from_int(j, d).digits for j in range(2 ** d)]
+            want += nodes + [u + (1 - u[-1],) * (t - d) for u in nodes]
         assert calls == want
         assert [hash(w) for w in calls] == [hash(w) for w in want]
-        assert sorted((len(w), w.to_int()) for w in calls) == \
+        assert {type(w) for w in calls} <= {tuple}
+        assert sorted((len(w), Word(w).to_int()) for w in calls) == \
             [(d, j) for d in range(1, t + 1) for j in range(2 ** d)]
 
 
 def test_depth_endpoints_reject_nonpositive_width():
-    def rule(w):
-        return F(0) if len(w) == 3 and w.digits[-1] == 1 else F(1, 3 ** len(w))
+    def rule(digits):
+        return F(0) if len(digits) == 3 and digits[-1] == 1 else F(1, 3 ** len(digits))
     for build in (lambda s: node_bounds(s, 4, 4, [0]),
                   lambda s: max_diam(s, 3),
                   lambda s: counts_by_window(s, 3, F(1, 8), 1)):
@@ -440,19 +442,19 @@ def test_depth_endpoints_reject_nonpositive_width():
             build(AdmissibleSystem(diam_rule=rule))
 
 
-def overlapping(w):
+def overlapping(digits):
     # the children of K_0 = [0, 1/3] have widths 1/5 + 1/5 > 1/3
-    return F(1, 5) if len(w) == 2 and w.digits[0] == 0 else F(1, 3 ** len(w))
+    return F(1, 5) if len(digits) == 2 and digits[0] == 0 else F(1, 3 ** len(digits))
 
 
-def touching(w):
+def touching(digits):
     # the children of K_1 = [2/3, 1] have widths 1/9 + 2/9 = 1/3
-    return F(1 + w.digits[1], 9) if len(w) == 2 and w.digits[0] == 1 else F(1, 3 ** len(w))
+    return F(1 + digits[1], 9) if len(digits) == 2 and digits[0] == 1 else F(1, 3 ** len(digits))
 
 
-def wider(w):
+def wider(digits):
     # K_110 is wider than its parent K_11, of width 1/9
-    return F(1, 2) if w.digits == (1, 1, 0) else F(1, 3 ** len(w))
+    return F(1, 2) if digits == (1, 1, 0) else F(1, 3 ** len(digits))
 
 
 @pytest.mark.parametrize("rule,depth", [(overlapping, 2), (touching, 2), (wider, 3)],
@@ -690,7 +692,7 @@ def test_max_diam_without_level_t_matches_level_t(seed, t, kind):
     calls = []
     nested = AdmissibleSystem(diam_rule=lambda w: calls.append(w) or rule(w), _nests=True)
     got = max_diam(nested, t)
-    assert sorted(w.to_int() for w in calls) == list(range(2 ** t))
+    assert sorted(Word(w).to_int() for w in calls) == list(range(2 ** t))
     assert nested._nodes == {}
     ivs = descent_intervals(rule, t)
     assert got == max(iv.diam for iv in ivs)
@@ -704,8 +706,8 @@ def test_max_diam_without_level_t_matches_level_t(seed, t, kind):
 
 
 def test_max_diam_without_level_t_rejects_nonpositive_width():
-    def rule(w):
-        return F(0) if w.digits == (1, 0, 1) else F(1, 3 ** len(w))
+    def rule(digits):
+        return F(0) if digits == (1, 0, 1) else F(1, 3 ** len(digits))
     assert max_diam(AdmissibleSystem(diam_rule=rule, _nests=True), 2) == F(1, 9)
     with pytest.raises(ValueError, match="diameter rule must be positive, got 0"):
         max_diam(AdmissibleSystem(diam_rule=rule, _nests=True), 3)
@@ -740,6 +742,14 @@ def test_symbolic_job_rule_calls_stay_within_budget(r, k):
     budget = 2 ** 10 + sum(count_table_calls(t, k + 1) for t in (10, 4, 6, 8))
     assert len(calls) <= budget < 2 ** 10 + 1984
     assert {d for _, d in s._nodes} <= set(range(k + 2))
+    # every call reads a word's digit tuple, of 0/1 ints: max_diam's are the
+    # 2^10 words of depth 10, and a count's are the nodes of the depths it
+    # walks and the extreme leaves at its depth t
+    assert {type(w) for w in calls} == {tuple}
+    assert {type(x) for w in calls for x in w} == {int}
+    assert {x for w in calls for x in w} == {0, 1}
+    assert sorted(calls[:2 ** 10]) == sorted(itertools.product((0, 1), repeat=10))
+    assert {len(w) for w in calls[2 ** 10:]} <= set(range(1, k + 2)) | {10, 4, 6, 8}
 
 
 def test_count_table_calls_match_a_level_build_at_full_depth():
@@ -750,9 +760,9 @@ def test_count_table_calls_match_a_level_build_at_full_depth():
     for t in range(6):
         calls = []
 
-        def rule(w):
-            calls.append(w)
-            return F(1, 3 ** len(w))
+        def rule(digits):
+            calls.append(digits)
+            return F(1, 3 ** len(digits))
         b = node_bounds(AdmissibleSystem(diam_rule=rule, _nests=True), t, t, range(2 ** t))
         assert len(calls) == count_table_calls(t, t) == 2 ** (t + 1) - 2
         assert [(F(lo, b.scale), F(hi, b.scale)) for lo, hi in zip(b.lo.tolist(), b.hi.tolist())] \
@@ -805,6 +815,20 @@ class TestEnclosure:
     def test_depth_zero_rejected(self, delahaye5):
         with pytest.raises(ValueError, match="needs p_t >= 2"):
             asymptotic_corr_sum(delahaye5.system, 1, F(1, 5), [0])
+
+    @pytest.mark.parametrize("schedule", [[], [0], [2, 3]])
+    @pytest.mark.parametrize("m,eps,message", [
+        (1, math.nan, "epsilon must be positive"), (1, -1, "epsilon must be positive"),
+        (1, 0, "epsilon must be positive"), (0, F(1, 5), "m_max must be >= 1"),
+        (0, -1, "epsilon must be positive")])
+    def test_threshold_and_window_checked_before_any_depth(self, delahaye5, schedule,
+                                                           m, eps, message):
+        # with the messages of counts_by_window, an empty schedule included
+        with pytest.raises(ValueError, match=message):
+            asymptotic_corr_sum(delahaye5.system, m, eps, schedule)
+        if schedule[:1] == [2]:
+            with pytest.raises(ValueError, match=message):
+                counts_by_window(delahaye5.system, 2, eps, m)
 
     def test_strict_contains_closed(self, delahaye5):
         # nondegenerate intervals force dist < diam, so N_m° is inside N_m
